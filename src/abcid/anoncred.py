@@ -237,7 +237,6 @@ class Presentation:
     nonce: bytes
     context: str
     issuer_id: str
-    schema_id: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "disclosed", dict(self.disclosed))
@@ -482,7 +481,7 @@ def present(
     _check_nonce(nonce)
     disclose = set(disclose)
     L_c = len(cred.claims)
-    if any(i < 1 or i > L_c for i in disclose) or 0 in disclose:
+    if any(i < 1 or i > L_c for i in disclose):
         raise IndexError(f"disclosure indices must lie in 1..{L_c}")
     p = pk.params
     n = pk.n
@@ -519,7 +518,6 @@ def present(
         nonce=bytes(nonce),
         context=context,
         issuer_id=cred.metadata.issuer_id,
-        schema_id=cred.metadata.schema_id,
     )
 
 

@@ -22,7 +22,8 @@ from pathlib import Path
 from . import anoncred, gate, wire
 from .anoncred import AbcError, CredentialMetadata, EncodingError, ParameterError
 from .model import Claim, Unsatisfiable, select_credentials
-from .policy import AccessRequest, ParseError, TimeWindow, decompose_policy, parse_policy, serialize_policy
+from .policy import DAYS, AccessRequest, ParseError, TimeWindow, _fmt_minutes, _quote
+from .policy import decompose_policy, parse_policy, serialize_policy
 from .wallet import Wallet, wallet_load, wallet_save
 from .wire import FormatError
 
@@ -197,7 +198,7 @@ def cmd_policy_lint(args) -> int:
     policy = parse_policy(text)
     parts = decompose_policy(policy)
     subjects = ", ".join(
-        t.name if t.value is None else f'{t.name}="{t.value}"'
+        t.name if t.value is None else f"{t.name}={_quote(t.value)}"
         for t in sorted(parts.subjects, key=lambda t: (t.name, t.value or ""))
     )
     print(f"subjects: {subjects}")
@@ -207,9 +208,9 @@ def cmd_policy_lint(args) -> int:
         conds = []
         for c in parts.context:
             if isinstance(c, TimeWindow):
-                conds.append(f"time {c.start // 60:02d}:{c.start % 60:02d}-{c.end // 60:02d}:{c.end % 60:02d}")
+                conds.append(f"time {_fmt_minutes(c.start)}-{_fmt_minutes(c.end)}")
             else:
-                conds.append("days " + ",".join(d for d in ("mon", "tue", "wed", "thu", "fri", "sat", "sun") if d in c.days))
+                conds.append("days " + ",".join(d for d in DAYS if d in c.days))
         print(f"context:  {'; '.join(conds)}")
     else:
         print("context:  unconditional")
@@ -220,7 +221,7 @@ def cmd_policy_lint(args) -> int:
 # -- gate ----------------------------------------------------------------------
 
 def cmd_gate_eval(args) -> int:
-    registry, digests, _files = gate.registry_from_json(wire.load(args.registry))
+    registry, digests = gate.registry_from_json(wire.load(args.registry))
     for path in args.issuer_pub or []:
         gate.attach_trusted_key(registry, _load_public_key(path), digests)
     for path in args.policy or []:
@@ -253,12 +254,11 @@ def cmd_fixture_emit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fx = gate.reference_fixture(seed=args.seed if args.seed is not None else 20260101)
 
-    policy_files = {pid: f"policies/{pid}.pol" for pid in gate.FIXTURE_POLICY_TEXTS}
     (out / "policies").mkdir(exist_ok=True)
     for pid, text in gate.FIXTURE_POLICY_TEXTS.items():
-        (out / policy_files[pid]).write_text(serialize_policy(parse_policy(text)) + "\n", encoding="utf-8")
+        (out / "policies" / f"{pid}.pol").write_text(serialize_policy(parse_policy(text)) + "\n", encoding="utf-8")
 
-    wire.save(gate.registry_to_json(fx.registry, policy_files), out / "registry.json")
+    wire.save(gate.registry_to_json(fx.registry), out / "registry.json")
     for issuer_id, (pk, sk) in sorted(fx.issuer_keys.items()):
         wire.save(wire.public_key_to_json(pk), out / f"{issuer_id}.pub.json")
         wire.save(wire.secret_key_to_json(sk), out / f"{issuer_id}.key.json")
@@ -405,24 +405,12 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error[ParseError]: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, EncodingError) as exc:
+    except (AbcError, Unsatisfiable, ParseError, FormatError, gate.GateError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except AbcError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except Unsatisfiable as exc:
-        print(f"error[Unsatisfiable]: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error[FormatError]: {exc}", file=sys.stderr)
-        return 2
-    except gate.GateError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
+        # A proof or wallet that does not establish what was asked exits 1;
+        # bad parameters, encodings and documents exit 2.
+        rejected = isinstance(exc, (AbcError, Unsatisfiable))
+        return 1 if rejected and not isinstance(exc, (ParameterError, EncodingError)) else 2
     except OSError as exc:
         print(f"error[IoError]: {exc}", file=sys.stderr)
         return 2

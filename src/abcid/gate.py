@@ -133,8 +133,6 @@ def access(
     req: AccessRequest,
     presentations: list[Presentation],
     nonce: bytes,
-    policies: list[Policy] | None = None,
-    policy_ids: list[str] | None = None,
 ) -> AccessOutcome:
     """Authenticate-then-authorize for one request.
 
@@ -165,14 +163,12 @@ def access(
         except AbcError as exc:
             errors.append((idx, exc.code))
 
-    if policies is None:
-        missing = [pid for pid in spec.policy_ids if pid not in registry.policies]
-        if missing:
-            raise UnknownPolicy(f"policies not attached to registry: {missing}")
-        policy_ids = list(spec.policy_ids)
-        policies = [registry.policies[pid] for pid in policy_ids]
+    missing = [pid for pid in spec.policy_ids if pid not in registry.policies]
+    if missing:
+        raise UnknownPolicy(f"policies not attached to registry: {missing}")
+    policies = [registry.policies[pid] for pid in spec.policy_ids]
 
-    decision = evaluate(policies, {c.attribute for c in verified}, req, policy_ids)
+    decision = evaluate(policies, {c.attribute for c in verified}, req, spec.policy_ids)
     if errors and decision.outcome == "Permit":
         # Authentication failed somewhere; authorization cannot stand.
         decision = Decision("Deny", None, decision.reasons[:-1])
@@ -192,7 +188,7 @@ def key_digest(pk: IssuerPublicKey) -> str:
     return pk.digest().hex()
 
 
-def registry_to_json(registry: Registry, policy_files: dict[str, str] | None = None) -> dict:
+def registry_to_json(registry: Registry) -> dict:
     return {
         "version": REGISTRY_VERSION,
         "domains": [
@@ -208,13 +204,12 @@ def registry_to_json(registry: Registry, policy_files: dict[str, str] | None = N
             issuer_id: key_digest(pk)
             for issuer_id, pk in sorted(registry.issuer_keys.items())
         },
-        "policy_files": dict(policy_files or {}),
     }
 
 
-def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str], dict[str, str]]:
-    """Rebuild the domain table; keys and policies are attached separately
-    (and checked against the persisted digests / file references)."""
+def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str]]:
+    """Rebuild the domain table; keys and policies are attached separately,
+    keys checked against the persisted digests."""
     if _need(doc, "version", int) != REGISTRY_VERSION:
         raise FormatError("unsupported registry version")
     registry = Registry()
@@ -227,8 +222,7 @@ def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str], dict[str, s
         )
         register_domain(registry, spec)
     digests = {k: v for k, v in _need(doc, "issuer_key_digests", dict).items()}
-    policy_files = {k: v for k, v in _need(doc, "policy_files", dict).items()}
-    return registry, digests, policy_files
+    return registry, digests
 
 
 def attach_trusted_key(registry: Registry, pk: IssuerPublicKey, digests: dict[str, str]) -> None:

@@ -133,6 +133,8 @@ class CredentialSummary:
 class Unsatisfiable(Exception):
     """The wallet cannot jointly cover the required attributes."""
 
+    code = "Unsatisfiable"
+
     def __init__(self, missing: Iterable[str]):
         self.missing = frozenset(missing)
         super().__init__(f"attributes not covered by wallet: {sorted(self.missing)}")

@@ -81,7 +81,6 @@ class Policy:
     resource_type: str | None = None
     resource_name: str | None = None
     context: tuple[Condition, ...] = ()
-    effect: str = "Permit"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subject_attrs", frozenset(self.subject_attrs))
@@ -92,8 +91,6 @@ class Policy:
             raise ValueError(f"invalid action: {self.action!r}")
         if not is_token(self.domain_id):
             raise ValueError(f"invalid domain: {self.domain_id!r}")
-        if self.effect != "Permit":
-            raise ValueError("only Permit policies exist")
         if sum(isinstance(c, TimeWindow) for c in self.context) > 1:
             raise ValueError("at most one time window condition")
         if sum(isinstance(c, DaySet) for c in self.context) > 1:
@@ -131,6 +128,8 @@ class Decision:
 # ---------------------------------------------------------------------------
 
 class ParseError(Exception):
+    code = "ParseError"
+
     def __init__(self, message: str, line: int, col: int, expected: Iterable[str] = ()):
         self.line = line
         self.col = col
@@ -413,7 +412,7 @@ class ResourceSelector:
         if self.resource_type is not None:
             bits.append(f"those of type {self.resource_type}")
         if self.resource_name is not None:
-            bits.append(f'named "{self.resource_name}"')
+            bits.append(f"named {_quote(self.resource_name)}")
         return " ".join(bits)
 
 

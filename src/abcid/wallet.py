@@ -46,10 +46,21 @@ class Wallet:
 
 
 def wallet_save(wallet: Wallet, path: str | Path) -> None:
+    """Write the wallet to a fresh owner-only temporary file in the same
+    directory, sync it, then rename it over `path`. A crash or a failed
+    write leaves the old wallet whole."""
     path = Path(path)
-    doc = wallet_to_json(wallet.holder_secret, wallet.credentials, wallet.labels)
-    path.write_text(dumps(doc), encoding="utf-8")
-    os.chmod(path, 0o600)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(dumps(wallet_to_json(wallet.holder_secret, wallet.credentials, wallet.labels)))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def wallet_load(path: str | Path) -> Wallet:

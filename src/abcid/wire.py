@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from datetime import date
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .anoncred import (
     NONCE_LEN,
@@ -96,6 +96,101 @@ def load(path: str | Path) -> dict:
     return doc
 
 
+# -- field tables --------------------------------------------------------------
+#
+# Each message type is a table of (JSON key, dataclass field, codec) rows in
+# document order, walked by `_encode` and `_fields`. A codec names the JSON
+# type the value must have and converts the field to and from it.
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+class _Codec(NamedTuple):
+    kind: type
+    encode: Callable[[Any], Any] = _same
+    decode: Callable[[Any], Any] = _same
+    optional: bool = False  # null or a missing key stands for None
+
+
+def _encode(table: tuple, obj: Any) -> dict:
+    doc = {}
+    for key, attr, codec in table:
+        value = obj if attr is None else getattr(obj, attr)
+        doc[key] = None if value is None and codec.optional else codec.encode(value)
+    return doc
+
+
+def _fields(table: tuple, doc: Any) -> dict:
+    if not isinstance(doc, dict):
+        raise FormatError(f"expected object, got {type(doc).__name__}")
+    fields = {}
+    for key, attr, codec in table:
+        if codec.optional and doc.get(key) is None:
+            value = None
+        else:
+            value = codec.decode(_need(doc, key, codec.kind))
+        if attr is None:
+            fields.update(value)
+        else:
+            fields[attr] = value
+    return fields
+
+
+def _message(cls: type, table: tuple) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
+    """The (to_json, from_json) pair of one message type."""
+
+    def to_json(obj: Any) -> dict:
+        return _encode(table, obj)
+
+    def from_json(doc: Any) -> Any:
+        return cls(**_fields(table, doc))
+
+    return to_json, from_json
+
+
+def _group(table: tuple) -> _Codec:
+    """A nested JSON object whose keys are fields of the enclosing
+    dataclass; its row has None for the dataclass field."""
+    return _Codec(dict, lambda obj: _encode(table, obj), lambda doc: _fields(table, doc))
+
+
+def _parse_date(s: str) -> date:
+    try:
+        return date.fromisoformat(s)
+    except ValueError:
+        raise FormatError(f"not a YYYY-MM-DD date: {s!r}") from None
+
+
+def _index_key(key: str) -> int:
+    if not key.isdigit():
+        raise FormatError(f"attribute index must be a decimal string, got {key!r}")
+    return int(key)
+
+
+def _index_map(encode: Callable[[Any], Any], decode: Callable[[Any], Any]) -> _Codec:
+    """Attribute index -> value, keyed by decimal strings in index order."""
+    return _Codec(
+        dict,
+        lambda m: {str(i): encode(v) for i, v in sorted(m.items())},
+        lambda doc: {_index_key(k): decode(v) for k, v in doc.items()},
+    )
+
+
+def _r_bases(doc: list) -> tuple[int, ...]:
+    if len(doc) < 2:
+        raise FormatError("public key needs the holder base plus one attribute base")
+    return tuple(hex_to_int(x) for x in doc)
+
+
+STR = _Codec(str)
+NUMBER = _Codec(int)  # a plain JSON integer
+HEX = _Codec(str, int_to_hex, hex_to_int)
+NONCE = _Codec(str, nonce_to_hex, nonce_from_hex)
+DATE = _Codec(str, date.isoformat, _parse_date)
+
+
 # -- claims and metadata ----------------------------------------------------
 
 def claim_to_json(c: Claim) -> dict:
@@ -118,112 +213,67 @@ def claim_from_json(doc: Any) -> Claim:
         raise FormatError(f"bad claim: {exc}") from None
 
 
-def metadata_to_json(md: CredentialMetadata) -> dict:
-    return {
-        "issuer_id": md.issuer_id,
-        "schema_id": md.schema_id,
-        "issued_at": md.issued_at.isoformat(),
-        "expires_at": md.expires_at.isoformat() if md.expires_at else None,
-        "credential_id": md.credential_id,
-    }
+CLAIMS = _Codec(
+    list,
+    lambda claims: [claim_to_json(c) for c in claims],
+    lambda doc: tuple(claim_from_json(c) for c in doc),
+)
 
-
-def _parse_date(s: Any, field: str) -> date:
-    if not isinstance(s, str):
-        raise FormatError(f"field {field!r} must be a date string")
-    try:
-        return date.fromisoformat(s)
-    except ValueError:
-        raise FormatError(f"field {field!r} is not YYYY-MM-DD") from None
-
-
-def metadata_from_json(doc: Any) -> CredentialMetadata:
-    expires = doc.get("expires_at") if isinstance(doc, dict) else None
-    return CredentialMetadata(
-        issuer_id=_need(doc, "issuer_id", str),
-        schema_id=_need(doc, "schema_id", str),
-        issued_at=_parse_date(_need(doc, "issued_at", str), "issued_at"),
-        expires_at=_parse_date(expires, "expires_at") if expires is not None else None,
-        credential_id=_need(doc, "credential_id", str),
-    )
+METADATA_FIELDS = (
+    ("issuer_id", "issuer_id", STR),
+    ("schema_id", "schema_id", STR),
+    ("issued_at", "issued_at", DATE),
+    ("expires_at", "expires_at", DATE._replace(optional=True)),
+    ("credential_id", "credential_id", STR),
+)
+metadata_to_json, metadata_from_json = _message(CredentialMetadata, METADATA_FIELDS)
+METADATA = _Codec(dict, metadata_to_json, metadata_from_json)
 
 
 # -- key material -----------------------------------------------------------
 
-def params_to_json(p: SystemParams) -> dict:
-    return {
-        "l_n": p.l_n,
-        "l_m": p.l_m,
-        "l_e": p.l_e,
-        "l_e_prime": p.l_e_prime,
-        "l_v": p.l_v,
-        "l_stat": p.l_stat,
-        "l_h": p.l_h,
-    }
+PARAMS_FIELDS = (
+    ("l_n", "l_n", NUMBER),
+    ("l_m", "l_m", NUMBER),
+    ("l_e", "l_e", NUMBER),
+    ("l_e_prime", "l_e_prime", NUMBER),
+    ("l_v", "l_v", NUMBER),
+    ("l_stat", "l_stat", NUMBER),
+    ("l_h", "l_h", NUMBER),
+)
+params_to_json, params_from_json = _message(SystemParams, PARAMS_FIELDS)
 
+PUBLIC_KEY_FIELDS = (
+    ("n", "n", HEX),
+    ("s", "S", HEX),
+    ("z", "Z", HEX),
+    ("r", "R", _Codec(list, lambda rs: [int_to_hex(r) for r in rs], _r_bases)),
+    ("params", "params", _Codec(dict, params_to_json, params_from_json)),
+    ("issuer_id", "issuer_id", STR),
+)
+public_key_to_json, public_key_from_json = _message(IssuerPublicKey, PUBLIC_KEY_FIELDS)
 
-def params_from_json(doc: Any) -> SystemParams:
-    return SystemParams(*(_need(doc, k, int) for k in (
-        "l_n", "l_m", "l_e", "l_e_prime", "l_v", "l_stat", "l_h"
-    )))
-
-
-def public_key_to_json(pk: IssuerPublicKey) -> dict:
-    return {
-        "n": int_to_hex(pk.n),
-        "s": int_to_hex(pk.S),
-        "z": int_to_hex(pk.Z),
-        "r": [int_to_hex(r) for r in pk.R],
-        "params": params_to_json(pk.params),
-        "issuer_id": pk.issuer_id,
-    }
-
-
-def public_key_from_json(doc: Any) -> IssuerPublicKey:
-    r = _need(doc, "r", list)
-    if len(r) < 2:
-        raise FormatError("public key needs the holder base plus one attribute base")
-    return IssuerPublicKey(
-        n=hex_to_int(_need(doc, "n", str)),
-        S=hex_to_int(_need(doc, "s", str)),
-        Z=hex_to_int(_need(doc, "z", str)),
-        R=tuple(hex_to_int(x) for x in r),
-        params=params_from_json(_need(doc, "params", dict)),
-        issuer_id=_need(doc, "issuer_id", str),
-    )
-
-
-def secret_key_to_json(sk: IssuerSecretKey) -> dict:
-    return {"p": int_to_hex(sk.p), "q": int_to_hex(sk.q)}
-
-
-def secret_key_from_json(doc: Any) -> IssuerSecretKey:
-    return IssuerSecretKey(p=hex_to_int(_need(doc, "p", str)), q=hex_to_int(_need(doc, "q", str)))
+SECRET_KEY_FIELDS = (
+    ("p", "p", HEX),
+    ("q", "q", HEX),
+)
+secret_key_to_json, secret_key_from_json = _message(IssuerSecretKey, SECRET_KEY_FIELDS)
 
 
 # -- issuance messages ------------------------------------------------------
 
-def request_to_json(req: IssuanceRequest) -> dict:
-    return {
-        "u": int_to_hex(req.U),
-        "proof": {
-            "c": int_to_hex(req.c),
-            "s_v": int_to_hex(req.s_v),
-            "s_k": int_to_hex(req.s_k),
-        },
-        "nonce": nonce_to_hex(req.nonce),
-    }
+REQUEST_PROOF_FIELDS = (
+    ("c", "c", HEX),
+    ("s_v", "s_v", HEX),
+    ("s_k", "s_k", HEX),
+)
 
-
-def request_from_json(doc: Any) -> IssuanceRequest:
-    proof = _need(doc, "proof", dict)
-    return IssuanceRequest(
-        U=hex_to_int(_need(doc, "u", str)),
-        c=hex_to_int(_need(proof, "c", str)),
-        s_v=hex_to_int(_need(proof, "s_v", str)),
-        s_k=hex_to_int(_need(proof, "s_k", str)),
-        nonce=nonce_from_hex(_need(doc, "nonce", str)),
-    )
+REQUEST_FIELDS = (
+    ("u", "U", HEX),
+    ("proof", None, _group(REQUEST_PROOF_FIELDS)),
+    ("nonce", "nonce", NONCE),
+)
+request_to_json, request_from_json = _message(IssuanceRequest, REQUEST_FIELDS)
 
 
 def holder_state_to_json(state: HolderIssuanceState) -> dict:
@@ -240,95 +290,44 @@ def holder_state_from_json(doc: Any, pk: IssuerPublicKey) -> HolderIssuanceState
     return HolderIssuanceState(v_prime=hex_to_int(_need(doc, "v_prime", str)), pk=pk)
 
 
-def pre_credential_to_json(pre: PreCredential) -> dict:
-    return {
-        "a": int_to_hex(pre.A),
-        "e": int_to_hex(pre.e),
-        "v_dprime": int_to_hex(pre.v_dprime),
-        "claims": [claim_to_json(c) for c in pre.claims],
-        "metadata": metadata_to_json(pre.metadata),
-    }
-
-
-def pre_credential_from_json(doc: Any) -> PreCredential:
-    return PreCredential(
-        A=hex_to_int(_need(doc, "a", str)),
-        e=hex_to_int(_need(doc, "e", str)),
-        v_dprime=hex_to_int(_need(doc, "v_dprime", str)),
-        claims=tuple(claim_from_json(c) for c in _need(doc, "claims", list)),
-        metadata=metadata_from_json(_need(doc, "metadata", dict)),
-    )
+PRE_CREDENTIAL_FIELDS = (
+    ("a", "A", HEX),
+    ("e", "e", HEX),
+    ("v_dprime", "v_dprime", HEX),
+    ("claims", "claims", CLAIMS),
+    ("metadata", "metadata", METADATA),
+)
+pre_credential_to_json, pre_credential_from_json = _message(PreCredential, PRE_CREDENTIAL_FIELDS)
 
 
 # -- credentials and presentations ------------------------------------------
 
-def credential_to_json(cred: Credential) -> dict:
-    return {
-        "a": int_to_hex(cred.A),
-        "e": int_to_hex(cred.e),
-        "v": int_to_hex(cred.v),
-        "claims": [claim_to_json(c) for c in cred.claims],
-        "metadata": metadata_to_json(cred.metadata),
-    }
+CREDENTIAL_FIELDS = (
+    ("a", "A", HEX),
+    ("e", "e", HEX),
+    ("v", "v", HEX),
+    ("claims", "claims", CLAIMS),
+    ("metadata", "metadata", METADATA),
+)
+credential_to_json, credential_from_json = _message(Credential, CREDENTIAL_FIELDS)
 
+PRESENTATION_PROOF_FIELDS = (
+    ("c", "c", HEX),
+    ("s_e", "s_e", HEX),
+    ("s_v", "s_v", HEX),
+    ("s_k", "s_k", HEX),
+    ("s_m", "s_m", _index_map(int_to_hex, hex_to_int)),
+)
 
-def credential_from_json(doc: Any) -> Credential:
-    return Credential(
-        A=hex_to_int(_need(doc, "a", str)),
-        e=hex_to_int(_need(doc, "e", str)),
-        v=hex_to_int(_need(doc, "v", str)),
-        claims=tuple(claim_from_json(c) for c in _need(doc, "claims", list)),
-        metadata=metadata_from_json(_need(doc, "metadata", dict)),
-    )
-
-
-def _index_key(key: str) -> int:
-    if not key.isdigit():
-        raise FormatError(f"attribute index must be a decimal string, got {key!r}")
-    return int(key)
-
-
-def presentation_to_json(pres: Presentation) -> dict:
-    return {
-        "a_prime": int_to_hex(pres.a_prime),
-        "disclosed": {str(i): claim_to_json(c) for i, c in sorted(pres.disclosed.items())},
-        "proof": {
-            "c": int_to_hex(pres.proof.c),
-            "s_e": int_to_hex(pres.proof.s_e),
-            "s_v": int_to_hex(pres.proof.s_v),
-            "s_k": int_to_hex(pres.proof.s_k),
-            "s_m": {str(i): int_to_hex(s) for i, s in sorted(pres.proof.s_m.items())},
-        },
-        "nonce": nonce_to_hex(pres.nonce),
-        "context": pres.context,
-        "issuer_id": pres.issuer_id,
-        "schema_id": pres.schema_id,
-    }
-
-
-def presentation_from_json(doc: Any) -> Presentation:
-    proof = _need(doc, "proof", dict)
-    return Presentation(
-        a_prime=hex_to_int(_need(doc, "a_prime", str)),
-        disclosed={
-            _index_key(k): claim_from_json(v)
-            for k, v in _need(doc, "disclosed", dict).items()
-        },
-        proof=PresentationProof(
-            c=hex_to_int(_need(proof, "c", str)),
-            s_e=hex_to_int(_need(proof, "s_e", str)),
-            s_v=hex_to_int(_need(proof, "s_v", str)),
-            s_k=hex_to_int(_need(proof, "s_k", str)),
-            s_m={
-                _index_key(k): hex_to_int(v)
-                for k, v in _need(proof, "s_m", dict).items()
-            },
-        ),
-        nonce=nonce_from_hex(_need(doc, "nonce", str)),
-        context=_need(doc, "context", str),
-        issuer_id=_need(doc, "issuer_id", str),
-        schema_id=_need(doc, "schema_id", str),
-    )
+PRESENTATION_FIELDS = (
+    ("a_prime", "a_prime", HEX),
+    ("disclosed", "disclosed", _index_map(claim_to_json, claim_from_json)),
+    ("proof", "proof", _Codec(dict, *_message(PresentationProof, PRESENTATION_PROOF_FIELDS))),
+    ("nonce", "nonce", NONCE),
+    ("context", "context", STR),
+    ("issuer_id", "issuer_id", STR),
+)
+presentation_to_json, presentation_from_json = _message(Presentation, PRESENTATION_FIELDS)
 
 
 # -- wallet ------------------------------------------------------------------

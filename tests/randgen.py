@@ -79,7 +79,6 @@ def rand_presentation(rng: random.Random) -> Presentation:
         nonce=rng.getrandbits(128).to_bytes(16, "big"),
         context=rand_text(rng),
         issuer_id=rand_token(rng),
-        schema_id=rand_token(rng),
     )
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 from hashlib import sha256
@@ -5,7 +6,9 @@ from hashlib import sha256
 import pytest
 
 import oracle
+from abcid import wire
 from abcid.anoncred import (
+    AbcError,
     ContextMismatch,
     EncodingError,
     LengthCheckFailed,
@@ -240,6 +243,49 @@ def test_verify_rejects_single_field_perturbations(issued512):
     for mutant in mutants:
         with pytest.raises(ProofInvalid):
             verify_presentation(pk, mutant, NONCE, CTX)
+
+
+def _leaf_paths(doc, path=()):
+    if not isinstance(doc, dict):
+        yield path
+        return
+    for key, value in doc.items():
+        yield from _leaf_paths(value, path + (key,))
+
+
+def _mutated(path, value: str) -> str:
+    """Another value of the same shape: hex integers plus one, the nonce
+    with one digit changed, any other string with a character appended."""
+    if path == ("nonce",):
+        return value[:-1] + ("1" if value[-1] == "0" else "0")
+    if value.lstrip("-").startswith("0x"):
+        return wire.int_to_hex(wire.hex_to_int(value) + 1)
+    return value + "x"
+
+
+def test_only_claim_schema_ids_are_unauthenticated(issued512):
+    """Soundness harness: change one leaf of a real presentation document at
+    a time. A field the signature and the challenge do not cover survives;
+    the only such fields are the disclosed claims' schema ids, which never
+    reach the encoded attribute."""
+    pk, _, hs, cred = issued512
+    doc = wire.presentation_to_json(present(pk, cred, hs, {1, 3}, NONCE, CTX, random.Random(18)))
+    paths = list(_leaf_paths(doc))
+    survivors = set()
+    for path in paths:
+        mutant = copy.deepcopy(doc)
+        *outer, leaf = path
+        node = mutant
+        for key in outer:
+            node = node[key]
+        node[leaf] = _mutated(path, node[leaf])
+        try:
+            verify_presentation(pk, wire.presentation_from_json(mutant), NONCE, CTX)
+        except (wire.FormatError, AbcError):
+            continue
+        survivors.add(path)
+    assert survivors == {("disclosed", "1", "schema_id"), ("disclosed", "3", "schema_id")}
+    assert len(paths) == 17
 
 
 def test_verify_rejects_swapped_disclosed_value(issued512):

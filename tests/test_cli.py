@@ -154,6 +154,18 @@ def test_policy_lint_worked_example(tmp_path, capsys):
     assert lines[4] == "domain:   library"
 
 
+def test_policy_lint_escapes_pinned_values(tmp_path, capsys):
+    pol = tmp_path / "quoted.pol"
+    pol.write_text(
+        'permit subjects with role="say \\"hi\\"" may read on resources named "a\\"b" in domain d\n'
+    )
+    code, out, err = cli(capsys, "policy", "lint", str(pol))
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == 'subjects: role="say \\"hi\\""'
+    assert lines[1] == 'objects:  named "a\\"b"'
+
+
 def test_policy_lint_error_position(tmp_path, capsys):
     pol = tmp_path / "broken.pol"
     pol.write_text("permit subjects with may read on resources in domain library\n")
@@ -232,6 +244,32 @@ def test_missing_file_is_io_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error[IoError]" in err
+
+
+GATE_EVAL = "gate eval --registry {t}/registry.json --domain nowhere --rtype doc --at 2026-08-03T09:00:00Z"
+ERROR_CASES = [
+    ("ParameterError", "issuer init --issuer-id x --attrs 0 --l-n 512 --key {t}/k.json --issuer-pub {t}/p.json"),
+    ("EncodingError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
+                      " --claims {t}/one_claim.json --out {t}/pre.json"),
+    ("UnknownDomain", GATE_EVAL + " --action read --nonce " + NONCE_A),
+    ("KeyDigestMismatch", GATE_EVAL + " --action read --nonce " + NONCE_A + " --issuer-pub {d}/pk.json"),
+    ("ValueError", GATE_EVAL + " --action Read! --nonce " + NONCE_A),
+]
+
+
+@pytest.mark.parametrize("code_name, command", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
+def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
+    d, _ = issued_dir
+    wire.save({"version": 1, "domains": [], "issuer_key_digests": {}}, tmp_path / "registry.json")
+    wire.save(
+        {"credential_id": "c_one", "issued_at": "2026-01-05", "claims": [{"name": "staff", "value": "true"}]},
+        tmp_path / "one_claim.json",
+    )
+    args = [a.format(d=d, t=tmp_path) for a in command.split()]
+    code, out, err = cli(capsys, *args)
+    assert code == 2
+    assert err.startswith(f"error[{code_name}]: ")
+    assert "Traceback" not in err
 
 
 def test_bad_nonce_flag(capsys):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from abcid import wire
 from abcid.anoncred import present
 from abcid.gate import (
     CREDENTIAL_ATTRS,
@@ -21,6 +22,7 @@ from abcid.gate import (
     context_string,
     register_domain,
     register_issuer_key,
+    register_policy,
     registry_from_json,
     registry_to_json,
 )
@@ -76,11 +78,10 @@ def test_context_string_escapes_separator():
 
 
 def test_registry_persistence_round_trip(ref_fx):
-    doc = registry_to_json(ref_fx.registry, {"library_audio_read": "policies/library.pol"})
-    reg2, digests, files = registry_from_json(doc)
+    doc = registry_to_json(ref_fx.registry)
+    reg2, digests = registry_from_json(doc)
     assert set(reg2.domains) == set(ref_fx.registry.domains)
     assert reg2.domains["library"] == ref_fx.registry.domains["library"]
-    assert files == {"library_audio_read": "policies/library.pol"}
     pk = ref_fx.public_key("campus_office")
     attach_trusted_key(reg2, pk, digests)
     assert reg2.issuer_keys["campus_office"] == pk
@@ -88,6 +89,17 @@ def test_registry_persistence_round_trip(ref_fx):
         attach_trusted_key(reg2, replace(pk, issuer_id="stranger"), digests)
     with pytest.raises(KeyDigestMismatch):
         attach_trusted_key(reg2, replace(pk, Z=pk.Z + 1), digests)
+
+
+def test_documents_with_removed_fields_still_load(ref_fx):
+    """Registries and presentations written before `policy_files` and the
+    presentation-level `schema_id` were dropped still load; the keys are ignored."""
+    doc = {**registry_to_json(ref_fx.registry), "policy_files": {"library_audio_read": "policies/library.pol"}}
+    reg2, _ = registry_from_json(doc)
+    assert reg2.domains == ref_fx.registry.domains
+    pres = show(ref_fx, "c1", NONCE, context_string("medical_files", "patient_file", "r1", "write"), 12)
+    old = {**wire.presentation_to_json(pres), "schema_id": "fixture_v1"}
+    assert wire.presentation_from_json(old) == pres
 
 
 # -- access --------------------------------------------------------------------
@@ -203,13 +215,14 @@ def test_access_missing_policy_is_loud(ref_fx):
 
 def test_access_with_explicit_policies(ref_fx):
     reg = Registry()
-    register_domain(reg, DomainSpec("pool", frozenset({"x"}), (), frozenset({"campus_office"})))
+    register_domain(reg, DomainSpec("pool", frozenset({"x"}), ("pool_rule",), frozenset({"campus_office"})))
     register_issuer_key(reg, ref_fx.public_key("campus_office"))
     policy = parse_policy("permit subjects with medical_staff may dive on resources in domain pool")
+    register_policy(reg, "pool_rule", policy)
     ctx = context_string("pool", "lane", "l1", "dive")
     req = request_for("pool", "dive", "lane", "l1")
     pres = show(ref_fx, "c1", NONCE, ctx, 11)
-    out = access(reg, "pool", req, [pres], NONCE, policies=[policy], policy_ids=["pool_rule"])
+    out = access(reg, "pool", req, [pres], NONCE)
     assert out.decision.outcome == "Permit"
     assert out.decision.matched_policy == "pool_rule"
 

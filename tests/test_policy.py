@@ -63,7 +63,6 @@ def test_parse_worked_example():
     assert p.resource_name is None
     assert p.context == (TimeWindow(480, 1080), DaySet(frozenset(DAYS[:5])))
     assert p.domain_id == "library"
-    assert p.effect == "Permit"
 
 
 def test_parse_minimal_policy():

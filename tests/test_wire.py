@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -94,7 +95,7 @@ def test_serialization_is_byte_stable():
 
 def test_presentation_field_order():
     doc = wire.presentation_to_json(rand_presentation(random.Random(10)))
-    assert list(doc) == ["a_prime", "disclosed", "proof", "nonce", "context", "issuer_id", "schema_id"]
+    assert list(doc) == ["a_prime", "disclosed", "proof", "nonce", "context", "issuer_id"]
     assert list(doc["proof"]) == ["c", "s_e", "s_v", "s_k", "s_m"]
 
 
@@ -130,6 +131,36 @@ def test_wallet_round_trip_random(tmp_path):
 def test_wallet_file_permissions(tmp_path):
     path = tmp_path / "w.json"
     wallet_save(Wallet(), path)
+    assert path.stat().st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize("fail_at", ["serialize", "fsync"])
+def test_wallet_save_failure_keeps_old_wallet(tmp_path, monkeypatch, fail_at):
+    path = tmp_path / "w.json"
+    wallet_save(rand_wallet(random.Random(14)), path)
+    before = path.read_bytes()
+    rng = random.Random(15)
+    creds = [rand_credential(rng, credential_id=f"c{i}") for i in range(3)]
+    encoded = []
+    real_encode = wire.credential_to_json
+
+    def fail_on_second(cred):
+        if len(encoded) == 1:
+            raise OSError("serializer failed")
+        encoded.append(cred)
+        return real_encode(cred)
+
+    def fail_fsync(fd):
+        raise OSError("disk full")
+
+    if fail_at == "serialize":
+        monkeypatch.setattr(wire, "credential_to_json", fail_on_second)
+    else:
+        monkeypatch.setattr(os, "fsync", fail_fsync)
+    with pytest.raises(OSError):
+        wallet_save(Wallet(credentials=creds), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["w.json"]
     assert path.stat().st_mode & 0o777 == 0o600
 
 
