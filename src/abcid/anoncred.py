@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import date
 from hashlib import sha256
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +40,7 @@ from .hashing import (
     int_signed_bytes,
     transcript_hash,
 )
-from .model import Claim, claim_bytes
+from .model import Claim, claim_bytes, is_token
 from .primes import random_prime_in_interval, safe_prime
 
 NONCE_LEN = 16
@@ -133,24 +133,8 @@ class IssuerPublicKey:
         return len(self.R) - 1
 
     def digest(self) -> bytes:
-        p = self.params
-        elems = [
-            TAG_PK,
-            self.issuer_id.encode("utf-8"),
-            int_signed_bytes(self.L),
-            int_signed_bytes(p.l_n),
-            int_signed_bytes(p.l_m),
-            int_signed_bytes(p.l_e),
-            int_signed_bytes(p.l_e_prime),
-            int_signed_bytes(p.l_v),
-            int_signed_bytes(p.l_stat),
-            int_signed_bytes(p.l_h),
-            int_signed_bytes(self.n),
-            int_signed_bytes(self.S),
-            int_signed_bytes(self.Z),
-        ]
-        elems.extend(int_signed_bytes(r) for r in self.R)
-        return transcript_hash(elems)
+        ints = (self.L, *astuple(self.params), self.n, self.S, self.Z, *self.R)
+        return transcript_hash([TAG_PK, self.issuer_id.encode("utf-8"), *map(int_signed_bytes, ints)])
 
 
 @dataclass(frozen=True)
@@ -251,6 +235,16 @@ def encode_attribute(claim: Claim, params: SystemParams) -> int:
     return int.from_bytes(digest, "big") >> (256 - (params.l_m - 1))
 
 
+def _mexp(n: int, terms: Iterable[tuple[int, int]]) -> int:
+    """prod base^exp (mod n) over the (base, exp) terms. A negative exponent
+    inverts its base and raises ValueError when the base is not invertible,
+    as `pow` does."""
+    acc = 1
+    for base, exp in terms:
+        acc = acc * pow(base, exp, n) % n
+    return acc
+
+
 def _random_qr(n: int, rng: Rng) -> int:
     while True:
         x = rng.randrange(2, n - 1)
@@ -266,6 +260,13 @@ def _qr_power(base: int, n: int, order: int, rng: Rng) -> int:
             return y
 
 
+def _check_issuer(L: int, issuer_id: str) -> None:
+    if L < 1:
+        raise ParameterError("need at least one attribute base")
+    if not is_token(issuer_id):
+        raise ParameterError(f"issuer id must be a lowercase token, got {issuer_id!r}")
+
+
 def setup_issuer_from_primes(
     L: int,
     p: int,
@@ -276,8 +277,7 @@ def setup_issuer_from_primes(
 ) -> tuple[IssuerPublicKey, IssuerSecretKey]:
     """Key pair from caller-supplied safe primes (test hook; `setup_issuer`
     generates the primes for you)."""
-    if L < 1:
-        raise ParameterError("need at least one attribute base")
+    _check_issuer(L, issuer_id)
     if p == q:
         raise ParameterError("p and q must differ")
     if p % 4 != 3 or q % 4 != 3:
@@ -301,6 +301,7 @@ def setup_issuer(
     L: int, l_n: int, rng: Rng, issuer_id: str = "issuer"
 ) -> tuple[IssuerPublicKey, IssuerSecretKey]:
     """Provision an issuer for credentials carrying exactly L claims."""
+    _check_issuer(L, issuer_id)
     params = PROFILES.get(l_n)
     if params is None:
         raise ParameterError(f"unsupported modulus size {l_n}, pick one of {sorted(PROFILES)}")
@@ -333,11 +334,11 @@ def begin_issuance(
     p = pk.params
     n = pk.n
     v_prime = rng.getrandbits(p.l_n + p.l_stat)
-    U = pow(pk.S, v_prime, n) * pow(pk.R[0], hs.k, n) % n
+    U = _mexp(n, [(pk.S, v_prime), (pk.R[0], hs.k)])
 
     r_v = rng.getrandbits(p.l_n + 2 * p.l_stat + p.l_h)
     r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
-    T = pow(pk.S, r_v, n) * pow(pk.R[0], r_k, n) % n
+    T = _mexp(n, [(pk.S, r_v), (pk.R[0], r_k)])
     c = _issue_challenge(pk, U, T, issuer_nonce)
     req = IssuanceRequest(
         U=U, c=c, s_v=r_v + c * v_prime, s_k=r_k + c * hs.k, nonce=issuer_nonce
@@ -356,9 +357,7 @@ def verify_issuance_request(pk: IssuerPublicKey, req: IssuanceRequest) -> None:
     if req.s_k < 0 or req.s_k.bit_length() > p.l_m + p.l_stat + p.l_h + 1:
         raise ProofInvalid("response s_k fails its length bound")
     try:
-        T_hat = (
-            pow(pk.S, req.s_v, n) * pow(pk.R[0], req.s_k, n) * pow(req.U, -req.c, n)
-        ) % n
+        T_hat = _mexp(n, [(pk.S, req.s_v), (pk.R[0], req.s_k), (req.U, -req.c)])
     except ValueError:  # U not invertible mod n
         raise ProofInvalid("degenerate commitment") from None
     if _issue_challenge(pk, req.U, T_hat, req.nonce) != req.c:
@@ -388,11 +387,9 @@ def issue(
             break
     v_dprime = rng.getrandbits(p.l_v)
 
-    acc = req.U * pow(pk.S, v_dprime, n) % n
-    for base, m in zip(pk.R[1:], ms):
-        acc = acc * pow(base, m, n) % n
+    denom = req.U * _mexp(n, [(pk.S, v_dprime), *zip(pk.R[1:], ms)]) % n
     try:
-        Q = pk.Z * pow(acc, -1, n) % n
+        Q = pk.Z * pow(denom, -1, n) % n
     except ValueError:
         raise ProofInvalid("degenerate commitment") from None
     A = pow(Q, pow(e, -1, sk.group_order), n)
@@ -401,11 +398,7 @@ def issue(
 
 def signature_holds(pk: IssuerPublicKey, A: int, e: int, v: int, k: int, ms: Sequence[int]) -> bool:
     """The CL verification equation Z == A^e S^v R0^k prod Ri^mi (mod n)."""
-    n = pk.n
-    acc = pow(A, e, n) * pow(pk.S, v, n) % n * pow(pk.R[0], k, n) % n
-    for base, m in zip(pk.R[1:], ms):
-        acc = acc * pow(base, m, n) % n
-    return acc == pk.Z
+    return _mexp(pk.n, [(A, e), (pk.S, v), (pk.R[0], k), *zip(pk.R[1:], ms)]) == pk.Z
 
 
 def complete_credential(
@@ -438,13 +431,7 @@ def _present_challenge(
     nonce: bytes,
     context: str,
 ) -> int:
-    elems = [
-        TAG_PRESENT,
-        pk.digest(),
-        int_signed_bytes(a_prime),
-        int_signed_bytes(T),
-        int_signed_bytes(len(disclosed)),
-    ]
+    elems = [TAG_PRESENT, pk.digest(), *map(int_signed_bytes, (a_prime, T, len(disclosed)))]
     for i in sorted(disclosed):
         elems.append(int_signed_bytes(i))
         elems.append(claim_bytes(disclosed[i]))
@@ -456,10 +443,8 @@ def _present_challenge(
 def disclosed_base(pk: IssuerPublicKey, disclosed_ms: Mapping[int, int]) -> int:
     """Z with the disclosed attribute terms divided out: the public value
     the hidden witnesses must account for."""
-    acc = 1
-    for i, m in disclosed_ms.items():
-        acc = acc * pow(pk.R[i], m, pk.n) % pk.n
-    return pk.Z * pow(acc, -1, pk.n) % pk.n
+    divisor = _mexp(pk.n, ((pk.R[i], m) for i, m in disclosed_ms.items()))
+    return pk.Z * pow(divisor, -1, pk.n) % pk.n
 
 
 def present(
@@ -487,7 +472,7 @@ def present(
     n = pk.n
 
     r_A = rng.getrandbits(p.l_n + p.l_stat)
-    a_prime = cred.A * pow(pk.S, r_A, n) % n
+    a_prime = cred.A * _mexp(n, [(pk.S, r_A)]) % n
     v_bar = cred.v - cred.e * r_A
 
     ms = {i: encode_attribute(c, p) for i, c in enumerate(cred.claims, start=1)}
@@ -498,9 +483,7 @@ def present(
     r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
     r_m = {i: rng.getrandbits(p.l_m + p.l_stat + p.l_h) for i in hidden}
 
-    T = pow(a_prime, r_e, n) * pow(pk.S, r_v, n) % n * pow(pk.R[0], r_k, n) % n
-    for i in hidden:
-        T = T * pow(pk.R[i], r_m[i], n) % n
+    T = _mexp(n, [(a_prime, r_e), (pk.S, r_v), (pk.R[0], r_k), *((pk.R[i], r_m[i]) for i in hidden)])
 
     disclosed = {i: cred.claims[i - 1] for i in sorted(disclose)}
     c = _present_challenge(pk, a_prime, T, disclosed, nonce, context)
@@ -570,16 +553,9 @@ def verify_presentation(
     disclosed_ms = {i: encode_attribute(c, p) for i, c in pres.disclosed.items()}
     try:
         z_d = disclosed_base(pk, disclosed_ms)
-        T_hat = (
-            pow(pres.a_prime, proof.s_e, n)
-            * pow(pk.S, proof.s_v, n)
-            % n
-            * pow(pk.R[0], proof.s_k, n)
-            % n
-        )
-        for i, s in proof.s_m.items():
-            T_hat = T_hat * pow(pk.R[i], s, n) % n
-        T_hat = T_hat * pow(z_d, -proof.c, n) % n
+        responses = [(pres.a_prime, proof.s_e), (pk.S, proof.s_v), (pk.R[0], proof.s_k)]
+        responses += [(pk.R[i], s) for i, s in proof.s_m.items()]
+        T_hat = _mexp(n, [*responses, (z_d, -proof.c)])
     except ValueError:  # some transcript value is not invertible mod n
         raise ProofInvalid("degenerate transcript value") from None
 

@@ -42,10 +42,6 @@ def _parse_at(text: str) -> datetime:
     return at.astimezone(timezone.utc)
 
 
-def _nonce_arg(text: str) -> bytes:
-    return wire.nonce_from_hex(text)
-
-
 def _load_public_key(path: str) -> anoncred.IssuerPublicKey:
     return wire.public_key_from_json(wire.load(path))
 
@@ -256,7 +252,7 @@ def cmd_fixture_emit(args) -> int:
 
     (out / "policies").mkdir(exist_ok=True)
     for pid, text in gate.FIXTURE_POLICY_TEXTS.items():
-        (out / "policies" / f"{pid}.pol").write_text(serialize_policy(parse_policy(text)) + "\n", encoding="utf-8")
+        wire.save_text(serialize_policy(parse_policy(text)) + "\n", out / "policies" / f"{pid}.pol")
 
     wire.save(gate.registry_to_json(fx.registry), out / "registry.json")
     for issuer_id, (pk, sk) in sorted(fx.issuer_keys.items()):
@@ -308,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--issuer-pub", required=True)
     p.add_argument("--in", dest="infile", required=True, help="issuance request file")
     p.add_argument("--claims", required=True, help="claims + metadata JSON file")
-    p.add_argument("--nonce", type=_nonce_arg, help="expected issuer nonce (32 hex)")
+    p.add_argument("--nonce", type=wire.nonce_from_hex, help="expected issuer nonce (32 hex)")
     p.add_argument("--seed", type=int)
     _add_common_output(p)
     p.set_defaults(fn=cmd_issuer_issue)
@@ -325,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = holder.add_parser("request", help="start a blinded issuance")
     p.add_argument("--wallet", required=True)
     p.add_argument("--issuer-pub", required=True)
-    p.add_argument("--nonce", type=_nonce_arg, required=True)
+    p.add_argument("--nonce", type=wire.nonce_from_hex, required=True)
     p.add_argument("--state", required=True, help="issuance state output file")
     p.add_argument("--seed", type=int)
     _add_common_output(p)
@@ -348,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--issuer-pub", required=True)
     p.add_argument("--credential", required=True, help="credential id in the wallet")
     p.add_argument("--disclose", default="", help="comma-separated attribute names")
-    p.add_argument("--nonce", type=_nonce_arg, required=True)
+    p.add_argument("--nonce", type=wire.nonce_from_hex, required=True)
     p.add_argument("--context", required=True)
     p.add_argument("--seed", type=int)
     _add_common_output(p)
@@ -360,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verifier.add_parser("verify", help="check a presentation transcript")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--issuer-pub", required=True)
-    p.add_argument("--nonce", type=_nonce_arg, required=True)
+    p.add_argument("--nonce", type=wire.nonce_from_hex, required=True)
     p.add_argument("--context", required=True)
     p.set_defaults(fn=cmd_verifier_verify)
 
@@ -379,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtype", required=True)
     p.add_argument("--rname", default="")
     p.add_argument("--at", required=True, help="RFC3339 UTC timestamp")
-    p.add_argument("--nonce", type=_nonce_arg, required=True)
+    p.add_argument("--nonce", type=wire.nonce_from_hex, required=True)
     p.add_argument("--presentation", action="append", help="presentation file (repeatable)")
     p.add_argument("--issuer-pub", action="append", help="trusted issuer key file (repeatable)")
     p.add_argument("--policy", action="append", help=".pol file (repeatable; id = file stem)")
@@ -398,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     """Entry point used by tests; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # Inside the handler: an argument type such as the nonce parser
+        # raises FormatError, which argparse passes through.
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
     except (AbcError, Unsatisfiable, ParseError, FormatError, gate.GateError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         # A proof or wallet that does not establish what was asked exits 1;

@@ -8,8 +8,8 @@ candidate, which keeps seeded key generation bit-stable.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Iterable
 
 
 def _sieve(limit: int) -> list[int]:
@@ -22,6 +22,8 @@ def _sieve(limit: int) -> list[int]:
 
 
 SMALL_PRIMES = _sieve(2000)
+_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+_SMALL_PRIME_PRODUCT = math.prod(SMALL_PRIMES)
 
 # Deterministic for all n < 3.3e24 (Sorenson & Webster); larger candidates
 # get extra witnesses seeded from n itself.
@@ -42,13 +44,10 @@ def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic per candidate."""
-    if n < 2:
+    if n < 2 or not _survives_sieve(n):
         return False
-    for p in SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n <= SMALL_PRIMES[-1]:  # the filter alone is exact below 2000
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -68,12 +67,9 @@ def is_safe_prime(p: int) -> bool:
     return p > 5 and is_probable_prime(p) and is_probable_prime((p - 1) // 2)
 
 
-def _survives_sieve(candidates: Iterable[int]) -> bool:
-    for c in candidates:
-        for p in SMALL_PRIMES:
-            if c % p == 0 and c != p:
-                return False
-    return True
+def _survives_sieve(n: int) -> bool:
+    """False when a small prime other than n itself divides n."""
+    return n in _SMALL_PRIME_SET or math.gcd(n, _SMALL_PRIME_PRODUCT) == 1
 
 
 def safe_prime(bits: int, rng: random.Random) -> int:
@@ -89,7 +85,7 @@ def safe_prime(bits: int, rng: random.Random) -> int:
         # Top two bits forced so products of two such primes keep full size.
         q = rng.getrandbits(bits - 3) | (0b11 << (bits - 3)) | 1
         p = 2 * q + 1
-        if not _survives_sieve((q, p)):
+        if not (_survives_sieve(q) and _survives_sieve(p)):
             continue
         # Cheap pre-check: 2^q mod p in {1, p-1} is implied for safe p.
         if pow(2, q, p) not in (1, p - 1):
@@ -106,7 +102,7 @@ def random_prime_in_interval(lo: int, hi: int, rng: random.Random) -> int:
         e = rng.randrange(lo, hi + 1) | 1
         if e > hi:
             continue
-        if _survives_sieve((e,)) and is_probable_prime(e):
+        if _survives_sieve(e) and is_probable_prime(e):
             return e
 
 

@@ -6,13 +6,12 @@ the only files that ever carry the holder secret or raw signature values.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .anoncred import Credential, HolderSecret
 from .model import CredentialSummary
-from .wire import FormatError, dumps, load, wallet_from_json, wallet_to_json
+from .wire import FormatError, load, save, wallet_from_json, wallet_to_json
 
 
 @dataclass
@@ -46,21 +45,8 @@ class Wallet:
 
 
 def wallet_save(wallet: Wallet, path: str | Path) -> None:
-    """Write the wallet to a fresh owner-only temporary file in the same
-    directory, sync it, then rename it over `path`. A crash or a failed
-    write leaves the old wallet whole."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(dumps(wallet_to_json(wallet.holder_secret, wallet.credentials, wallet.labels)))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Replace the wallet file atomically (see `wire.save_text`)."""
+    save(wallet_to_json(wallet.holder_secret, wallet.credentials, wallet.labels), path)
 
 
 def wallet_load(path: str | Path) -> Wallet:

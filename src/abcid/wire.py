@@ -9,6 +9,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import json
+import os
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -82,8 +83,26 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def save_text(text: str, path: str | Path) -> None:
+    """Write `text` to a fresh owner-only temporary file in the same
+    directory, sync it, then rename it over `path`. A crash or a failed
+    write leaves the old file whole; the new file is always mode 0600."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(dumps(doc), encoding="utf-8")
+    save_text(dumps(doc), path)
 
 
 def load(path: str | Path) -> dict:

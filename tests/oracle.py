@@ -75,3 +75,33 @@ def issue_signature_part(
         denom = denom * modpow(base, m, n) % n
     Q = Z * inverse(denom, n) % n
     return modpow(Q, inverse(e, order), n)
+
+
+def issue_proof_commitment(n: int, S: int, R0: int, U: int, s_v: int, s_k: int, c: int) -> int:
+    """The issuer's recomputed T = S^s_v * R0^s_k * U^-c mod n."""
+    return modpow(S, s_v, n) * modpow(R0, s_k, n) % n * modpow(U, -c, n) % n
+
+
+def presentation_commitment(
+    n: int,
+    S: int,
+    Z: int,
+    R: tuple[int, ...],
+    a_prime: int,
+    s_e: int,
+    s_v: int,
+    s_k: int,
+    s_m: dict[int, int],
+    disclosed_ms: dict[int, int],
+    c: int,
+) -> int:
+    """The verifier's recomputed T = A'^s_e * S^s_v * R0^s_k * prod_hidden Ri^s_i
+    * (Z / prod_disclosed Rj^mj)^-c mod n."""
+    acc = modpow(a_prime, s_e, n) * modpow(S, s_v, n) % n * modpow(R[0], s_k, n) % n
+    for i, s in s_m.items():
+        acc = acc * modpow(R[i], s, n) % n
+    divisor = 1
+    for j, m in disclosed_ms.items():
+        divisor = divisor * modpow(R[j], m, n) % n
+    z_d = Z * inverse(divisor, n) % n
+    return acc * modpow(z_d, -c, n) % n

@@ -18,6 +18,8 @@ from abcid.anoncred import (
     ContextMismatch,
     NonceMismatch,
     ProofInvalid,
+    _issue_challenge,
+    _present_challenge,
     begin_issuance,
     complete_credential,
     encode_attribute,
@@ -261,7 +263,7 @@ def test_criterion_7_decomposition(ref_fx):
 
 
 def test_criterion_8_toy_oracle_equivalence():
-    matches = 0
+    matches = proofs = 0
     for trial in range(10):
         pk, sk = toy_issuer(seed=800 + trial)
         rng = random.Random(900 + trial)
@@ -280,9 +282,23 @@ def test_criterion_8_toy_oracle_equivalence():
             oracle.signature_check_value(pk.n, cred.A, cred.e, cred.v, hs.k, pk.S, pk.R, ms)
             == pk.Z
         )
+        t_issue = oracle.issue_proof_commitment(pk.n, pk.S, pk.R[0], req.U, req.s_v, req.s_k, req.c)
+        assert _issue_challenge(pk, req.U, t_issue, nonce) == req.c
+        for disclose in ((), (1,), (2,), (1, 2)):
+            pres = present(pk, cred, hs, disclose, nonce, CTX, rng)
+            proof = pres.proof
+            t_show = oracle.presentation_commitment(
+                pk.n, pk.S, pk.Z, pk.R, pres.a_prime, proof.s_e, proof.s_v, proof.s_k,
+                proof.s_m, {i: ms[i - 1] for i in disclose}, proof.c,
+            )
+            assert _present_challenge(pk, pres.a_prime, t_show, pres.disclosed, nonce, CTX) == proof.c
+            # The package's own recomputation must agree with the oracle's.
+            assert verify_presentation(pk, pres, nonce, CTX) == frozenset(pres.disclosed.values())
+            proofs += 1
         matches += 1
-    assert matches == 10
-    report(8, "10/10 toy credentials match the straight-line oracle exactly (n=1081)")
+    assert matches == 10 and proofs == 40
+    report(8, "10/10 toy credentials and their 10 request and 40 presentation proofs "
+              "match the straight-line oracle exactly (n=1081)")
 
 
 def test_criterion_9_round_trips(tmp_path):

@@ -81,6 +81,18 @@ def test_setup_from_primes_validates():
         setup_issuer_from_primes(0, TOY_P, TOY_Q, TOY_PARAMS, rng)
 
 
+@pytest.mark.parametrize("L, issuer_id", [(0, "clinic"), (2, "Clinic"), (2, ""), (2, "my clinic")])
+def test_setup_rejects_bad_issuer_before_prime_search(monkeypatch, L, issuer_id):
+    def no_search(*args):
+        raise AssertionError("prime search started")
+
+    monkeypatch.setattr("abcid.anoncred.safe_prime", no_search)
+    with pytest.raises(ParameterError):
+        setup_issuer(L, 2048, random.Random(0), issuer_id)
+    with pytest.raises(ParameterError):
+        setup_issuer_from_primes(L, TOY_P, TOY_Q, TOY_PARAMS, random.Random(0), issuer_id)
+
+
 def test_params_relations_enforced():
     with pytest.raises(ParameterError):
         SystemParams(l_n=11, l_m=10, l_e=11, l_e_prime=5, l_v=55, l_stat=8, l_h=16)

@@ -272,6 +272,59 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     assert "Traceback" not in err
 
 
+def test_written_files_are_owner_only(tmp_path, capsys):
+    t = tmp_path
+    steps = [
+        f"issuer init --issuer-id clinic --attrs 1 --l-n 512 --key {t}/sk.json --issuer-pub {t}/pk.json --seed 1",
+        f"holder keygen --wallet {t}/wallet.json --issuer-pub {t}/pk.json --seed 2",
+        f"holder request --wallet {t}/wallet.json --issuer-pub {t}/pk.json --nonce {NONCE_A}"
+        f" --state {t}/state.json --out {t}/request.json --seed 3",
+        f"fixture emit --out-dir {t}/fixture --seed 6",
+    ]
+    for step in steps:
+        code, out, err = cli(capsys, *step.split())
+        assert code == 0, err
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert len(files) >= 14
+    for path in files:
+        assert path.stat().st_mode & 0o777 == 0o600, path
+        assert not path.name.endswith(".tmp"), path
+
+
+BAD_NONCE_COMMANDS = {
+    "issuer_issue": "issuer issue --key {t}/k --issuer-pub {t}/p --in {t}/r --claims {t}/c --out {t}/o",
+    "holder_request": "holder request --wallet {t}/w --issuer-pub {t}/p --state {t}/s --out {t}/o",
+    "holder_present": "holder present --wallet {t}/w --issuer-pub {t}/p --credential c --context x --out {t}/o",
+    "verifier_verify": "verifier verify --in {t}/i --issuer-pub {t}/p --context x",
+    "gate_eval": GATE_EVAL + " --action read",
+}
+
+
+@pytest.mark.parametrize("nonce", ["zz", "a" * 31])
+@pytest.mark.parametrize("command", BAD_NONCE_COMMANDS.values(), ids=BAD_NONCE_COMMANDS.keys())
+def test_malformed_nonce_is_format_error(tmp_path, capsys, command, nonce):
+    args = [a.format(t=tmp_path) for a in command.split()]
+    code, out, err = cli(capsys, *args, "--nonce", nonce)
+    assert code == 2
+    assert err.startswith("error[FormatError]: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("issuer_id, attrs", [("Clinic", "1"), ("clinic", "0")])
+def test_issuer_init_rejects_unusable_key_before_search(tmp_path, capsys, monkeypatch, issuer_id, attrs):
+    def no_search(*args):
+        raise AssertionError("prime search started")
+
+    monkeypatch.setattr("abcid.anoncred.safe_prime", no_search)
+    code, out, err = cli(
+        capsys, "issuer", "init", "--issuer-id", issuer_id, "--attrs", attrs, "--l-n", "2048",
+        "--key", str(tmp_path / "k.json"), "--issuer-pub", str(tmp_path / "p.json"),
+    )
+    assert code == 2
+    assert err.startswith("error[ParameterError]: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_nonce_flag(capsys):
     code = run(["holder", "list", "--wallet", "w", "--nonce", "zz"])
     capsys.readouterr()
