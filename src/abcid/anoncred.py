@@ -29,6 +29,7 @@ import math
 import random
 from dataclasses import astuple, dataclass
 from datetime import date
+from functools import cached_property
 from hashlib import sha256
 from typing import Iterable, Mapping, Sequence
 
@@ -48,6 +49,8 @@ NONCE_LEN = 16
 Rng = random.Random  # random.SystemRandom quacks the same
 
 DEFAULT_L_M = 256
+
+_WINDOW = 6  # bits per fixed-base table step, and per exponent digit in _mexp
 
 
 class AbcError(Exception):
@@ -135,6 +138,24 @@ class IssuerPublicKey:
     def digest(self) -> bytes:
         ints = (self.L, *astuple(self.params), self.n, self.S, self.Z, *self.R)
         return transcript_hash([TAG_PK, self.issuer_id.encode("utf-8"), *map(int_signed_bytes, ints)])
+
+    @cached_property
+    def _tables(self) -> dict[int, tuple[int, ...]]:
+        """base -> (b, b^(2^6), b^(2^12), ...) mod n for S and R_0..R_L, each
+        as long as the largest response its base is raised to (the s_v and
+        the s_k/s_m length bounds). Immutable, so threads can share them."""
+        p = self.params
+
+        def table(base: int, bits: int) -> tuple[int, ...]:
+            row = [base]
+            for _ in range((bits - 1) // _WINDOW):
+                row.append(pow(row[-1], 1 << _WINDOW, self.n))
+            return tuple(row)
+
+        tables = {r: table(r, p.l_m + p.l_stat + p.l_h + 1) for r in self.R}
+        # S last: should it equal some R_i, its longer table serves both.
+        tables[self.S] = table(self.S, p.l_v + p.l_stat + p.l_h + 1)
+        return tables
 
 
 @dataclass(frozen=True)
@@ -235,13 +256,35 @@ def encode_attribute(claim: Claim, params: SystemParams) -> int:
     return int.from_bytes(digest, "big") >> (256 - (params.l_m - 1))
 
 
-def _mexp(n: int, terms: Iterable[tuple[int, int]]) -> int:
-    """prod base^exp (mod n) over the (base, exp) terms. A negative exponent
-    inverts its base and raises ValueError when the base is not invertible,
-    as `pow` does."""
+def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]]) -> int:
+    """prod base^exp (mod pk.n) over the (base, exp) terms.
+
+    A term whose base has a key table and whose exponent is >= 0 and fits
+    the table joins one shared fixed-base pass (Brickell-Gordon-McCurley-
+    Wilson; Yao's bucket method): each table entry b^(2^(6j)) is multiplied
+    into the bucket of the exponent's j-th 6-bit digit, and the buckets are
+    folded with a running product. Every other term uses `pow`, so a
+    negative exponent inverts its base and raises ValueError when the base
+    is not invertible, as `pow` does.
+    """
+    n = pk.n
+    tables = pk._tables
+    buckets = [1] * (1 << _WINDOW)
+    mask = len(buckets) - 1
     acc = 1
     for base, exp in terms:
-        acc = acc * pow(base, exp, n) % n
+        table = tables.get(base)
+        if table is not None and 0 <= exp and exp.bit_length() <= _WINDOW * len(table):
+            for entry, shift in zip(table, range(0, exp.bit_length(), _WINDOW)):
+                digit = exp >> shift & mask
+                if digit:
+                    buckets[digit] = buckets[digit] * entry % n
+        else:
+            acc = acc * pow(base, exp, n) % n
+    running = 1
+    for bucket in reversed(buckets[1:]):  # acc *= prod_d bucket[d]^d
+        running = running * bucket % n
+        acc = acc * running % n
     return acc
 
 
@@ -332,13 +375,12 @@ def begin_issuance(
     knowledge of the blinding and the key."""
     _check_nonce(issuer_nonce)
     p = pk.params
-    n = pk.n
     v_prime = rng.getrandbits(p.l_n + p.l_stat)
-    U = _mexp(n, [(pk.S, v_prime), (pk.R[0], hs.k)])
+    U = _mexp(pk, [(pk.S, v_prime), (pk.R[0], hs.k)])
 
     r_v = rng.getrandbits(p.l_n + 2 * p.l_stat + p.l_h)
     r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
-    T = _mexp(n, [(pk.S, r_v), (pk.R[0], r_k)])
+    T = _mexp(pk, [(pk.S, r_v), (pk.R[0], r_k)])
     c = _issue_challenge(pk, U, T, issuer_nonce)
     req = IssuanceRequest(
         U=U, c=c, s_v=r_v + c * v_prime, s_k=r_k + c * hs.k, nonce=issuer_nonce
@@ -357,7 +399,7 @@ def verify_issuance_request(pk: IssuerPublicKey, req: IssuanceRequest) -> None:
     if req.s_k < 0 or req.s_k.bit_length() > p.l_m + p.l_stat + p.l_h + 1:
         raise ProofInvalid("response s_k fails its length bound")
     try:
-        T_hat = _mexp(n, [(pk.S, req.s_v), (pk.R[0], req.s_k), (req.U, -req.c)])
+        T_hat = _mexp(pk, [(pk.S, req.s_v), (pk.R[0], req.s_k), (req.U, -req.c)])
     except ValueError:  # U not invertible mod n
         raise ProofInvalid("degenerate commitment") from None
     if _issue_challenge(pk, req.U, T_hat, req.nonce) != req.c:
@@ -387,18 +429,23 @@ def issue(
             break
     v_dprime = rng.getrandbits(p.l_v)
 
-    denom = req.U * _mexp(n, [(pk.S, v_dprime), *zip(pk.R[1:], ms)]) % n
+    denom = req.U * _mexp(pk, [(pk.S, v_dprime), *zip(pk.R[1:], ms)]) % n
     try:
         Q = pk.Z * pow(denom, -1, n) % n
     except ValueError:
         raise ProofInvalid("degenerate commitment") from None
-    A = pow(Q, pow(e, -1, sk.group_order), n)
+    # A = Q^d with d = 1/e mod p'q'. Q is a unit mod n, so by Fermat
+    # Q^d = Q^(d mod (p-1)) (mod p), and likewise mod q; CRT recombines.
+    d = pow(e, -1, sk.group_order)
+    a_p = pow(Q, d % (sk.p - 1), sk.p)
+    a_q = pow(Q, d % (sk.q - 1), sk.q)
+    A = a_q + sk.q * ((a_p - a_q) * pow(sk.q, -1, sk.p) % sk.p)
     return PreCredential(A=A, e=e, v_dprime=v_dprime, claims=tuple(claims), metadata=metadata)
 
 
 def signature_holds(pk: IssuerPublicKey, A: int, e: int, v: int, k: int, ms: Sequence[int]) -> bool:
     """The CL verification equation Z == A^e S^v R0^k prod Ri^mi (mod n)."""
-    return _mexp(pk.n, [(A, e), (pk.S, v), (pk.R[0], k), *zip(pk.R[1:], ms)]) == pk.Z
+    return _mexp(pk, [(A, e), (pk.S, v), (pk.R[0], k), *zip(pk.R[1:], ms)]) == pk.Z
 
 
 def complete_credential(
@@ -443,7 +490,7 @@ def _present_challenge(
 def disclosed_base(pk: IssuerPublicKey, disclosed_ms: Mapping[int, int]) -> int:
     """Z with the disclosed attribute terms divided out: the public value
     the hidden witnesses must account for."""
-    divisor = _mexp(pk.n, ((pk.R[i], m) for i, m in disclosed_ms.items()))
+    divisor = _mexp(pk, ((pk.R[i], m) for i, m in disclosed_ms.items()))
     return pk.Z * pow(divisor, -1, pk.n) % pk.n
 
 
@@ -472,7 +519,7 @@ def present(
     n = pk.n
 
     r_A = rng.getrandbits(p.l_n + p.l_stat)
-    a_prime = cred.A * _mexp(n, [(pk.S, r_A)]) % n
+    a_prime = cred.A * _mexp(pk, [(pk.S, r_A)]) % n
     v_bar = cred.v - cred.e * r_A
 
     ms = {i: encode_attribute(c, p) for i, c in enumerate(cred.claims, start=1)}
@@ -483,7 +530,7 @@ def present(
     r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
     r_m = {i: rng.getrandbits(p.l_m + p.l_stat + p.l_h) for i in hidden}
 
-    T = _mexp(n, [(a_prime, r_e), (pk.S, r_v), (pk.R[0], r_k), *((pk.R[i], r_m[i]) for i in hidden)])
+    T = _mexp(pk, [(a_prime, r_e), (pk.S, r_v), (pk.R[0], r_k), *((pk.R[i], r_m[i]) for i in hidden)])
 
     disclosed = {i: cred.claims[i - 1] for i in sorted(disclose)}
     c = _present_challenge(pk, a_prime, T, disclosed, nonce, context)
@@ -555,7 +602,7 @@ def verify_presentation(
         z_d = disclosed_base(pk, disclosed_ms)
         responses = [(pres.a_prime, proof.s_e), (pk.S, proof.s_v), (pk.R[0], proof.s_k)]
         responses += [(pk.R[i], s) for i, s in proof.s_m.items()]
-        T_hat = _mexp(n, [*responses, (z_d, -proof.c)])
+        T_hat = _mexp(pk, [*responses, (z_d, -proof.c)])
     except ValueError:  # some transcript value is not invertible mod n
         raise ProofInvalid("degenerate transcript value") from None
 

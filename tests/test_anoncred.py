@@ -1,9 +1,15 @@
 import copy
+import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from hashlib import sha256
+from threading import Barrier
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from abcid import wire
@@ -11,12 +17,17 @@ from abcid.anoncred import (
     AbcError,
     ContextMismatch,
     EncodingError,
+    IssuanceRequest,
     LengthCheckFailed,
     NonceMismatch,
+    PROFILES,
     ParameterError,
     ProofInvalid,
     SignatureInvalid,
     SystemParams,
+    _WINDOW,
+    _issue_challenge,
+    _mexp,
     _present_challenge,
     begin_issuance,
     complete_credential,
@@ -389,3 +400,108 @@ def test_completeness_smoke_512(issuer512):
         pres = present(pk, cred, hs, disclose, nonce, CTX, rng)
         got = verify_presentation(pk, pres, nonce, CTX)
         assert got == frozenset(cred.claims[i - 1] for i in disclose)
+
+
+# -- fixed-base tables and CRT signing ------------------------------------------
+
+def _exponents(bits):
+    """Exponents around a table of `bits` bits: edge values, 2^k +- 1, values
+    that fit, values one bit too long for the table, and negative values."""
+    return st.one_of(
+        st.sampled_from([0, 1]),
+        st.integers(1, bits).flatmap(lambda k: st.sampled_from([(1 << k) - 1, (1 << k) + 1])),
+        st.integers(0, (1 << bits) - 1),
+        st.integers(1 << bits, (1 << (bits + 1)) - 1),
+        st.integers(-(1 << bits), -1),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mexp_matches_pow(issuer512, data):
+    pk, _ = issuer512
+    n = pk.n
+    table_bits = {base: _WINDOW * len(table) for base, table in pk._tables.items()}
+    other = data.draw(st.integers(2, n - 2), label="non-key base")
+    # int(str(S)) is a separate object equal to S; S + n is congruent to S
+    # but has no table.
+    bases = [pk.S, *pk.R, int(str(pk.S)), pk.S + n, other]
+    terms = data.draw(
+        st.lists(
+            st.sampled_from(bases).flatmap(
+                lambda b: st.tuples(st.just(b), _exponents(table_bits.get(b, table_bits[pk.S])))
+            ),
+            max_size=6,
+        ),
+        label="terms",
+    )
+    assert _mexp(pk, terms) == math.prod(pow(b, e, n) for b, e in terms) % n
+
+
+def test_mexp_table_boundary_and_errors(issuer512):
+    pk, sk = issuer512
+    n = pk.n
+    assert _mexp(pk, []) == 1
+    for base, table in pk._tables.items():
+        bits = _WINDOW * len(table)
+        for exp in (0, 1, (1 << bits) - 1, 1 << bits, -1, -(1 << bits)):
+            assert _mexp(pk, [(base, exp)]) == pow(base, exp, n)
+    for bad in (0, sk.p, sk.q * 5):
+        with pytest.raises(ValueError):
+            _mexp(pk, [(pk.S, 3), (bad, -1)])
+
+
+def _non_residue_request(pk, hs, nonce, rng):
+    """An issuance request for U = -S^v' R0^k, which is not a quadratic
+    residue mod n. Its proof still verifies when the challenge is even,
+    because then U^-c = (S^v' R0^k)^-c."""
+    p = pk.params
+    while True:
+        v_prime = rng.getrandbits(p.l_n + p.l_stat)
+        U = pk.n - oracle.commitment_value(pk.n, pk.S, pk.R[0], v_prime, hs.k)
+        r_v = rng.getrandbits(p.l_n + 2 * p.l_stat + p.l_h)
+        r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
+        T = oracle.commitment_value(pk.n, pk.S, pk.R[0], r_v, r_k)
+        c = _issue_challenge(pk, U, T, nonce)
+        if c % 2 == 0 and 2 <= U <= pk.n - 2:
+            return IssuanceRequest(U=U, c=c, s_v=r_v + c * v_prime, s_k=r_k + c * hs.k, nonce=nonce)
+
+
+@pytest.mark.parametrize("size", ["toy", 512])
+def test_crt_signature_on_non_residue_commitment(issuer512, size):
+    pk, sk = toy_issuer(seed=31, L=3) if size == "toy" else issuer512
+    rng = random.Random(32)
+    hs = holder_keygen(rng, pk.params.l_m)
+    req = _non_residue_request(pk, hs, NONCE, rng)
+    assert not is_quadratic_residue(req.U, sk.p, sk.q)
+    claims = make_claims(("q1", "q2", "q3"), pk.issuer_id)
+    pre = issue(sk, pk, req, claims, metadata(pk.issuer_id, "c_nqr"), rng)
+    ms = [encode_attribute(c, pk.params) for c in claims]
+    assert pre.A == oracle.issue_signature_part(
+        pk.n, sk.p, sk.q, pk.Z, pk.S, pk.R, req.U, pre.e, pre.v_dprime, ms
+    )
+
+
+def test_fresh_key_shared_across_threads(issued512):
+    pk, _, hs, cred = issued512
+    fresh = replace(pk)
+    assert "_tables" not in vars(fresh)  # the threads race to build them
+    start = Barrier(4, timeout=60)
+
+    def rounds(seed):
+        rng = random.Random(seed)
+        start.wait()
+        shown = []
+        for r in range(5):
+            pres = present(fresh, cred, hs, {1 + r % 3}, NONCE, CTX, rng)
+            shown.append(verify_presentation(fresh, pres, NONCE, CTX))
+        return shown
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(rounds, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[frozenset({cred.claims[r % 3]}) for r in range(5)]] * 4

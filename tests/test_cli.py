@@ -326,9 +326,10 @@ def test_issuer_init_rejects_unusable_key_before_search(tmp_path, capsys, monkey
 
 
 def test_bad_nonce_flag(capsys):
-    code = run(["holder", "list", "--wallet", "w", "--nonce", "zz"])
-    capsys.readouterr()
+    code = run(["verifier", "verify", "--in", "i", "--issuer-pub", "p", "--context", "x", "--nonce", "zz"])
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error[FormatError]: ")
 
 
 def test_module_entry_point():
