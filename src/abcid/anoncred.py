@@ -487,13 +487,6 @@ def _present_challenge(
     return challenge_from_digest(transcript_hash(elems), pk.params.l_h)
 
 
-def disclosed_base(pk: IssuerPublicKey, disclosed_ms: Mapping[int, int]) -> int:
-    """Z with the disclosed attribute terms divided out: the public value
-    the hidden witnesses must account for."""
-    divisor = _mexp(pk, ((pk.R[i], m) for i, m in disclosed_ms.items()))
-    return pk.Z * pow(divisor, -1, pk.n) % pk.n
-
-
 def present(
     pk: IssuerPublicKey,
     cred: Credential,
@@ -597,12 +590,12 @@ def verify_presentation(
     for i, s in proof.s_m.items():
         _check_response_bound(s, p.l_m + p.l_stat + p.l_h, f"s_m[{i}]")
 
-    disclosed_ms = {i: encode_attribute(c, p) for i, c in pres.disclosed.items()}
+    # (Z / prod_disclosed R_j^m_j)^-c = Z^-c * prod_disclosed R_j^(c*m_j)
+    terms = [(pres.a_prime, proof.s_e), (pk.S, proof.s_v), (pk.R[0], proof.s_k), (pk.Z, -proof.c)]
+    terms += [(pk.R[i], s) for i, s in proof.s_m.items()]
+    terms += [(pk.R[i], proof.c * encode_attribute(c, p)) for i, c in pres.disclosed.items()]
     try:
-        z_d = disclosed_base(pk, disclosed_ms)
-        responses = [(pres.a_prime, proof.s_e), (pk.S, proof.s_v), (pk.R[0], proof.s_k)]
-        responses += [(pk.R[i], s) for i, s in proof.s_m.items()]
-        T_hat = _mexp(pk, [*responses, (z_d, -proof.c)])
+        T_hat = _mexp(pk, terms)
     except ValueError:  # some transcript value is not invertible mod n
         raise ProofInvalid("degenerate transcript value") from None
 

@@ -59,8 +59,11 @@ def cmd_issuer_init(args) -> int:
 
 def _claims_from_file(path: str, issuer_id: str) -> tuple[tuple[Claim, ...], CredentialMetadata]:
     doc = wire.load(path)
+    items = doc.get("claims", [])
+    if not isinstance(items, list):
+        raise FormatError("field 'claims' has wrong type")
     claims = []
-    for c in doc.get("claims", []):
+    for c in items:
         if isinstance(c, dict):
             c = dict(c)
             c.setdefault("issuer_id", issuer_id)

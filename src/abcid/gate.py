@@ -207,6 +207,13 @@ def registry_to_json(registry: Registry) -> dict:
     }
 
 
+def _strings(doc: dict, key: str) -> list[str]:
+    items = _need(doc, key, list)
+    if not all(isinstance(item, str) for item in items):
+        raise FormatError(f"field {key!r} must list strings")
+    return items
+
+
 def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str]]:
     """Rebuild the domain table; keys and policies are attached separately,
     keys checked against the persisted digests."""
@@ -216,9 +223,9 @@ def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str]]:
     for d in _need(doc, "domains", list):
         spec = DomainSpec(
             domain_id=_need(d, "domain_id", str),
-            required_attrs=frozenset(_need(d, "required_attrs", list)),
-            policy_ids=tuple(_need(d, "policy_ids", list)),
-            trusted_issuers=frozenset(_need(d, "trusted_issuers", list)),
+            required_attrs=frozenset(_strings(d, "required_attrs")),
+            policy_ids=tuple(_strings(d, "policy_ids")),
+            trusted_issuers=frozenset(_strings(d, "trusted_issuers")),
         )
         register_domain(registry, spec)
     digests = {k: v for k, v in _need(doc, "issuer_key_digests", dict).items()}

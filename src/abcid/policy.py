@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .model import Attribute, is_token
 
@@ -32,6 +32,8 @@ OUTSIDE_TIME_WINDOW = "OutsideTimeWindow"
 DAY_NOT_ALLOWED = "DayNotAllowed"
 ACTION_MISMATCH = "ActionMismatch"
 RESOURCE_MISMATCH = "ResourceMismatch"
+
+_T = TypeVar("_T")
 
 
 def attribute_missing(name: str) -> str:
@@ -148,69 +150,50 @@ class _Tok:
     col: int
 
 
-_TIME_RE = re.compile(r"\d{2}:\d{2}")
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
+# One token per match, after optional blanks. STRING stops before a raw
+# newline or an unknown escape, so a missing END tells the lexer which error
+# to raise; no alternative matching means end of input or a bad character.
+_TOKEN_RE = re.compile(
+    r"""[ \t\r]*(?:
+        (?P<NEWLINE>\n)
+      | (?P<COMMENT>\#[^\n]*)
+      | (?P<TIME>\d{2}:\d{2})
+      | (?P<IDENT>[a-z][a-z0-9_]*)
+      | (?P<STRING>"(?:[^"\\\n]|\\["\\n])*(?P<END>")?)
+      | (?P<PUNCT>[,=\[\]])
+    )?""",
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if m := _TIME_RE.match(text, i):
-            toks.append(_Tok("TIME", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if m := _IDENT_RE.match(text, i):
-            toks.append(_Tok("IDENT", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < len(text):
-                if text[j] == "\\":
-                    if j + 1 < len(text) and text[j + 1] in '"\\n':
-                        out.append("\n" if text[j + 1] == "n" else text[j + 1])
-                        j += 2
-                        continue
-                    raise ParseError("unknown escape in string", line, col)
-                if text[j] == '"':
-                    break
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, col)
-                out.append(text[j])
-                j += 1
-            else:
-                raise ParseError("unterminated string", line, col)
-            toks.append(_Tok("STRING", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in ",=[]":
-            toks.append(_Tok("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
-    return toks
+    line, line_start, pos = 1, 0, 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        start = m.start(kind) if kind else pos
+        col = start - line_start + 1
+        if kind is None:
+            if pos < len(text):
+                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            toks.append(_Tok("EOF", "", line, col))
+            return toks
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+        elif kind == "COMMENT":
+            line_start += pos - start  # the column does not advance over a comment
+        elif kind == "STRING":
+            if m["END"] is None:
+                bad_escape = text.startswith("\\", pos)
+                raise ParseError(
+                    "unknown escape in string" if bad_escape else "unterminated string", line, col
+                )
+            body = _ESCAPE_RE.sub(lambda e: "\n" if e[1] == "n" else e[1], m[kind][1:-1])
+            toks.append(_Tok(kind, body, line, col))
+        else:
+            toks.append(_Tok(kind, m[kind], line, col))
 
 
 class _Parser:
@@ -221,132 +204,98 @@ class _Parser:
     def peek(self) -> _Tok:
         return self.toks[self.pos]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
     def fail(self, expected: Iterable[str]) -> ParseError:
         t = self.peek()
         got = t.text or "end of input"
         return ParseError(f"unexpected {got!r}", t.line, t.col, expected)
 
-    def keyword(self, word: str) -> None:
+    def at(self, kind: str, text: str | None = None) -> bool:
         t = self.peek()
-        if t.kind != "IDENT" or t.text != word:
-            raise self.fail([f"'{word}'"])
-        self.next()
+        return t.kind == kind and text in (None, t.text)
 
-    def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "IDENT" and t.text == word
+    def take(self, kind: str, text: str | None = None, what: str | None = None) -> str:
+        """The next token's text; `what` names it in the error, else `text` does."""
+        if not self.at(kind, text):
+            raise self.fail([what or f"'{text}'"])
+        self.pos += 1
+        return self.toks[self.pos - 1].text
 
-    def ident(self, what: str) -> str:
-        t = self.peek()
-        if t.kind != "IDENT":
-            raise self.fail([what])
-        return self.next().text
-
-    def string(self) -> str:
-        t = self.peek()
-        if t.kind != "STRING":
-            raise self.fail(["quoted string"])
-        return self.next().text
-
-    def punct(self, ch: str) -> None:
-        t = self.peek()
-        if t.kind != "PUNCT" or t.text != ch:
-            raise self.fail([f"'{ch}'"])
-        self.next()
+    def separated(self, item: Callable[[], _T], kind: str = "PUNCT", sep: str = ",") -> list[_T]:
+        items = [item()]
+        while self.at(kind, sep):
+            self.take(kind, sep)
+            items.append(item())
+        return items
 
     def time(self) -> int:
         t = self.peek()
-        if t.kind != "TIME":
-            raise self.fail(["HH:MM"])
+        self.take("TIME", what="HH:MM")
         hh, mm = int(t.text[:2]), int(t.text[3:])
         if mm > 59 or hh > 24 or (hh == 24 and mm != 0):
             raise ParseError(f"invalid time of day {t.text!r}", t.line, t.col)
-        self.next()
         return hh * 60 + mm
 
     def attr_term(self) -> AttrTerm:
-        name = self.ident("attribute name")
-        if self.peek().kind == "PUNCT" and self.peek().text == "=":
-            self.next()
-            return AttrTerm(name, self.string())
+        name = self.take("IDENT", what="attribute name")
+        if self.at("PUNCT", "="):
+            self.take("PUNCT", "=")
+            return AttrTerm(name, self.take("STRING", what="quoted string"))
         return AttrTerm(name)
 
-    def condition(self, seen: set[type]) -> Condition:
+    def condition(self, seen: set[str]) -> Condition:
         t = self.peek()
-        if self.at_keyword("time"):
-            if TimeWindow in seen:
-                raise ParseError("duplicate time condition", t.line, t.col)
-            self.next()
-            self.keyword("between")
-            start_tok = self.peek()
-            start = self.time()
-            self.keyword("and")
-            end = self.time()
-            if start >= end:
-                raise ParseError(
-                    "time window start must precede end", start_tok.line, start_tok.col
-                )
-            seen.add(TimeWindow)
-            return TimeWindow(start, end)
-        if self.at_keyword("day"):
-            if DaySet in seen:
-                raise ParseError("duplicate day condition", t.line, t.col)
-            self.next()
-            self.keyword("in")
-            self.punct("[")
-            days = [self.day()]
-            while self.peek().kind == "PUNCT" and self.peek().text == ",":
-                self.next()
-                days.append(self.day())
-            self.punct("]")
-            seen.add(DaySet)
+        if not (self.at("IDENT", "time") or self.at("IDENT", "day")):
+            raise self.fail(["'time'", "'day'"])
+        if t.text in seen:
+            raise ParseError(f"duplicate {t.text} condition", t.line, t.col)
+        seen.add(t.text)
+        self.take("IDENT")
+        if t.text == "day":
+            self.take("IDENT", "in")
+            self.take("PUNCT", "[")
+            days = self.separated(self.day)
+            self.take("PUNCT", "]")
             return DaySet(frozenset(days))
-        raise self.fail(["'time'", "'day'"])
+        self.take("IDENT", "between")
+        start_tok = self.peek()
+        start = self.time()
+        self.take("IDENT", "and")
+        end = self.time()
+        if start >= end:
+            raise ParseError("time window start must precede end", start_tok.line, start_tok.col)
+        return TimeWindow(start, end)
 
     def day(self) -> str:
-        t = self.peek()
-        if t.kind != "IDENT" or t.text not in DAYS:
+        if not self.at("IDENT") or self.peek().text not in DAYS:
             raise self.fail(["day name (mon..sun)"])
-        return self.next().text
+        return self.take("IDENT")
 
     def policy(self) -> Policy:
-        self.keyword("permit")
-        self.keyword("subjects")
-        self.keyword("with")
-        terms = [self.attr_term()]
-        while self.peek().kind == "PUNCT" and self.peek().text == ",":
-            self.next()
-            terms.append(self.attr_term())
-        self.keyword("may")
-        action = self.ident("action")
-        self.keyword("on")
-        self.keyword("resources")
-        rtype = None
-        rname = None
-        if self.at_keyword("of"):
-            self.next()
-            self.keyword("type")
-            rtype = self.ident("resource type")
-        if self.at_keyword("named"):
-            self.next()
-            rname = self.string()
+        self.take("IDENT", "permit")
+        self.take("IDENT", "subjects")
+        self.take("IDENT", "with")
+        terms = self.separated(self.attr_term)
+        self.take("IDENT", "may")
+        action = self.take("IDENT", what="action")
+        self.take("IDENT", "on")
+        self.take("IDENT", "resources")
+        rtype = rname = None
+        if self.at("IDENT", "of"):
+            self.take("IDENT", "of")
+            self.take("IDENT", "type")
+            rtype = self.take("IDENT", what="resource type")
+        if self.at("IDENT", "named"):
+            self.take("IDENT", "named")
+            rname = self.take("STRING", what="quoted string")
         conds: list[Condition] = []
-        if self.at_keyword("when"):
-            self.next()
-            seen: set[type] = set()
-            conds.append(self.condition(seen))
-            while self.at_keyword("and"):
-                self.next()
-                conds.append(self.condition(seen))
-        self.keyword("in")
-        self.keyword("domain")
-        domain = self.ident("domain name")
-        if self.peek().kind != "EOF":
+        if self.at("IDENT", "when"):
+            self.take("IDENT", "when")
+            seen: set[str] = set()
+            conds = self.separated(lambda: self.condition(seen), "IDENT", "and")
+        self.take("IDENT", "in")
+        self.take("IDENT", "domain")
+        domain = self.take("IDENT", what="domain name")
+        if not self.at("EOF"):
             raise self.fail(["end of policy"])
         return Policy(
             subject_attrs=frozenset(terms),

@@ -31,7 +31,6 @@ from abcid.anoncred import (
     _present_challenge,
     begin_issuance,
     complete_credential,
-    disclosed_base,
     encode_attribute,
     holder_keygen,
     issue,
@@ -371,7 +370,10 @@ def test_ownership_term_is_load_bearing(issued512):
     n = pk.n
     proof = pres.proof
     ms = {i: encode_attribute(c, pk.params) for i, c in pres.disclosed.items()}
-    z_d = disclosed_base(pk, ms)
+    divisor = 1
+    for i, m in ms.items():
+        divisor = divisor * pow(pk.R[i], m, n) % n
+    z_d = pk.Z * pow(divisor, -1, n) % n
     with_k = pow(pres.a_prime, proof.s_e, n) * pow(pk.S, proof.s_v, n) % n
     t_no_k = with_k * pow(z_d, -proof.c, n) % n
     t_with_k = with_k * pow(pk.R[0], proof.s_k, n) % n * pow(z_d, -proof.c, n) % n

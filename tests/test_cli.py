@@ -254,17 +254,28 @@ ERROR_CASES = [
     ("UnknownDomain", GATE_EVAL + " --action read --nonce " + NONCE_A),
     ("KeyDigestMismatch", GATE_EVAL + " --action read --nonce " + NONCE_A + " --issuer-pub {d}/pk.json"),
     ("ValueError", GATE_EVAL + " --action Read! --nonce " + NONCE_A),
+    ("FormatError", GATE_EVAL.replace("registry.json", "bad_required_attrs.json") + " --action read --nonce " + NONCE_A),
+    ("FormatError", GATE_EVAL.replace("registry.json", "bad_trusted_issuers.json") + " --action read --nonce " + NONCE_A),
+    ("FormatError", GATE_EVAL.replace("registry.json", "bad_policy_ids.json") + " --action read --nonce " + NONCE_A),
+    ("FormatError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
+                    " --claims {t}/claims_not_list.json --out {t}/pre.json"),
 ]
+BAD_DOMAIN_FIELDS = {"required_attrs": [{}], "trusted_issuers": [{}], "policy_ids": [["x"]]}
 
 
 @pytest.mark.parametrize("code_name, command", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
 def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     d, _ = issued_dir
     wire.save({"version": 1, "domains": [], "issuer_key_digests": {}}, tmp_path / "registry.json")
+    domain = {"domain_id": "nowhere", "required_attrs": ["staff"], "policy_ids": ["p"], "trusted_issuers": ["clinic"]}
+    for key, bad in BAD_DOMAIN_FIELDS.items():
+        registry = {"version": 1, "domains": [{**domain, key: bad}], "issuer_key_digests": {}}
+        wire.save(registry, tmp_path / f"bad_{key}.json")
     wire.save(
         {"credential_id": "c_one", "issued_at": "2026-01-05", "claims": [{"name": "staff", "value": "true"}]},
         tmp_path / "one_claim.json",
     )
+    wire.save({"credential_id": "c_five", "issued_at": "2026-01-05", "claims": 5}, tmp_path / "claims_not_list.json")
     args = [a.format(d=d, t=tmp_path) for a in command.split()]
     code, out, err = cli(capsys, *args)
     assert code == 2

@@ -14,6 +14,8 @@ from abcid.policy import (
     ParseError,
     Policy,
     TimeWindow,
+    _lex,
+    _quote,
     attribute_missing,
     decompose_policy,
     evaluate,
@@ -111,6 +113,18 @@ def test_parse_error_positions():
         parse_policy("permit subjects\nwith a may read\nat resources in domain d")
     assert exc.value.line == 3
 
+    with pytest.raises(ParseError) as exc:
+        parse_policy("permit subjects with a may read on resources in domain # no domain")
+    assert (exc.value.line, exc.value.col, exc.value.expected) == (1, 56, ("domain name",))
+
+    with pytest.raises(ParseError, match="^unknown escape in string") as exc:
+        parse_policy(r'permit subjects with a="x\"\t" may read on resources in domain d')
+    assert (exc.value.line, exc.value.col) == (1, 24)
+
+    with pytest.raises(ParseError, match="^unterminated string") as exc:
+        parse_policy(r'permit subjects with a="x\"')
+    assert (exc.value.line, exc.value.col) == (1, 24)
+
 
 @pytest.mark.parametrize(
     "text",
@@ -187,6 +201,32 @@ policies_st = st.builds(
 @settings(max_examples=100)
 def test_round_trip_generated(policy):
     assert parse_policy(serialize_policy(policy)) == policy
+
+
+blanks_st = st.lists(st.sampled_from([" ", "\t", "\r", "\n", " # note\n", "#\n"]), min_size=1, max_size=3)
+
+
+@st.composite
+def spaced_policies_st(draw):
+    """A serialized policy with random blanks, newlines and comments between its tokens."""
+    policy = draw(policies_st)
+    out = [draw(st.sampled_from(["", "\n", "# head\n"]))]
+    for tok in _lex(serialize_policy(policy))[:-1]:
+        out.append(_quote(tok.text) if tok.kind == "STRING" else tok.text)
+        out.extend(draw(blanks_st))
+    out.append(draw(st.sampled_from(["", " # tail", "#"])))
+    return policy, "".join(out)
+
+
+@given(spaced_policies_st())
+@settings(max_examples=100)
+def test_token_positions_with_inserted_blanks(case):
+    policy, text = case
+    lines = text.split("\n")
+    for tok in _lex(text):
+        if tok.kind in ("IDENT", "TIME", "PUNCT"):
+            assert lines[tok.line - 1][tok.col - 1 : tok.col - 1 + len(tok.text)] == tok.text
+    assert parse_policy(text) == policy
 
 
 @given(policies_st)
