@@ -5,6 +5,10 @@
 # With a SEED every file produced is bit-reproducible.
 set -euo pipefail
 
+# Run the CLI from this checkout's src/, installed or not.
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/src"
+abcid() { PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -m abcid "$@"; }
+
 WORK="${1:-$(mktemp -d)}"
 SEED="${2:-}"
 S=(); [ -n "$SEED" ] && S=(--seed "$SEED")

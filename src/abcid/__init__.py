@@ -12,7 +12,6 @@ from .model import (
     Claim,
     CredentialSummary,
     DigitalIdentity,
-    EntityRef,
     PartialIdentity,
     Unsatisfiable,
     project_partial_identity,
@@ -25,7 +24,6 @@ __all__ = [
     "Claim",
     "CredentialSummary",
     "DigitalIdentity",
-    "EntityRef",
     "PartialIdentity",
     "Unsatisfiable",
     "project_partial_identity",

@@ -164,10 +164,6 @@ class IssuerSecretKey:
     q: int
 
     @property
-    def n(self) -> int:
-        return self.p * self.q
-
-    @property
     def group_order(self) -> int:
         return ((self.p - 1) // 2) * ((self.q - 1) // 2)
 
@@ -574,12 +570,9 @@ def verify_presentation(
         raise ProofInvalid("presentation names a different issuer")
     if not 1 <= pres.a_prime <= n - 1:
         raise ProofInvalid("A' out of range")
-    indices = set(pres.disclosed) | set(proof.s_m)
-    if set(pres.disclosed) & set(proof.s_m):
-        raise ProofInvalid("index both disclosed and hidden")
-    if 0 in indices:
-        raise ProofInvalid("holder secret index can never be disclosed")
-    if indices != set(range(1, len(indices) + 1)) or len(indices) > pk.L:
+    # Each of 1..L is disclosed or hidden exactly once; index 0 (the holder
+    # secret) is neither.
+    if sorted([*pres.disclosed, *proof.s_m]) != list(range(1, pk.L + 1)):
         raise ProofInvalid("attribute indices do not form a credential layout")
     if not 0 <= proof.c < (1 << p.l_h):
         raise ProofInvalid("challenge out of range")

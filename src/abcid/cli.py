@@ -16,14 +16,13 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 
 from . import anoncred, gate, wire
 from .anoncred import AbcError, CredentialMetadata, EncodingError, ParameterError
 from .model import Claim, Unsatisfiable, select_credentials
-from .policy import DAYS, AccessRequest, ParseError, TimeWindow, _fmt_minutes, _quote
-from .policy import decompose_policy, parse_policy, serialize_policy
+from .policy import AccessRequest, ParseError, decompose_policy, parse_policy, serialize_policy
 from .wallet import Wallet, wallet_load, wallet_save
 from .wire import FormatError
 
@@ -34,12 +33,9 @@ def build_rng(seed: int | None) -> anoncred.Rng:
 
 def _parse_at(text: str) -> datetime:
     try:
-        at = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        return datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
         raise FormatError(f"--at must be an RFC3339 UTC timestamp, got {text!r}") from None
-    if at.tzinfo is None:
-        at = at.replace(tzinfo=timezone.utc)
-    return at.astimezone(timezone.utc)
 
 
 def _load_public_key(path: str) -> anoncred.IssuerPublicKey:
@@ -193,27 +189,7 @@ def cmd_verifier_verify(args) -> int:
 # -- policy ------------------------------------------------------------------
 
 def cmd_policy_lint(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
-    policy = parse_policy(text)
-    parts = decompose_policy(policy)
-    subjects = ", ".join(
-        t.name if t.value is None else f"{t.name}={_quote(t.value)}"
-        for t in sorted(parts.subjects, key=lambda t: (t.name, t.value or ""))
-    )
-    print(f"subjects: {subjects}")
-    print(f"objects:  {parts.objects.describe()}")
-    print(f"action:   {parts.action}")
-    if parts.context:
-        conds = []
-        for c in parts.context:
-            if isinstance(c, TimeWindow):
-                conds.append(f"time {_fmt_minutes(c.start)}-{_fmt_minutes(c.end)}")
-            else:
-                conds.append("days " + ",".join(d for d in DAYS if d in c.days))
-        print(f"context:  {'; '.join(conds)}")
-    else:
-        print("context:  unconditional")
-    print(f"domain:   {parts.domain}")
+    print(decompose_policy(parse_policy(Path(args.file).read_text(encoding="utf-8"))).describe())
     return 0
 
 
@@ -224,7 +200,7 @@ def cmd_gate_eval(args) -> int:
     for path in args.issuer_pub or []:
         gate.attach_trusted_key(registry, _load_public_key(path), digests)
     for path in args.policy or []:
-        gate.register_policy(registry, Path(path).stem, parse_policy(Path(path).read_text(encoding="utf-8")))
+        registry.policies[Path(path).stem] = parse_policy(Path(path).read_text(encoding="utf-8"))
     presentations = [wire.presentation_from_json(wire.load(p)) for p in args.presentation or []]
     req = AccessRequest(
         action=args.action,

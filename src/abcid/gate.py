@@ -97,7 +97,7 @@ class AccessOutcome:
 
 @dataclass
 class Registry:
-    """Read-mostly store; register_* calls must be externally serialized."""
+    """Read-mostly store; writes must be externally serialized."""
 
     domains: dict[str, DomainSpec] = field(default_factory=dict)
     issuer_keys: dict[str, IssuerPublicKey] = field(default_factory=dict)
@@ -108,16 +108,6 @@ def register_domain(registry: Registry, spec: DomainSpec) -> Registry:
     if spec.domain_id in registry.domains:
         raise DuplicateDomain(f"domain {spec.domain_id!r} already registered")
     registry.domains[spec.domain_id] = spec
-    return registry
-
-
-def register_issuer_key(registry: Registry, pk: IssuerPublicKey) -> Registry:
-    registry.issuer_keys[pk.issuer_id] = pk
-    return registry
-
-
-def register_policy(registry: Registry, policy_id: str, policy: Policy) -> Registry:
-    registry.policies[policy_id] = policy
     return registry
 
 
@@ -238,7 +228,7 @@ def attach_trusted_key(registry: Registry, pk: IssuerPublicKey, digests: dict[st
         raise KeyDigestMismatch(f"registry does not list issuer {pk.issuer_id!r}")
     if expected != key_digest(pk):
         raise KeyDigestMismatch(f"key digest mismatch for issuer {pk.issuer_id!r}")
-    register_issuer_key(registry, pk)
+    registry.issuer_keys[pk.issuer_id] = pk
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +349,10 @@ def reference_fixture(seed: int = 20260101, l_n: int = 512) -> ReferenceFixture:
         pre = issue(sk, pk, req, claims, metadata, rng)
         wallet.add_credential(complete_credential(pre, state, hs))
 
-    registry = Registry()
-    for issuer_id, (pk, _) in issuer_keys.items():
-        register_issuer_key(registry, pk)
-    for pid, text in FIXTURE_POLICY_TEXTS.items():
-        register_policy(registry, pid, parse_policy(text))
+    registry = Registry(
+        issuer_keys={issuer_id: pk for issuer_id, (pk, _) in issuer_keys.items()},
+        policies={pid: parse_policy(text) for pid, text in FIXTURE_POLICY_TEXTS.items()},
+    )
     for domain_id, codes in DOMAIN_ATTRS.items():
         trusted = {
             cred_issuer
@@ -406,8 +395,6 @@ __all__ = [
     "key_digest",
     "reference_fixture",
     "register_domain",
-    "register_issuer_key",
-    "register_policy",
     "registry_from_json",
     "registry_to_json",
 ]

@@ -67,14 +67,6 @@ def claim_bytes(claim: Claim) -> bytes:
 
 
 @dataclass(frozen=True)
-class EntityRef:
-    """Local wallet label for the entity a claim set belongs to. Never
-    serialized into any presentation transcript."""
-
-    entity_id: str
-
-
-@dataclass(frozen=True)
 class PartialIdentity:
     """The subset of an entity's claims visible to one domain."""
 
@@ -170,8 +162,6 @@ def select_credentials(required: Iterable[str], wallet: Sequence[CredentialSumma
                 c.credential_id,
             ),
         )
-        if not best.attribute_names & uncovered:
-            raise Unsatisfiable(uncovered)  # unreachable after the pre-check
         chosen.append(best.credential_id)
         uncovered -= best.attribute_names
         remaining.remove(best)

@@ -111,6 +111,8 @@ class AccessRequest:
         for tok in (self.action, self.resource_type, self.domain_id):
             if not is_token(tok):
                 raise ValueError(f"invalid request token: {tok!r}")
+        at = self.at if self.at.tzinfo is not None else self.at.replace(tzinfo=timezone.utc)
+        object.__setattr__(self, "at", at.astimezone(timezone.utc))  # naive means UTC
 
 
 @dataclass(frozen=True)
@@ -321,14 +323,24 @@ def _fmt_minutes(m: int) -> str:
     return f"{m // 60:02d}:{m % 60:02d}"
 
 
+def _sorted_terms(terms: Iterable[AttrTerm]) -> list[AttrTerm]:
+    """Canonical term order: by name, the bare name before pinned values."""
+    return sorted(terms, key=lambda t: (t.name, t.value is not None, t.value or ""))
+
+
+def _fmt_terms(terms: Iterable[AttrTerm]) -> str:
+    return ", ".join(
+        t.name if t.value is None else f"{t.name}={_quote(t.value)}" for t in _sorted_terms(terms)
+    )
+
+
+def _fmt_days(c: DaySet) -> str:
+    return ",".join(d for d in DAYS if d in c.days)
+
+
 def serialize_policy(p: Policy) -> str:
     """Canonical one-line text form; parse_policy inverts it exactly."""
-    terms = sorted(p.subject_attrs, key=lambda t: (t.name, t.value or ""))
-    parts = ["permit subjects with"]
-    parts.append(
-        ", ".join(t.name if t.value is None else f"{t.name}={_quote(t.value)}" for t in terms)
-    )
-    parts.append(f"may {p.action} on resources")
+    parts = ["permit subjects with", _fmt_terms(p.subject_attrs), f"may {p.action} on resources"]
     if p.resource_type is not None:
         parts.append(f"of type {p.resource_type}")
     if p.resource_name is not None:
@@ -339,7 +351,7 @@ def serialize_policy(p: Policy) -> str:
             if isinstance(c, TimeWindow):
                 conds.append(f"time between {_fmt_minutes(c.start)} and {_fmt_minutes(c.end)}")
             else:
-                conds.append("day in [" + ",".join(d for d in DAYS if d in c.days) + "]")
+                conds.append(f"day in [{_fmt_days(c)}]")
         parts.append("when " + " and ".join(conds))
     parts.append(f"in domain {p.domain_id}")
     return " ".join(parts)
@@ -373,6 +385,22 @@ class PolicyParts:
     context: tuple[Condition, ...]
     domain: str
 
+    def describe(self) -> str:
+        """The five parts, one per line, as `abcid policy lint` prints them."""
+        conds = [
+            f"time {_fmt_minutes(c.start)}-{_fmt_minutes(c.end)}"
+            if isinstance(c, TimeWindow)
+            else f"days {_fmt_days(c)}"
+            for c in self.context
+        ]
+        return "\n".join([
+            f"subjects: {_fmt_terms(self.subjects)}",
+            f"objects:  {self.objects.describe()}",
+            f"action:   {self.action}",
+            f"context:  {'; '.join(conds) or 'unconditional'}",
+            f"domain:   {self.domain}",
+        ])
+
 
 def decompose_policy(p: Policy) -> PolicyParts:
     """Split a policy into subjects / objects / action / context / domain."""
@@ -385,26 +413,9 @@ def decompose_policy(p: Policy) -> PolicyParts:
     )
 
 
-def recompose_policy(parts: PolicyParts) -> Policy:
-    return Policy(
-        subject_attrs=parts.subjects,
-        action=parts.action,
-        domain_id=parts.domain,
-        resource_type=parts.objects.resource_type,
-        resource_name=parts.objects.resource_name,
-        context=parts.context,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-def _as_utc(at: datetime) -> datetime:
-    if at.tzinfo is None:
-        return at.replace(tzinfo=timezone.utc)
-    return at.astimezone(timezone.utc)
-
 
 def _policy_failures(p: Policy, attrs: frozenset[Attribute], req: AccessRequest) -> list[str]:
     """Failed checks in a fixed order; empty means the policy matches."""
@@ -417,13 +428,12 @@ def _policy_failures(p: Policy, attrs: frozenset[Attribute], req: AccessRequest)
         reasons.append(RESOURCE_MISMATCH)
     names = {a.name for a in attrs}
     pairs = {(a.name, a.value) for a in attrs}
-    for term in sorted(p.subject_attrs, key=lambda t: (t.name, t.value or "")):
+    for term in _sorted_terms(p.subject_attrs):
         ok = term.name in names if term.value is None else (term.name, term.value) in pairs
         if not ok:
             reasons.append(attribute_missing(term.name))
-    at = _as_utc(req.at)
-    minutes = at.hour * 60 + at.minute
-    day = DAYS[at.weekday()]
+    minutes = req.at.hour * 60 + req.at.minute
+    day = DAYS[req.at.weekday()]
     for cond in p.context:
         if isinstance(cond, TimeWindow):
             if not cond.start <= minutes < cond.end:

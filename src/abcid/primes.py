@@ -102,7 +102,7 @@ def random_prime_in_interval(lo: int, hi: int, rng: random.Random) -> int:
         e = rng.randrange(lo, hi + 1) | 1
         if e > hi:
             continue
-        if _survives_sieve(e) and is_probable_prime(e):
+        if is_probable_prime(e):
             return e
 
 

@@ -20,7 +20,6 @@ from abcid.policy import (
     decompose_policy,
     evaluate,
     parse_policy,
-    recompose_policy,
     serialize_policy,
 )
 
@@ -227,12 +226,6 @@ def test_token_positions_with_inserted_blanks(case):
         if tok.kind in ("IDENT", "TIME", "PUNCT"):
             assert lines[tok.line - 1][tok.col - 1 : tok.col - 1 + len(tok.text)] == tok.text
     assert parse_policy(text) == policy
-
-
-@given(policies_st)
-@settings(max_examples=100)
-def test_decompose_recompose_identity(policy):
-    assert recompose_policy(decompose_policy(policy)) == policy
 
 
 # -- decomposition -----------------------------------------------------------------
