@@ -11,9 +11,11 @@ the holder secret k and R_1..R_L carry the encoded claims:
 Issuance is blinded: the holder commits U = S^v' R_0^k with a proof of
 knowledge, the issuer completes the signature on U without ever seeing k,
 and the holder folds its blinding v' back in. A presentation re-randomizes
-the signature (A' = A S^rA) and proves knowledge of (e, v - e*rA, k, and
-every undisclosed m_i) via a Fiat-Shamir sigma protocol, so any chosen
-subset of claims can be disclosed while the rest stay hidden. Fresh
+the signature (A' = A S^rA) and proves knowledge of (e - 2^(l_e-1),
+v - e*rA, k, and every undisclosed m_i) via a Fiat-Shamir sigma protocol,
+so any chosen subset of claims can be disclosed while the rest stay
+hidden. The response for e - 2^(l_e-1) must be short, which keeps e near
+its interval and away from e = 1, where anyone could forge A. Fresh
 randomness per show makes transcripts pairwise unlinkable; binding to a
 verifier nonce and context string stops replays.
 
@@ -100,8 +102,9 @@ class SystemParams:
     l_h: int  # Fiat-Shamir challenge
 
     def __post_init__(self) -> None:
-        if self.l_e <= self.l_m + 2:
-            raise ParameterError("l_e must exceed l_m + 2")
+        # e's interval must lie above the proof's slack around it (Idemix).
+        if self.l_e <= self.l_stat + self.l_h + max(self.l_m + 4, self.l_e_prime + 2):
+            raise ParameterError("l_e must exceed l_stat + l_h + max(l_m + 4, l_e' + 2)")
         if self.l_v < self.l_n + self.l_m + 2 * self.l_stat:
             raise ParameterError("l_v too small for statistical hiding")
         if self.l_m > 257:
@@ -417,6 +420,8 @@ def issue(
     p = pk.params
     n = pk.n
     ms = [encode_attribute(c, p) for c in claims]
+    if any(c.issuer_id != pk.issuer_id for c in claims):
+        raise EncodingError(f"issuer {pk.issuer_id!r} certifies only claims under its own id")
 
     lo, hi = p.e_interval
     while True:
@@ -514,7 +519,7 @@ def present(
     ms = {i: encode_attribute(c, p) for i, c in enumerate(cred.claims, start=1)}
     hidden = sorted(set(ms) - disclose)
 
-    r_e = rng.getrandbits(p.l_e + p.l_stat + p.l_h)
+    r_e = rng.getrandbits(p.l_e_prime + p.l_stat + p.l_h)
     r_v = rng.getrandbits(p.l_v + p.l_stat + p.l_h)
     r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
     r_m = {i: rng.getrandbits(p.l_m + p.l_stat + p.l_h) for i in hidden}
@@ -525,7 +530,7 @@ def present(
     c = _present_challenge(pk, a_prime, T, disclosed, nonce, context)
     proof = PresentationProof(
         c=c,
-        s_e=r_e + c * cred.e,
+        s_e=r_e + c * (cred.e - p.e_interval[0]),
         s_v=r_v + c * v_bar,
         s_k=r_k + c * hs.k,
         s_m={i: r_m[i] + c * ms[i] for i in hidden},
@@ -568,23 +573,26 @@ def verify_presentation(
 
     if pres.issuer_id != pk.issuer_id:
         raise ProofInvalid("presentation names a different issuer")
+    if any(c.issuer_id != pk.issuer_id for c in pres.disclosed.values()):
+        raise ProofInvalid("a disclosed claim names a different issuer")
     if not 1 <= pres.a_prime <= n - 1:
         raise ProofInvalid("A' out of range")
-    # Each of 1..L is disclosed or hidden exactly once; index 0 (the holder
-    # secret) is neither.
+    # Each of 1..L disclosed or hidden once; never 0, the holder secret.
     if sorted([*pres.disclosed, *proof.s_m]) != list(range(1, pk.L + 1)):
         raise ProofInvalid("attribute indices do not form a credential layout")
     if not 0 <= proof.c < (1 << p.l_h):
         raise ProofInvalid("challenge out of range")
 
-    _check_response_bound(proof.s_e, p.l_e + p.l_stat + p.l_h, "s_e")
+    _check_response_bound(proof.s_e, p.l_e_prime + p.l_stat + p.l_h, "s_e")
     _check_response_bound(proof.s_v, p.l_v + p.l_stat + p.l_h, "s_v")
     _check_response_bound(proof.s_k, p.l_m + p.l_stat + p.l_h, "s_k")
     for i, s in proof.s_m.items():
         _check_response_bound(s, p.l_m + p.l_stat + p.l_h, f"s_m[{i}]")
 
     # (Z / prod_disclosed R_j^m_j)^-c = Z^-c * prod_disclosed R_j^(c*m_j)
-    terms = [(pres.a_prime, proof.s_e), (pk.S, proof.s_v), (pk.R[0], proof.s_k), (pk.Z, -proof.c)]
+    # s_e answers for e - 2^(l_e-1), so A' gets the offset back here.
+    a_exp = proof.s_e + proof.c * p.e_interval[0]
+    terms = [(pres.a_prime, a_exp), (pk.S, proof.s_v), (pk.R[0], proof.s_k), (pk.Z, -proof.c)]
     terms += [(pk.R[i], s) for i, s in proof.s_m.items()]
     terms += [(pk.R[i], proof.c * encode_attribute(c, p)) for i, c in pres.disclosed.items()]
     try:

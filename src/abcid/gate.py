@@ -302,6 +302,7 @@ DOMAIN_POLICY_IDS = {
 
 _SINGLE_ISSUER = "campus_office"  # one-claim credentials
 _DUAL_ISSUER = "registry_office"  # two-claim credentials (c2)
+_ISSUER_OF = {cid: _DUAL_ISSUER if len(codes) == 2 else _SINGLE_ISSUER for cid, codes in CREDENTIAL_ATTRS.items()}
 
 
 @dataclass
@@ -332,7 +333,7 @@ def reference_fixture(seed: int = 20260101, l_n: int = 512) -> ReferenceFixture:
     hs = holder_keygen(rng)
     wallet = Wallet(holder_secret=hs)
     for cid, codes in sorted(CREDENTIAL_ATTRS.items()):
-        issuer_id = _DUAL_ISSUER if len(codes) == 2 else _SINGLE_ISSUER
+        issuer_id = _ISSUER_OF[cid]
         pk, sk = issuer_keys[issuer_id]
         claims = tuple(
             Claim(attribute=attributes[code], issuer_id=issuer_id, schema_id="fixture_v1")
@@ -354,20 +355,13 @@ def reference_fixture(seed: int = 20260101, l_n: int = 512) -> ReferenceFixture:
         policies={pid: parse_policy(text) for pid, text in FIXTURE_POLICY_TEXTS.items()},
     )
     for domain_id, codes in DOMAIN_ATTRS.items():
-        trusted = {
-            cred_issuer
-            for cid in REFERENCE_CREDENTIAL_SETS[domain_id]
-            for cred_issuer in (
-                _DUAL_ISSUER if len(CREDENTIAL_ATTRS[cid]) == 2 else _SINGLE_ISSUER,
-            )
-        }
         register_domain(
             registry,
             DomainSpec(
                 domain_id=domain_id,
                 required_attrs=frozenset(ATTRIBUTE_CODES[c] for c in codes),
                 policy_ids=DOMAIN_POLICY_IDS[domain_id],
-                trusted_issuers=frozenset(trusted),
+                trusted_issuers=frozenset(_ISSUER_OF[cid] for cid in REFERENCE_CREDENTIAL_SETS[domain_id]),
             ),
         )
     return ReferenceFixture(

@@ -111,8 +111,8 @@ class AccessRequest:
         for tok in (self.action, self.resource_type, self.domain_id):
             if not is_token(tok):
                 raise ValueError(f"invalid request token: {tok!r}")
-        at = self.at if self.at.tzinfo is not None else self.at.replace(tzinfo=timezone.utc)
-        object.__setattr__(self, "at", at.astimezone(timezone.utc))  # naive means UTC
+        at = self.at if self.at.tzinfo is not None else self.at.replace(tzinfo=timezone.utc)  # naive: UTC
+        object.__setattr__(self, "at", at.astimezone(timezone.utc))
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ _TOKEN_RE = re.compile(
     r"""[ \t\r]*(?:
         (?P<NEWLINE>\n)
       | (?P<COMMENT>\#[^\n]*)
-      | (?P<TIME>\d{2}:\d{2})
+      | (?P<TIME>[0-9]{2}:[0-9]{2})
       | (?P<IDENT>[a-z][a-z0-9_]*)
       | (?P<STRING>"(?:[^"\\\n]|\\["\\n])*(?P<END>")?)
       | (?P<PUNCT>[,=\[\]])
@@ -208,7 +208,7 @@ class _Parser:
 
     def fail(self, expected: Iterable[str]) -> ParseError:
         t = self.peek()
-        got = t.text or "end of input"
+        got = {"EOF": "end of input", "STRING": _quote(t.text)}.get(t.kind, t.text)
         return ParseError(f"unexpected {got!r}", t.line, t.col, expected)
 
     def at(self, kind: str, text: str | None = None) -> bool:

@@ -94,10 +94,13 @@ def presentation_commitment(
     s_m: dict[int, int],
     disclosed_ms: dict[int, int],
     c: int,
+    l_e: int,
 ) -> int:
-    """The verifier's recomputed T = A'^s_e * S^s_v * R0^s_k * prod_hidden Ri^s_i
-    * (Z / prod_disclosed Rj^mj)^-c mod n."""
-    acc = modpow(a_prime, s_e, n) * modpow(S, s_v, n) % n * modpow(R[0], s_k, n) % n
+    """The verifier's recomputed T = A'^(s_e + c*2^(l_e-1)) * S^s_v * R0^s_k
+    * prod_hidden Ri^s_i * (Z / prod_disclosed Rj^mj)^-c mod n, where s_e
+    answers for e - 2^(l_e-1)."""
+    acc = modpow(a_prime, s_e + c * 2 ** (l_e - 1), n)
+    acc = acc * modpow(S, s_v, n) % n * modpow(R[0], s_k, n) % n
     for i, s in s_m.items():
         acc = acc * modpow(R[i], s, n) % n
     divisor = 1

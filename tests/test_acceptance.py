@@ -289,7 +289,7 @@ def test_criterion_8_toy_oracle_equivalence():
             proof = pres.proof
             t_show = oracle.presentation_commitment(
                 pk.n, pk.S, pk.Z, pk.R, pres.a_prime, proof.s_e, proof.s_v, proof.s_k,
-                proof.s_m, {i: ms[i - 1] for i in disclose}, proof.c,
+                proof.s_m, {i: ms[i - 1] for i in disclose}, proof.c, TOY_PARAMS.l_e,
             )
             assert _present_challenge(pk, pres.a_prime, t_show, pres.disclosed, nonce, CTX) == proof.c
             # The package's own recomputation must agree with the oracle's.

@@ -374,7 +374,8 @@ def test_ownership_term_is_load_bearing(issued512):
     for i, m in ms.items():
         divisor = divisor * pow(pk.R[i], m, n) % n
     z_d = pk.Z * pow(divisor, -1, n) % n
-    with_k = pow(pres.a_prime, proof.s_e, n) * pow(pk.S, proof.s_v, n) % n
+    e_offset = 1 << (pk.params.l_e - 1)  # s_e answers for e - 2^(l_e-1)
+    with_k = pow(pres.a_prime, proof.s_e + proof.c * e_offset, n) * pow(pk.S, proof.s_v, n) % n
     t_no_k = with_k * pow(z_d, -proof.c, n) % n
     t_with_k = with_k * pow(pk.R[0], proof.s_k, n) % n * pow(z_d, -proof.c, n) % n
     assert _present_challenge(pk, pres.a_prime, t_with_k, pres.disclosed, NONCE, CTX) == proof.c

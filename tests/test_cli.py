@@ -251,6 +251,8 @@ ERROR_CASES = [
     ("ParameterError", "issuer init --issuer-id x --attrs 0 --l-n 512 --key {t}/k.json --issuer-pub {t}/p.json"),
     ("EncodingError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
                       " --claims {t}/one_claim.json --out {t}/pre.json"),
+    ("EncodingError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
+                      " --claims {t}/foreign_claim.json --out {t}/pre.json"),
     ("UnknownDomain", GATE_EVAL + " --action read --nonce " + NONCE_A),
     ("KeyDigestMismatch", GATE_EVAL + " --action read --nonce " + NONCE_A + " --issuer-pub {d}/pk.json"),
     ("ValueError", GATE_EVAL + " --action Read! --nonce " + NONCE_A),
@@ -274,6 +276,11 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     wire.save(
         {"credential_id": "c_one", "issued_at": "2026-01-05", "claims": [{"name": "staff", "value": "true"}]},
         tmp_path / "one_claim.json",
+    )
+    foreign = {"name": "school_member", "value": "true", "issuer_id": "registry_office"}
+    wire.save(
+        {"credential_id": "c_two", "issued_at": "2026-01-05", "claims": [{"name": "staff", "value": "true"}, foreign]},
+        tmp_path / "foreign_claim.json",
     )
     wire.save({"credential_id": "c_five", "issued_at": "2026-01-05", "claims": 5}, tmp_path / "claims_not_list.json")
     args = [a.format(d=d, t=tmp_path) for a in command.split()]

@@ -1,12 +1,26 @@
+import math
 import random
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from itertools import combinations
 
 import pytest
 
 from abcid import wire
-from abcid.anoncred import present
+from abcid.anoncred import (
+    Credential,
+    CredentialMetadata,
+    EncodingError,
+    LengthCheckFailed,
+    ProofInvalid,
+    begin_issuance,
+    encode_attribute,
+    holder_keygen,
+    issue,
+    present,
+    signature_holds,
+    verify_presentation,
+)
 from abcid.gate import (
     CREDENTIAL_ATTRS,
     DOMAIN_ATTRS,
@@ -24,8 +38,9 @@ from abcid.gate import (
     registry_from_json,
     registry_to_json,
 )
-from abcid.model import select_credentials
+from abcid.model import Attribute, Claim, select_credentials
 from abcid.policy import AccessRequest, attribute_missing, parse_policy
+from abcid.primes import random_prime_in_interval
 
 MONDAY_9 = datetime(2026, 8, 3, 9, 0, tzinfo=timezone.utc)
 NONCE = b"\x42" * 16
@@ -282,3 +297,80 @@ def test_fixture_wallet_contents(ref_fx):
         assert tuple(c.attribute.name for c in cred.claims) == tuple(
             ref_fx.attributes[code].name for code in codes
         )
+
+
+# -- credentials made without `issue` ---------------------------------------------
+
+MEDICAL_CTX = context_string("medical_files", "patient_file", "record_42", "write")
+
+
+def signed_without_issue(pk, claim, hs, e, d, rng):
+    """A one-claim credential with a chosen e: A = (Z / S^v R0^k R1^m)^d
+    mod n, made without the checks in `issue` and `complete_credential`.
+    d = 1/e mod p'q' needs the issuer's secret key; e = d = 1 needs only pk."""
+    n = pk.n
+    v = rng.getrandbits(pk.params.l_v)
+    m = encode_attribute(claim, pk.params)
+    denom = pow(pk.S, v, n) * pow(pk.R[0], hs.k, n) * pow(pk.R[1], m, n) % n
+    A = pow(pk.Z * pow(denom, -1, n) % n, d, n)
+    assert signature_holds(pk, A, e, v, hs.k, [m])
+    metadata = CredentialMetadata(pk.issuer_id, "fixture_v1", date(2026, 1, 1))
+    return Credential(A=A, e=e, v=v, claims=(claim,), metadata=metadata)
+
+
+def test_e_outside_its_interval_is_rejected(ref_fx):
+    """Soundness harness: with e = 1, anyone holding campus_office's public
+    key can sign any claim. The proof of e - 2^(l_e-1) rejects such shows,
+    and shows of issuer-signed credentials whose e lies far off the interval."""
+    pk, sk = ref_fx.issuer_keys["campus_office"]
+    rng = random.Random(61)
+    forger = holder_keygen(rng)
+    shows = []
+    for name in ("medical_staff", "school_member"):
+        claim = Claim(Attribute(name, "true"), "campus_office", "fixture_v1")
+        cred = signed_without_issue(pk, claim, forger, 1, 1, rng)
+        pres = present(pk, cred, forger, {1}, NONCE, MEDICAL_CTX, rng)
+        with pytest.raises(LengthCheckFailed):
+            verify_presentation(pk, pres, NONCE, MEDICAL_CTX)
+        shows.append(pres)
+    req = request_for("medical_files", "write", "patient_file", "record_42")
+    out = access(ref_fx.registry, "medical_files", req, shows, NONCE)
+    assert out.decision.outcome == "Deny"
+    assert out.presentation_errors == ((0, "LengthCheckFailed"), (1, "LengthCheckFailed"))
+
+    p = pk.params
+    lo, hi = p.e_interval
+    order = sk.group_order
+    claim = Claim(Attribute("medical_staff", "true"), "campus_office")
+
+    def odd_unit(e):
+        e |= 1
+        while math.gcd(e, order) != 1:
+            e += 2
+        return e
+
+    e_ok = random_prime_in_interval(lo, hi, rng)
+    far = 1 << (p.l_e_prime + p.l_stat + 32)
+    for e, verifies in ((e_ok, True), (odd_unit(lo + far), False), (odd_unit(lo - far), False)):
+        cred = signed_without_issue(pk, claim, forger, e, pow(e, -1, order), rng)
+        pres = present(pk, cred, forger, {1}, NONCE, MEDICAL_CTX, rng)
+        if verifies:
+            assert verify_presentation(pk, pres, NONCE, MEDICAL_CTX) == {claim}
+        else:
+            with pytest.raises(LengthCheckFailed):
+                verify_presentation(pk, pres, NONCE, MEDICAL_CTX)
+
+
+def test_issuer_certifies_only_its_own_claims(ref_fx):
+    pk, sk = ref_fx.issuer_keys["campus_office"]
+    rng = random.Random(62)
+    foreign = Claim(Attribute("school_member", "true"), "registry_office", "fixture_v1")
+    req, _ = begin_issuance(pk, ref_fx.holder_secret, NONCE, rng)
+    with pytest.raises(EncodingError):
+        issue(sk, pk, req, (foreign,), ref_fx.wallet.find("c5").metadata, rng)
+    # A credential signed before `issue` checked claim issuers.
+    e = random_prime_in_interval(*pk.params.e_interval, rng)
+    cred = signed_without_issue(pk, foreign, ref_fx.holder_secret, e, pow(e, -1, sk.group_order), rng)
+    pres = present(pk, cred, ref_fx.holder_secret, {1}, NONCE, MEDICAL_CTX, rng)
+    with pytest.raises(ProofInvalid):
+        verify_presentation(pk, pres, NONCE, MEDICAL_CTX)

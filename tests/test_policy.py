@@ -1,4 +1,4 @@
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +124,17 @@ def test_parse_error_positions():
         parse_policy(r'permit subjects with a="x\"')
     assert (exc.value.line, exc.value.col) == (1, 24)
 
+    with pytest.raises(ParseError, match="^unexpected '\"\"' ") as exc:
+        parse_policy('permit subjects with a="" "" may read on resources in domain d')
+    assert (exc.value.line, exc.value.col, exc.value.expected) == (1, 27, ("'may'",))
+
+    with pytest.raises(ParseError, match="^unexpected character '\u0660'") as exc:  # Arabic-Indic zero
+        parse_policy(
+            "permit subjects with a may read on resources "
+            "when time between \u0660\u0668:\u0660\u0660 and 18:00 in domain d"
+        )
+    assert (exc.value.line, exc.value.col) == (1, 64)
+
 
 @pytest.mark.parametrize(
     "text",
@@ -241,6 +252,15 @@ def test_decompose_worked_example():
     assert parts.domain == "library"
 
 
+def test_bare_term_sorts_before_pinned_empty_value():
+    """`a` and `a=""` used to tie in the term sort, so their printed order
+    followed set iteration, which changes from run to run."""
+    for terms in ('a="", a', 'a, a=""'):
+        p = parse_policy(f"permit subjects with b, {terms} may read on resources in domain d")
+        assert serialize_policy(p).startswith('permit subjects with a, a="", b may')
+        assert decompose_policy(p).describe().startswith('subjects: a, a="", b\n')
+
+
 def test_decompose_minimal_context_empty():
     parts = decompose_policy(
         parse_policy("permit subjects with teacher may write on resources in domain marks")
@@ -339,6 +359,17 @@ def test_naive_datetimes_treated_as_utc():
     policy = parse_policy(WORKED)
     d = evaluate([policy], LIBRARY_ATTRS, library_request(datetime(2026, 8, 3, 9, 0)))
     assert d.outcome == "Permit"
+    # Aware times count in UTC: 2026-08-03 is a Monday, and +05:30 is 5.5 h ahead.
+    ist = timezone(timedelta(hours=5, minutes=30))
+    rows = [
+        (14, 30, "Permit", ("Permitted",)),  # Monday 09:00 UTC
+        (23, 30, "Deny", ("OutsideTimeWindow",)),  # Monday 18:00 UTC
+        (1, 0, "Deny", ("OutsideTimeWindow", "DayNotAllowed")),  # Sunday 19:30 UTC
+    ]
+    for hour, minute, outcome, reasons in rows:
+        at = datetime(2026, 8, 3, hour, minute, tzinfo=ist)
+        d = evaluate([policy], LIBRARY_ATTRS, library_request(at))
+        assert (d.outcome, d.reasons) == (outcome, reasons), at
 
 
 def test_evaluation_deterministic():
