@@ -1,9 +1,11 @@
 """Domain registry and access decisions.
 
 A domain is a set of resources governed by the same policies; getting in
-means authenticating with credential presentations. `access` verifies
-each presentation against a trusted issuer key, pools the disclosed
-claims, and evaluates the domain's policies over them. Any failed
+means authenticating with credential presentations. A policy governs the
+domain its own `in domain` clause names, so the registry keeps one id ->
+policy mapping for all domains. `access` verifies each presentation
+against a trusted issuer key, pools the disclosed claims, and evaluates
+the domain's policies over them in registry order. Any failed
 presentation forces Deny no matter what the policies would say.
 
 `reference_fixture` builds the reference scenario used throughout the test
@@ -59,10 +61,6 @@ class UnknownDomain(GateError):
     code = "UnknownDomain"
 
 
-class UnknownPolicy(GateError):
-    code = "UnknownPolicy"
-
-
 class KeyDigestMismatch(GateError):
     code = "KeyDigestMismatch"
 
@@ -71,12 +69,10 @@ class KeyDigestMismatch(GateError):
 class DomainSpec:
     domain_id: str
     required_attrs: frozenset[str]
-    policy_ids: tuple[str, ...]
     trusted_issuers: frozenset[str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "required_attrs", frozenset(self.required_attrs))
-        object.__setattr__(self, "policy_ids", tuple(self.policy_ids))
         object.__setattr__(self, "trusted_issuers", frozenset(self.trusted_issuers))
         if not is_token(self.domain_id):
             raise ValueError(f"invalid domain id: {self.domain_id!r}")
@@ -129,7 +125,10 @@ def access(
     Presentations must be bound to the served nonce and to this request's
     context string. Claims from every successfully verified presentation
     pool into one attribute set; a single verification failure forces
-    Deny even if the surviving claims would satisfy a policy.
+    Deny even if the surviving claims would satisfy a policy. The policies
+    are those of `registry.policies` whose domain is `domain_id`, tried in
+    mapping order; a domain with none of its own denies with
+    NoPolicyForDomain.
     """
     spec = registry.domains.get(domain_id)
     if spec is None:
@@ -153,12 +152,7 @@ def access(
         except AbcError as exc:
             errors.append((idx, exc.code))
 
-    missing = [pid for pid in spec.policy_ids if pid not in registry.policies]
-    if missing:
-        raise UnknownPolicy(f"policies not attached to registry: {missing}")
-    policies = [registry.policies[pid] for pid in spec.policy_ids]
-
-    decision = evaluate(policies, {c.attribute for c in verified}, req, spec.policy_ids)
+    decision = evaluate(registry.policies, {c.attribute for c in verified}, req)
     if errors and decision.outcome == "Permit":
         # Authentication failed somewhere; authorization cannot stand.
         decision = Decision("Deny", None, decision.reasons[:-1])
@@ -185,7 +179,6 @@ def registry_to_json(registry: Registry) -> dict:
             {
                 "domain_id": spec.domain_id,
                 "required_attrs": sorted(spec.required_attrs),
-                "policy_ids": list(spec.policy_ids),
                 "trusted_issuers": sorted(spec.trusted_issuers),
             }
             for _, spec in sorted(registry.domains.items())
@@ -214,7 +207,6 @@ def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str]]:
         spec = DomainSpec(
             domain_id=_need(d, "domain_id", str),
             required_attrs=frozenset(_strings(d, "required_attrs")),
-            policy_ids=tuple(_strings(d, "policy_ids")),
             trusted_issuers=frozenset(_strings(d, "trusted_issuers")),
         )
         register_domain(registry, spec)
@@ -293,13 +285,6 @@ FIXTURE_POLICY_TEXTS = {
     ),
 }
 
-DOMAIN_POLICY_IDS = {
-    "medical_files": ("medical_files_write",),
-    "students_marks": ("students_marks_read",),
-    "library": ("library_audio_read",),
-    "staff_bus": ("staff_bus_board",),
-}
-
 _SINGLE_ISSUER = "campus_office"  # one-claim credentials
 _DUAL_ISSUER = "registry_office"  # two-claim credentials (c2)
 _ISSUER_OF = {cid: _DUAL_ISSUER if len(codes) == 2 else _SINGLE_ISSUER for cid, codes in CREDENTIAL_ATTRS.items()}
@@ -360,7 +345,6 @@ def reference_fixture(seed: int = 20260101, l_n: int = 512) -> ReferenceFixture:
             DomainSpec(
                 domain_id=domain_id,
                 required_attrs=frozenset(ATTRIBUTE_CODES[c] for c in codes),
-                policy_ids=DOMAIN_POLICY_IDS[domain_id],
                 trusted_issuers=frozenset(_ISSUER_OF[cid] for cid in REFERENCE_CREDENTIAL_SETS[domain_id]),
             ),
         )
@@ -382,7 +366,6 @@ __all__ = [
     "ReferenceFixture",
     "Registry",
     "UnknownDomain",
-    "UnknownPolicy",
     "access",
     "attach_trusted_key",
     "context_string",

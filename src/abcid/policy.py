@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .model import Attribute, is_token
 
@@ -112,7 +112,10 @@ class AccessRequest:
             if not is_token(tok):
                 raise ValueError(f"invalid request token: {tok!r}")
         at = self.at if self.at.tzinfo is not None else self.at.replace(tzinfo=timezone.utc)  # naive: UTC
-        object.__setattr__(self, "at", at.astimezone(timezone.utc))
+        try:
+            object.__setattr__(self, "at", at.astimezone(timezone.utc))
+        except OverflowError:
+            raise ValueError("request time out of range") from None
 
 
 @dataclass(frozen=True)
@@ -444,26 +447,18 @@ def _policy_failures(p: Policy, attrs: frozenset[Attribute], req: AccessRequest)
 
 
 def evaluate(
-    policies: Sequence[Policy],
-    verified_attrs: Iterable[Attribute],
-    req: AccessRequest,
-    policy_ids: Sequence[str] | None = None,
+    policies: Mapping[str, Policy], verified_attrs: Iterable[Attribute], req: AccessRequest
 ) -> Decision:
-    """Deny-by-default, first-match-wins evaluation.
+    """Deny-by-default, first-match-wins evaluation over the policies, keyed
+    by id, whose domain is the request's; the others are skipped.
 
     On Deny the reasons describe the nearest miss: among same-domain
-    policies, the one failing the fewest checks (ties go to list order).
+    policies, the one failing the fewest checks (ties go to mapping order).
     """
-    if policy_ids is None:
-        ids = [f"p{i}" for i in range(len(policies))]
-    else:
-        ids = list(policy_ids)
-        if len(ids) != len(policies):
-            raise ValueError("policy_ids must parallel policies")
     attrs = frozenset(verified_attrs)
 
     nearest: list[str] | None = None
-    for pid, p in zip(ids, policies):
+    for pid, p in policies.items():
         if p.domain_id != req.domain_id:
             continue
         failures = _policy_failures(p, attrs, req)

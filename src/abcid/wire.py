@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -41,18 +42,19 @@ def int_to_hex(x: int) -> str:
     return ("-0x" if x < 0 else "0x") + format(abs(x), "x")
 
 
+# ASCII only, whole string: int() and bytes.fromhex() also take blanks,
+# underscores and non-ASCII digits.
+_HEX_INT_RE = re.compile(r"-?0x[0-9a-fA-F]+")
+_NONCE_RE = re.compile(f"[0-9a-fA-F]{{{2 * NONCE_LEN}}}")
+_INDEX_RE = re.compile(r"0|[1-9][0-9]*")
+
+
 def hex_to_int(s: Any) -> int:
     if not isinstance(s, str):
         raise FormatError(f"expected hex string, got {type(s).__name__}")
-    neg = s.startswith("-")
-    body = s[1:] if neg else s
-    if not body.startswith("0x") or len(body) == 2:
+    if not _HEX_INT_RE.fullmatch(s):
         raise FormatError(f"not a 0x-hex integer: {s!r}")
-    try:
-        value = int(body, 16)
-    except ValueError:
-        raise FormatError(f"not a 0x-hex integer: {s!r}") from None
-    return -value if neg else value
+    return int(s, 16)
 
 
 def nonce_to_hex(nonce: bytes) -> str:
@@ -60,12 +62,9 @@ def nonce_to_hex(nonce: bytes) -> str:
 
 
 def nonce_from_hex(s: Any) -> bytes:
-    if not isinstance(s, str) or len(s) != 2 * NONCE_LEN:
+    if not isinstance(s, str) or not _NONCE_RE.fullmatch(s):
         raise FormatError(f"nonce must be {2 * NONCE_LEN} hex chars")
-    try:
-        return bytes.fromhex(s)
-    except ValueError:
-        raise FormatError("nonce is not valid hex") from None
+    return bytes.fromhex(s)
 
 
 def _need(doc: Any, key: str, kind: type) -> Any:
@@ -183,8 +182,8 @@ def _parse_date(s: str) -> date:
 
 
 def _index_key(key: str) -> int:
-    if not key.isdigit():
-        raise FormatError(f"attribute index must be a decimal string, got {key!r}")
+    if not _INDEX_RE.fullmatch(key):
+        raise FormatError(f"attribute index must be a canonical decimal string, got {key!r}")
     return int(key)
 
 

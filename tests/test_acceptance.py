@@ -240,7 +240,7 @@ def test_criterion_6_decision_matrix():
     ]
     passed = 0
     for a, at, outcome, reason in rows:
-        d = evaluate([policy], a, req(at))
+        d = evaluate({"p0": policy}, a, req(at))
         assert d.outcome == outcome, (at, d)
         assert d.reasons == (reason,), (at, d)
         passed += 1

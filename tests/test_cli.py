@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,20 +257,22 @@ ERROR_CASES = [
     ("UnknownDomain", GATE_EVAL + " --action read --nonce " + NONCE_A),
     ("KeyDigestMismatch", GATE_EVAL + " --action read --nonce " + NONCE_A + " --issuer-pub {d}/pk.json"),
     ("ValueError", GATE_EVAL + " --action Read! --nonce " + NONCE_A),
+    # In UTC these times fall before year 1 and after year 9999.
+    ("ValueError", GATE_EVAL.replace("2026-08-03T09:00:00Z", "0001-01-01T00:00:00+05:00") + " --action read --nonce " + NONCE_A),
+    ("ValueError", GATE_EVAL.replace("2026-08-03T09:00:00Z", "9999-12-31T23:00:00-05:00") + " --action read --nonce " + NONCE_A),
     ("FormatError", GATE_EVAL.replace("registry.json", "bad_required_attrs.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", GATE_EVAL.replace("registry.json", "bad_trusted_issuers.json") + " --action read --nonce " + NONCE_A),
-    ("FormatError", GATE_EVAL.replace("registry.json", "bad_policy_ids.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
                     " --claims {t}/claims_not_list.json --out {t}/pre.json"),
 ]
-BAD_DOMAIN_FIELDS = {"required_attrs": [{}], "trusted_issuers": [{}], "policy_ids": [["x"]]}
+BAD_DOMAIN_FIELDS = {"required_attrs": [{}], "trusted_issuers": [{}]}
 
 
 @pytest.mark.parametrize("code_name, command", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
 def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     d, _ = issued_dir
     wire.save({"version": 1, "domains": [], "issuer_key_digests": {}}, tmp_path / "registry.json")
-    domain = {"domain_id": "nowhere", "required_attrs": ["staff"], "policy_ids": ["p"], "trusted_issuers": ["clinic"]}
+    domain = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
     for key, bad in BAD_DOMAIN_FIELDS.items():
         registry = {"version": 1, "domains": [{**domain, key: bad}], "issuer_key_digests": {}}
         wire.save(registry, tmp_path / f"bad_{key}.json")
@@ -356,3 +359,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "issuer" in proc.stdout
+
+
+def test_e2e_demo_script(tmp_path):
+    """The README walkthrough runs as documented; its gate step passes all
+    four fixture policies, so the domain's own policy must decide."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "e2e_demo.sh"
+    proc = subprocess.run(
+        ["bash", str(script), str(tmp_path / "work"), "42"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "valid presentation from issuer clinic" in proc.stdout
+    assert "Permit  reasons: Permitted" in proc.stdout

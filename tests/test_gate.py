@@ -30,7 +30,6 @@ from abcid.gate import (
     KeyDigestMismatch,
     Registry,
     UnknownDomain,
-    UnknownPolicy,
     access,
     attach_trusted_key,
     context_string,
@@ -64,7 +63,7 @@ def show(fx, cid: str, nonce: bytes, ctx: str, seed: int = 0):
 
 def test_register_and_lookup():
     reg = Registry()
-    spec = DomainSpec("library", frozenset({"a6"}), ("pol",), frozenset({"campus"}))
+    spec = DomainSpec("library", frozenset({"a6"}), frozenset({"campus"}))
     assert register_domain(reg, spec) is reg
     assert reg.domains["library"] == spec
     with pytest.raises(DuplicateDomain):
@@ -73,7 +72,7 @@ def test_register_and_lookup():
 
 def test_domain_spec_needs_trusted_issuers():
     with pytest.raises(ValueError):
-        DomainSpec("d", frozenset(), (), frozenset())
+        DomainSpec("d", frozenset(), frozenset())
 
 
 def test_fixture_has_four_domains(ref_fx):
@@ -105,9 +104,11 @@ def test_registry_persistence_round_trip(ref_fx):
 
 
 def test_documents_with_removed_fields_still_load(ref_fx):
-    """Registries and presentations written before `policy_files` and the
-    presentation-level `schema_id` were dropped still load; the keys are ignored."""
+    """Registries and presentations written before `policy_files`,
+    `policy_ids` and the presentation-level `schema_id` were dropped still
+    load; the keys are ignored."""
     doc = {**registry_to_json(ref_fx.registry), "policy_files": {"library_audio_read": "policies/library.pol"}}
+    doc["domains"] = [{**d, "policy_ids": ["ghost"]} for d in doc["domains"]]
     reg2, _ = registry_from_json(doc)
     assert reg2.domains == ref_fx.registry.domains
     pres = show(ref_fx, "c1", NONCE, context_string("medical_files", "patient_file", "r1", "write"), 12)
@@ -218,17 +219,9 @@ def test_access_requires_matching_request_domain(ref_fx):
         access(ref_fx.registry, "medical_files", req, [], NONCE)
 
 
-def test_access_missing_policy_is_loud(ref_fx):
-    reg = Registry()
-    register_domain(reg, DomainSpec("d", frozenset({"x"}), ("ghost",), frozenset({"campus_office"})))
-    req = request_for("d", "read", "t")
-    with pytest.raises(UnknownPolicy):
-        access(reg, "d", req, [], NONCE)
-
-
 def test_access_with_explicit_policies(ref_fx):
     reg = Registry()
-    register_domain(reg, DomainSpec("pool", frozenset({"x"}), ("pool_rule",), frozenset({"campus_office"})))
+    register_domain(reg, DomainSpec("pool", frozenset({"x"}), frozenset({"campus_office"})))
     reg.issuer_keys["campus_office"] = ref_fx.public_key("campus_office")
     policy = parse_policy("permit subjects with medical_staff may dive on resources in domain pool")
     reg.policies["pool_rule"] = policy
@@ -238,6 +231,42 @@ def test_access_with_explicit_policies(ref_fx):
     out = access(reg, "pool", req, [pres], NONCE)
     assert out.decision.outcome == "Permit"
     assert out.decision.matched_policy == "pool_rule"
+
+
+def _two_domain_registry(ref_fx) -> Registry:
+    """`gym` and `pool` in one registry, the gym policy first. Each policy
+    would permit the other domain's requests if it were consulted there."""
+    reg = Registry()
+    for domain_id in ("gym", "pool"):
+        register_domain(reg, DomainSpec(domain_id, frozenset({"x"}), frozenset({"campus_office"})))
+    reg.issuer_keys["campus_office"] = ref_fx.public_key("campus_office")
+    reg.policies["gym_medics"] = parse_policy("permit subjects with medical_staff may dive on resources in domain gym")
+    reg.policies["pool_staff"] = parse_policy("permit subjects with staff may dive on resources in domain pool")
+    return reg
+
+
+@pytest.mark.parametrize("domain_id, cid, outcome, matched, reasons", [
+    ("gym", "c1", "Permit", "gym_medics", ("Permitted",)),
+    ("gym", "c4", "Deny", None, (attribute_missing("medical_staff"),)),
+    ("pool", "c4", "Permit", "pool_staff", ("Permitted",)),
+    ("pool", "c1", "Deny", None, (attribute_missing("staff"),)),
+])
+def test_each_domain_is_decided_by_its_own_policies(ref_fx, domain_id, cid, outcome, matched, reasons):
+    reg = _two_domain_registry(ref_fx)
+    ctx = context_string(domain_id, "lane", "l1", "dive")
+    out = access(reg, domain_id, request_for(domain_id, "dive", "lane", "l1"), [show(ref_fx, cid, NONCE, ctx, 13)], NONCE)
+    assert out.presentation_errors == ()
+    assert (out.decision.outcome, out.decision.matched_policy, out.decision.reasons) == (outcome, matched, reasons)
+
+
+def test_domain_without_its_own_policy_denies(ref_fx):
+    reg = _two_domain_registry(ref_fx)
+    register_domain(reg, DomainSpec("sauna", frozenset({"x"}), frozenset({"campus_office"})))
+    ctx = context_string("sauna", "lane", "l1", "dive")
+    pres = [show(ref_fx, cid, NONCE, ctx, 14) for cid in ("c1", "c4")]
+    out = access(reg, "sauna", request_for("sauna", "dive", "lane", "l1"), pres, NONCE)
+    assert out.presentation_errors == ()
+    assert (out.decision.outcome, out.decision.reasons) == ("Deny", ("NoPolicyForDomain",))
 
 
 # -- fixture credential/attribute/domain mapping -----------------------------------

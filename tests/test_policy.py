@@ -283,7 +283,7 @@ def test_worked_policy_decision_matrix():
         (monday(8, 0), LIBRARY_ATTRS, "Permit", "Permitted"),
     ]
     for at, attrs, outcome, last_reason in rows:
-        d = evaluate([policy], attrs, library_request(at))
+        d = evaluate({"p0": policy}, attrs, library_request(at))
         assert d.outcome == outcome, (at, d)
         assert d.reasons[-1] == last_reason, (at, d)
         assert len(d.reasons) == 1
@@ -294,27 +294,27 @@ def test_window_boundaries_match_half_open_convention():
     for hour, minute in ((7, 59), (8, 0), (17, 59), (18, 0)):
         minutes = hour * 60 + minute
         inside = 480 <= minutes < 1080  # convention oracle, computed flat
-        d = evaluate([policy], LIBRARY_ATTRS, library_request(monday(hour, minute)))
+        d = evaluate({"p0": policy}, LIBRARY_ATTRS, library_request(monday(hour, minute)))
         assert (d.outcome == "Permit") == inside, (hour, minute)
 
 
 def test_deny_by_default():
     req = library_request(monday(9))
-    assert evaluate([], LIBRARY_ATTRS, req) == Decision("Deny", None, ("NoPolicyForDomain",))
+    assert evaluate({}, LIBRARY_ATTRS, req) == Decision("Deny", None, ("NoPolicyForDomain",))
 
 
 def test_policies_for_other_domains_are_invisible():
     other = parse_policy("permit subjects with anyone may read on resources in domain elsewhere")
-    d = evaluate([other], LIBRARY_ATTRS, library_request(monday(9)))
+    d = evaluate({"p0": other}, LIBRARY_ATTRS, library_request(monday(9)))
     assert d.reasons == ("NoPolicyForDomain",)
 
 
 def test_first_match_wins():
     a = parse_policy("permit subjects with student may read on resources in domain library")
     b = parse_policy("permit subjects with school_member may read on resources in domain library")
-    d = evaluate([a, b], LIBRARY_ATTRS, library_request(monday(9)), policy_ids=["pa", "pb"])
+    d = evaluate({"pa": a, "pb": b}, LIBRARY_ATTRS, library_request(monday(9)))
     assert d == Decision("Permit", "pa", ("Permitted",))
-    d = evaluate([b, a], LIBRARY_ATTRS, library_request(monday(9)), policy_ids=["pb", "pa"])
+    d = evaluate({"pb": b, "pa": a}, LIBRARY_ATTRS, library_request(monday(9)))
     assert d.matched_policy == "pb"
 
 
@@ -325,7 +325,7 @@ def test_nearest_miss_reporting():
     far = parse_policy(
         "permit subjects with a, b, c may borrow on resources of type book in domain library"
     )
-    d = evaluate([far, near], LIBRARY_ATTRS, library_request(monday(9)))
+    d = evaluate({"p0": far, "p1": near}, LIBRARY_ATTRS, library_request(monday(9)))
     assert d.outcome == "Deny"
     assert d.reasons == (attribute_missing("rare_badge"),)
 
@@ -333,9 +333,9 @@ def test_nearest_miss_reporting():
 def test_action_and_resource_mismatch_reasons():
     policy = parse_policy(WORKED)
     wrong_action = AccessRequest("write", "audio", "s", "library", monday(9))
-    assert "ActionMismatch" in evaluate([policy], LIBRARY_ATTRS, wrong_action).reasons
+    assert "ActionMismatch" in evaluate({"p0": policy}, LIBRARY_ATTRS, wrong_action).reasons
     wrong_type = AccessRequest("read", "video", "s", "library", monday(9))
-    assert "ResourceMismatch" in evaluate([policy], LIBRARY_ATTRS, wrong_type).reasons
+    assert "ResourceMismatch" in evaluate({"p0": policy}, LIBRARY_ATTRS, wrong_type).reasons
 
 
 def test_value_terms_must_match_exactly():
@@ -343,8 +343,8 @@ def test_value_terms_must_match_exactly():
         'permit subjects with clearance="high" may read on resources in domain vault'
     )
     req = AccessRequest("read", "doc", "d1", "vault", monday(9))
-    assert evaluate([policy], {Attribute("clearance", "high")}, req).outcome == "Permit"
-    d = evaluate([policy], {Attribute("clearance", "low")}, req)
+    assert evaluate({"p0": policy}, {Attribute("clearance", "high")}, req).outcome == "Permit"
+    d = evaluate({"p0": policy}, {Attribute("clearance", "low")}, req)
     assert d.reasons == (attribute_missing("clearance"),)
 
 
@@ -357,7 +357,7 @@ def test_decision_invariant_enforced():
 
 def test_naive_datetimes_treated_as_utc():
     policy = parse_policy(WORKED)
-    d = evaluate([policy], LIBRARY_ATTRS, library_request(datetime(2026, 8, 3, 9, 0)))
+    d = evaluate({"p0": policy}, LIBRARY_ATTRS, library_request(datetime(2026, 8, 3, 9, 0)))
     assert d.outcome == "Permit"
     # Aware times count in UTC: 2026-08-03 is a Monday, and +05:30 is 5.5 h ahead.
     ist = timezone(timedelta(hours=5, minutes=30))
@@ -368,14 +368,24 @@ def test_naive_datetimes_treated_as_utc():
     ]
     for hour, minute, outcome, reasons in rows:
         at = datetime(2026, 8, 3, hour, minute, tzinfo=ist)
-        d = evaluate([policy], LIBRARY_ATTRS, library_request(at))
+        d = evaluate({"p0": policy}, LIBRARY_ATTRS, library_request(at))
         assert (d.outcome, d.reasons) == (outcome, reasons), at
+
+
+@pytest.mark.parametrize("at", [
+    datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5))),
+    datetime(9999, 12, 31, 23, 0, tzinfo=timezone(timedelta(hours=-5))),
+])
+def test_request_time_beyond_the_utc_calendar_is_a_value_error(at):
+    # In UTC these fall before year 1 or after year 9999.
+    with pytest.raises(ValueError, match="request time out of range"):
+        library_request(at)
 
 
 def test_evaluation_deterministic():
     policy = parse_policy(WORKED)
     req = library_request(monday(8, 30))
-    results = {evaluate([policy], LIBRARY_ATTRS, req) for _ in range(5)}
+    results = {evaluate({"p0": policy}, LIBRARY_ATTRS, req) for _ in range(5)}
     assert len(results) == 1
 
 
@@ -387,7 +397,7 @@ def test_evaluation_deterministic():
 def test_monotonic_in_attributes(base, extra):
     policy = parse_policy(WORKED)
     req = library_request(monday(10))
-    if evaluate([policy], base, req).outcome == "Permit":
-        assert evaluate([policy], base | extra, req).outcome == "Permit"
-    if evaluate([policy], LIBRARY_ATTRS, req).outcome == "Permit":
-        assert evaluate([policy], LIBRARY_ATTRS | extra, req).outcome == "Permit"
+    if evaluate({"p0": policy}, base, req).outcome == "Permit":
+        assert evaluate({"p0": policy}, base | extra, req).outcome == "Permit"
+    if evaluate({"p0": policy}, LIBRARY_ATTRS, req).outcome == "Permit":
+        assert evaluate({"p0": policy}, LIBRARY_ATTRS | extra, req).outcome == "Permit"

@@ -24,7 +24,11 @@ def test_int_hex_format():
     assert wire.int_to_hex(-26) == "-0x1a"
 
 
-@pytest.mark.parametrize("bad", ["", "12", "0x", "-0x", "0xZZ", "0X1A", 5, None])
+@pytest.mark.parametrize("bad", [
+    "", "12", "0x", "-0x", "0xZZ", "0X1A", 5, None,
+    # int(..., 16) alone would read these: underscores, blanks, Arabic-Indic digits
+    "0x1_0", "0x_1", "0x10\n", "0x\u0661\u0660",
+])
 def test_hex_rejects_garbage(bad):
     with pytest.raises(wire.FormatError):
         wire.hex_to_int(bad)
@@ -38,9 +42,23 @@ def test_hex_reads_are_case_tolerant():
 def test_nonce_codec():
     nonce = bytes(range(16))
     assert wire.nonce_from_hex(wire.nonce_to_hex(nonce)) == nonce
-    for bad in ("", "00" * 15, "00" * 17, "zz" * 16):
+    assert wire.nonce_from_hex("0A" * 16) == b"\x0a" * 16
+    # bytes.fromhex alone would skip the blanks and return 15 bytes
+    for bad in ("", "00" * 15, "00" * 17, "zz" * 16, " " + "0a" * 15 + " ", "0a" * 15 + "\u0661\u0660"):
         with pytest.raises(wire.FormatError):
             wire.nonce_from_hex(bad)
+
+
+def test_index_keys_are_canonical_ascii_decimals():
+    """One index has one spelling, so `{"1": ..., "01": ...}` cannot
+    collapse into one entry."""
+    decode = wire._index_map(wire._same, wire._same).decode
+    assert decode({"0": "a", "1": "b", "10": "c"}) == {0: "a", 1: "b", 10: "c"}
+    for bad in ("01", "\u0661", "\u00b2", "1\n"):
+        with pytest.raises(wire.FormatError):
+            decode({bad: "x"})
+    with pytest.raises(wire.FormatError):
+        decode({"1": "x", "01": "y"})
 
 
 # -- message round trips -----------------------------------------------------------
