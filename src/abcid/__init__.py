@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .model import (
     Attribute,
     Claim,
-    CredentialSummary,
     DigitalIdentity,
     PartialIdentity,
     Unsatisfiable,
@@ -22,7 +21,6 @@ from .model import (
 __all__ = [
     "Attribute",
     "Claim",
-    "CredentialSummary",
     "DigitalIdentity",
     "PartialIdentity",
     "Unsatisfiable",

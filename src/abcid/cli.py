@@ -22,7 +22,7 @@ from pathlib import Path
 from . import anoncred, gate, wire
 from .anoncred import AbcError, CredentialMetadata, EncodingError, ParameterError
 from .model import Claim, Unsatisfiable, select_credentials
-from .policy import AccessRequest, ParseError, decompose_policy, parse_policy, serialize_policy
+from .policy import AccessRequest, ParseError, describe_policy, parse_policy, serialize_policy
 from .wallet import Wallet, wallet_load, wallet_save
 from .wire import FormatError
 
@@ -189,7 +189,7 @@ def cmd_verifier_verify(args) -> int:
 # -- policy ------------------------------------------------------------------
 
 def cmd_policy_lint(args) -> int:
-    print(decompose_policy(parse_policy(Path(args.file).read_text(encoding="utf-8"))).describe())
+    print(describe_policy(parse_policy(Path(args.file).read_text(encoding="utf-8"))))
     return 0
 
 

@@ -44,7 +44,7 @@ from .anoncred import (
     verify_presentation,
 )
 from .model import Attribute, Claim, is_token
-from .policy import AccessRequest, Decision, Policy, evaluate, parse_policy
+from .policy import PRESENTATION_REJECTED, AccessRequest, Decision, Policy, evaluate, parse_policy
 from .wallet import Wallet
 from .wire import FormatError, _need
 
@@ -124,11 +124,11 @@ def access(
 
     Presentations must be bound to the served nonce and to this request's
     context string. Claims from every successfully verified presentation
-    pool into one attribute set; a single verification failure forces
-    Deny even if the surviving claims would satisfy a policy. The policies
-    are those of `registry.policies` whose domain is `domain_id`, tried in
-    mapping order; a domain with none of its own denies with
-    NoPolicyForDomain.
+    pool into one attribute set; a single verification failure forces a
+    PresentationRejected Deny even if the surviving claims would satisfy a
+    policy. The policies are those of `registry.policies` whose domain is
+    `domain_id`, tried in mapping order; a domain with none of its own
+    denies with NoPolicyForDomain.
     """
     spec = registry.domains.get(domain_id)
     if spec is None:
@@ -155,7 +155,7 @@ def access(
     decision = evaluate(registry.policies, {c.attribute for c in verified}, req)
     if errors and decision.outcome == "Permit":
         # Authentication failed somewhere; authorization cannot stand.
-        decision = Decision("Deny", None, decision.reasons[:-1])
+        decision = Decision("Deny", None, (PRESENTATION_REJECTED,))
     return AccessOutcome(
         decision=decision, verified=frozenset(verified), presentation_errors=tuple(errors)
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 MAX_NAME_LEN = 64
@@ -111,17 +111,6 @@ def project_partial_identity(di: DigitalIdentity, domain_id: str) -> PartialIden
     return PartialIdentity(domain_id, frozenset(claims))
 
 
-@dataclass(frozen=True)
-class CredentialSummary:
-    """What credential selection needs to know about a wallet entry."""
-
-    credential_id: str
-    attribute_names: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attribute_names", frozenset(self.attribute_names))
-
-
 class Unsatisfiable(Exception):
     """The wallet cannot jointly cover the required attributes."""
 
@@ -132,8 +121,9 @@ class Unsatisfiable(Exception):
         super().__init__(f"attributes not covered by wallet: {sorted(self.missing)}")
 
 
-def select_credentials(required: Iterable[str], wallet: Sequence[CredentialSummary]) -> list[str]:
-    """Pick credentials whose attributes jointly cover `required`.
+def select_credentials(required: Iterable[str], wallet: Mapping[str, frozenset[str]]) -> list[str]:
+    """Pick credentials, given as id -> attribute names, whose attributes
+    jointly cover `required`.
 
     Greedy cover: repeatedly take the credential certifying the most
     still-uncovered required attributes; ties go to the credential with
@@ -141,28 +131,16 @@ def select_credentials(required: Iterable[str], wallet: Sequence[CredentialSumma
     the lexicographically smallest id. Deterministic, and minimal on the
     reference fixture; a brute-force cover can occasionally be smaller.
     """
-    ids = [c.credential_id for c in wallet]
-    if len(set(ids)) != len(ids):
-        raise ValueError("wallet credential ids must be distinct")
     uncovered = set(required)
     reachable: set[str] = set()
-    for c in wallet:
-        reachable |= c.attribute_names
+    for names in wallet.values():
+        reachable |= names
     if not uncovered <= reachable:
         raise Unsatisfiable(uncovered - reachable)
 
     chosen: list[str] = []
-    remaining = list(wallet)
-    while uncovered:
-        best = min(
-            remaining,
-            key=lambda c: (
-                -len(c.attribute_names & uncovered),
-                len(c.attribute_names),
-                c.credential_id,
-            ),
-        )
-        chosen.append(best.credential_id)
-        uncovered -= best.attribute_names
-        remaining.remove(best)
+    while uncovered:  # a chosen credential covers nothing still uncovered
+        best = min(wallet, key=lambda cid: (-len(wallet[cid] & uncovered), len(wallet[cid]), cid))
+        chosen.append(best)
+        uncovered -= wallet[best]
     return chosen

@@ -32,6 +32,7 @@ OUTSIDE_TIME_WINDOW = "OutsideTimeWindow"
 DAY_NOT_ALLOWED = "DayNotAllowed"
 ACTION_MISMATCH = "ActionMismatch"
 RESOURCE_MISMATCH = "ResourceMismatch"
+PRESENTATION_REJECTED = "PresentationRejected"  # a Permit undone by a failed presentation
 
 _T = TypeVar("_T")
 
@@ -360,60 +361,27 @@ def serialize_policy(p: Policy) -> str:
     return " ".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# Decomposition into the four policy concepts (plus owning domain)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResourceSelector:
-    resource_type: str | None
-    resource_name: str | None
-
-    def describe(self) -> str:
-        if self.resource_type is None and self.resource_name is None:
-            return "all resources"
-        bits = []
-        if self.resource_type is not None:
-            bits.append(f"those of type {self.resource_type}")
-        if self.resource_name is not None:
-            bits.append(f"named {_quote(self.resource_name)}")
-        return " ".join(bits)
-
-
-@dataclass(frozen=True)
-class PolicyParts:
-    subjects: frozenset[AttrTerm]
-    objects: ResourceSelector
-    action: str
-    context: tuple[Condition, ...]
-    domain: str
-
-    def describe(self) -> str:
-        """The five parts, one per line, as `abcid policy lint` prints them."""
-        conds = [
-            f"time {_fmt_minutes(c.start)}-{_fmt_minutes(c.end)}"
-            if isinstance(c, TimeWindow)
-            else f"days {_fmt_days(c)}"
-            for c in self.context
-        ]
-        return "\n".join([
-            f"subjects: {_fmt_terms(self.subjects)}",
-            f"objects:  {self.objects.describe()}",
-            f"action:   {self.action}",
-            f"context:  {'; '.join(conds) or 'unconditional'}",
-            f"domain:   {self.domain}",
-        ])
-
-
-def decompose_policy(p: Policy) -> PolicyParts:
-    """Split a policy into subjects / objects / action / context / domain."""
-    return PolicyParts(
-        subjects=p.subject_attrs,
-        objects=ResourceSelector(p.resource_type, p.resource_name),
-        action=p.action,
-        context=p.context,
-        domain=p.domain_id,
-    )
+def describe_policy(p: Policy) -> str:
+    """The five parts (subjects, objects, action, context, domain), one per
+    line, as `abcid policy lint` prints them."""
+    objects = []
+    if p.resource_type is not None:
+        objects.append(f"those of type {p.resource_type}")
+    if p.resource_name is not None:
+        objects.append(f"named {_quote(p.resource_name)}")
+    conds = [
+        f"time {_fmt_minutes(c.start)}-{_fmt_minutes(c.end)}"
+        if isinstance(c, TimeWindow)
+        else f"days {_fmt_days(c)}"
+        for c in p.context
+    ]
+    return "\n".join([
+        f"subjects: {_fmt_terms(p.subject_attrs)}",
+        f"objects:  {' '.join(objects) or 'all resources'}",
+        f"action:   {p.action}",
+        f"context:  {'; '.join(conds) or 'unconditional'}",
+        f"domain:   {p.domain_id}",
+    ])
 
 
 # ---------------------------------------------------------------------------

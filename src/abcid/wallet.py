@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .anoncred import Credential, HolderSecret
-from .model import CredentialSummary
 from .wire import FormatError, load, save, wallet_from_json, wallet_to_json
 
 
@@ -34,14 +33,12 @@ class Wallet:
                 return c
         raise KeyError(credential_id)
 
-    def summaries(self) -> list[CredentialSummary]:
-        return [
-            CredentialSummary(
-                credential_id=c.metadata.credential_id,
-                attribute_names=frozenset(cl.attribute.name for cl in c.claims),
-            )
+    def summaries(self) -> dict[str, frozenset[str]]:
+        """Credential id -> the names of the attributes it certifies."""
+        return {
+            c.metadata.credential_id: frozenset(cl.attribute.name for cl in c.claims)
             for c in self.credentials
-        ]
+        }
 
 
 def wallet_save(wallet: Wallet, path: str | Path) -> None:

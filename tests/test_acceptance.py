@@ -38,7 +38,6 @@ from abcid.policy import (
     DaySet,
     TimeWindow,
     attribute_missing,
-    decompose_policy,
     evaluate,
     parse_policy,
     serialize_policy,
@@ -190,12 +189,11 @@ def test_criterion_4_non_transferability(issuers_by_size):
 
 def test_criterion_5_fixture_reproduction(ref_fx):
     summaries = ref_fx.wallet.summaries()
-    by_id = {s.credential_id: s for s in summaries}
 
     def names(cids):
         out = set()
         for cid in cids:
-            out |= by_id[cid].attribute_names
+            out |= summaries[cid]
         return out
 
     assert select_credentials(ref_fx.required_names("medical_files"), summaries) == ["c1", "c5"]
@@ -249,16 +247,16 @@ def test_criterion_6_decision_matrix():
 
 
 def test_criterion_7_decomposition(ref_fx):
-    parts = decompose_policy(parse_policy(WORKED_POLICY_TEXT))
+    p = parse_policy(WORKED_POLICY_TEXT)
     mapped = {ref_fx.attributes[c].name for c in ("a1", "a6", "a7")}
-    assert {t.name for t in parts.subjects} == mapped
-    assert parts.subjects == frozenset(
+    assert {t.name for t in p.subject_attrs} == mapped
+    assert p.subject_attrs == frozenset(
         {AttrTerm("student"), AttrTerm("school_member"), AttrTerm("library_subscriber")}
     )
-    assert parts.objects.resource_type == "audio"
-    assert parts.action == "read"
-    assert parts.context == (TimeWindow(480, 1080), DaySet(frozenset({"mon", "tue", "wed", "thu", "fri"})))
-    assert parts.domain == "library"
+    assert p.resource_type == "audio"
+    assert p.action == "read"
+    assert p.context == (TimeWindow(480, 1080), DaySet(frozenset({"mon", "tue", "wed", "thu", "fri"})))
+    assert p.domain_id == "library"
     report(7, "worked policy decomposes into the five components (a1,a6,a7 mapping)")
 
 

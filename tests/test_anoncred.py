@@ -152,7 +152,8 @@ def test_issue_signature_matches_oracle():
 
 
 def test_issuance_request_tampering_rejected():
-    pk, _ = toy_issuer()
+    pk, sk = toy_issuer()
+    p = pk.params
     rng = random.Random(8)
     hs = holder_keygen(rng, TOY_PARAMS.l_m)
     req, _ = begin_issuance(pk, hs, NONCE, rng)
@@ -162,6 +163,11 @@ def test_issuance_request_tampering_rejected():
         replace(req, U=req.U + 1),
         replace(req, c=req.c ^ 1),
         replace(req, nonce=b"\x00" * 16),
+        replace(req, U=1),  # U out of range
+        replace(req, U=pk.n - 1),
+        replace(req, s_v=-req.s_v),
+        replace(req, s_k=1 << (p.l_m + p.l_stat + p.l_h + 1)),  # one bit over the bound
+        replace(req, U=sk.p),  # shares a factor with n: no inverse
     ):
         with pytest.raises(ProofInvalid):
             verify_issuance_request(pk, mutant)
@@ -251,7 +257,7 @@ def test_verify_nonce_and_context_binding(issued512):
 
 
 def test_verify_rejects_single_field_perturbations(issued512):
-    pk, _, hs, cred = issued512
+    pk, sk, hs, cred = issued512
     pres = present(pk, cred, hs, {1, 3}, NONCE, CTX, random.Random(15))
     proof = pres.proof
     mutants = [
@@ -261,6 +267,11 @@ def test_verify_rejects_single_field_perturbations(issued512):
         replace(pres, proof=replace(proof, s_v=proof.s_v + 1)),
         replace(pres, proof=replace(proof, s_k=proof.s_k + 1)),
         replace(pres, proof=replace(proof, s_m={2: proof.s_m[2] + 1})),
+        replace(pres, a_prime=0),  # A' out of range
+        replace(pres, a_prime=pk.n),
+        replace(pres, proof=replace(proof, c=1 << pk.params.l_h)),  # challenge out of range
+        # A' = p raised to the power -1 has no inverse mod n.
+        replace(pres, a_prime=sk.p, proof=replace(proof, c=0, s_e=-1)),
     ]
     for mutant in mutants:
         with pytest.raises(ProofInvalid):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from abcid import wire
+from abcid import gate, wire
 from abcid.cli import run
 from abcid.gate import WORKED_POLICY_TEXT
 
@@ -248,6 +248,8 @@ def test_missing_file_is_io_error(tmp_path, capsys):
 
 
 GATE_EVAL = "gate eval --registry {t}/registry.json --domain nowhere --rtype doc --at 2026-08-03T09:00:00Z"
+HOLDER_PRESENT = ("holder present --wallet {d}/wallet.json --issuer-pub {d}/pk.json --credential c_demo"
+                  " --nonce " + NONCE_B + " --context x --out {t}/pres.json")
 ERROR_CASES = [
     ("ParameterError", "issuer init --issuer-id x --attrs 0 --l-n 512 --key {t}/k.json --issuer-pub {t}/p.json"),
     ("EncodingError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
@@ -264,6 +266,10 @@ ERROR_CASES = [
     ("FormatError", GATE_EVAL.replace("registry.json", "bad_trusted_issuers.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
                     " --claims {t}/claims_not_list.json --out {t}/pre.json"),
+    ("FormatError", GATE_EVAL.replace("2026-08-03T09:00:00Z", "yesterday") + " --action read --nonce " + NONCE_A),
+    ("FormatError", HOLDER_PRESENT.replace("{d}/wallet.json", "{t}/no_secret.json")),
+    ("FormatError", HOLDER_PRESENT.replace("c_demo", "ghost")),
+    ("FormatError", HOLDER_PRESENT + " --disclose reader"),
 ]
 BAD_DOMAIN_FIELDS = {"required_attrs": [{}], "trusted_issuers": [{}]}
 
@@ -286,11 +292,51 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
         tmp_path / "foreign_claim.json",
     )
     wire.save({"credential_id": "c_five", "issued_at": "2026-01-05", "claims": 5}, tmp_path / "claims_not_list.json")
+    wire.save({**wire.load(d / "wallet.json"), "holder_secret": None}, tmp_path / "no_secret.json")
     args = [a.format(d=d, t=tmp_path) for a in command.split()]
     code, out, err = cli(capsys, *args)
     assert code == 2
     assert err.startswith(f"error[{code_name}]: ")
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "pres.json").exists()
+
+
+def test_gate_eval_names_each_rejected_presentation(issued_dir, tmp_path, capsys):
+    """Enough attributes verify for a Permit, but one presentation fails:
+    the Deny gives its reason and stderr names the rejected presentation."""
+    d, _ = issued_dir
+    ctx = "clinic|patient_file|record_42|write"
+    pk = wire.public_key_from_json(wire.load(d / "pk.json"))
+    domain = {"domain_id": "clinic", "required_attrs": ["medical_staff"], "trusted_issuers": ["clinic"]}
+    wire.save(
+        {"version": 1, "domains": [domain], "issuer_key_digests": {"clinic": gate.key_digest(pk)}},
+        tmp_path / "registry.json",
+    )
+    (tmp_path / "medics.pol").write_text("permit subjects with medical_staff may write on resources in domain clinic\n")
+    code, out, err = cli(
+        capsys,
+        "holder", "present", "--wallet", str(d / "wallet.json"), "--issuer-pub", str(d / "pk.json"),
+        "--credential", "c_demo", "--disclose", "medical_staff", "--nonce", NONCE_B, "--context", ctx,
+        "--out", str(tmp_path / "good.json"), "--seed", "8",
+    )
+    assert code == 0, err
+    doc = wire.load(tmp_path / "good.json")
+    doc["proof"]["s_k"] = wire.int_to_hex(wire.hex_to_int(doc["proof"]["s_k"]) + 1)
+    wire.save(doc, tmp_path / "mutated.json")
+    eval_args = [
+        "gate", "eval", "--registry", str(tmp_path / "registry.json"), "--domain", "clinic",
+        "--action", "write", "--rtype", "patient_file", "--rname", "record_42",
+        "--at", "2026-08-03T09:00:00Z", "--nonce", NONCE_B, "--issuer-pub", str(d / "pk.json"),
+        "--policy", str(tmp_path / "medics.pol"), "--presentation", str(tmp_path / "good.json"),
+    ]
+    code, out, err = cli(capsys, *eval_args)
+    assert code == 0, (out, err)
+    code, out, err = cli(capsys, *eval_args, "--presentation", str(tmp_path / "mutated.json"))
+    assert code == 1
+    assert out.splitlines()[0] == "Deny  reasons: PresentationRejected"
+    assert "verified attributes: medical_staff" in out
+    assert err == "presentation[1] rejected: ProofInvalid\n"
 
 
 def test_written_files_are_owner_only(tmp_path, capsys):

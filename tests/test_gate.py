@@ -158,6 +158,7 @@ def test_access_even_sufficient_claims_cannot_override_failures(ref_fx):
     broken = replace(p5, a_prime=p5.a_prime + 1)
     out = access(ref_fx.registry, "medical_files", req, [p1, p5, broken], NONCE)
     assert out.decision.outcome == "Deny"
+    assert out.decision.reasons == ("PresentationRejected",)
     assert (2, "ProofInvalid") in out.presentation_errors
     assert {c.attribute.name for c in out.verified} == {"medical_staff", "school_member"}
 
@@ -177,6 +178,11 @@ def test_access_untrusted_issuer(ref_fx):
     req = request_for("students_marks", "read", "marks", "math")
     out = access(ref_fx.registry, "students_marks", req, [show(ref_fx, "c2", NONCE, ctx, 8)], NONCE)
     assert out.presentation_errors == ((0, "UntrustedIssuer"),)
+    assert out.decision.outcome == "Deny"
+    # A trusted issuer whose key was never attached fares no better.
+    keyless = replace(ref_fx.registry, issuer_keys={})
+    out = access(keyless, "students_marks", req, [show(ref_fx, "c3", NONCE, ctx, 8)], NONCE)
+    assert out.presentation_errors == ((0, "UnknownIssuerKey"),)
     assert out.decision.outcome == "Deny"
 
 
@@ -287,33 +293,32 @@ def test_fixture_library_selection_documented_discrepancy(ref_fx):
     picked = select_credentials(required, summaries)
     assert picked == ["c2"]
 
-    by_id = {s.credential_id: s for s in summaries}
     covered = set()
     for cid in picked:
-        covered |= by_id[cid].attribute_names
+        covered |= summaries[cid]
     assert required <= covered
 
     paper_set = REFERENCE_CREDENTIAL_SETS["library"]
     paper_union = set()
     for cid in paper_set:
-        paper_union |= by_id[cid].attribute_names
+        paper_union |= summaries[cid]
     assert required <= paper_union  # the reference set covers too
 
     min_sizes = [
         len(combo)
         for size in range(1, len(summaries) + 1)
         for combo in combinations(summaries, size)
-        if required <= {a for s in combo for a in s.attribute_names}
+        if required <= {a for cid in combo for a in summaries[cid]}
     ]
     assert len(picked) == min(min_sizes)
 
 
 def test_fixture_credential_sets_cover_their_domains(ref_fx):
-    by_id = {s.credential_id: s for s in ref_fx.wallet.summaries()}
+    summaries = ref_fx.wallet.summaries()
     for domain_id, creds in REFERENCE_CREDENTIAL_SETS.items():
         union = set()
         for cid in creds:
-            union |= by_id[cid].attribute_names
+            union |= summaries[cid]
         assert ref_fx.required_names(domain_id) <= union, domain_id
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from abcid.model import (
     Attribute,
     Claim,
-    CredentialSummary,
     DigitalIdentity,
     PartialIdentity,
     Unsatisfiable,
@@ -153,19 +152,19 @@ def test_project_never_leaks_other_domains(parts, target):
 
 # -- credential selection --------------------------------------------------------
 
-def summaries(spec: dict[str, set[str]]) -> list[CredentialSummary]:
-    return [CredentialSummary(cid, frozenset(names)) for cid, names in spec.items()]
+def summaries(spec: dict[str, set[str]]) -> dict[str, frozenset[str]]:
+    return {cid: frozenset(names) for cid, names in spec.items()}
 
 
-def brute_force_min_cover(required: set[str], wallet: list[CredentialSummary]) -> list[str] | None:
+def brute_force_min_cover(required: set[str], wallet: dict[str, frozenset[str]]) -> list[str] | None:
     """Exhaustive minimum-cardinality cover (smallest size, any witness)."""
     for size in range(len(wallet) + 1):
         for combo in combinations(wallet, size):
             covered = set()
-            for c in combo:
-                covered |= c.attribute_names
+            for cid in combo:
+                covered |= wallet[cid]
             if required <= covered:
-                return [c.credential_id for c in combo]
+                return list(combo)
     return None
 
 
@@ -177,7 +176,7 @@ def test_select_reference_row():
 def test_select_nothing_required():
     wallet = summaries({"c1": {"a5"}})
     assert select_credentials(set(), wallet) == []
-    assert select_credentials(set(), []) == []
+    assert select_credentials(set(), {}) == []
 
 
 def test_select_greedy_tie_break():
@@ -193,12 +192,6 @@ def test_select_unsatisfiable():
     with pytest.raises(Unsatisfiable) as exc:
         select_credentials({"a5", "a9"}, wallet)
     assert exc.value.missing == frozenset({"a9"})
-
-
-def test_select_rejects_duplicate_ids():
-    wallet = [CredentialSummary("c1", frozenset({"a"})), CredentialSummary("c1", frozenset({"b"}))]
-    with pytest.raises(ValueError):
-        select_credentials({"a"}, wallet)
 
 
 def test_select_deterministic():
@@ -222,21 +215,20 @@ def test_select_cover_properties(wallet_spec, required):
         picked = select_credentials(required, wallet)
     except Unsatisfiable:
         covered = set()
-        for c in wallet:
-            covered |= c.attribute_names
+        for names in wallet.values():
+            covered |= names
         assert not set(required) <= covered
         return
-    by_id = {c.credential_id: c for c in wallet}
     covered = set()
     for cid in picked:
-        covered |= by_id[cid].attribute_names
+        covered |= wallet[cid]
     assert set(required) <= covered
 
     if picked:
         # Greedy local minimality: the last pick is always load-bearing.
         without_last = set()
         for cid in picked[:-1]:
-            without_last |= by_id[cid].attribute_names
+            without_last |= wallet[cid]
         assert not set(required) <= without_last
 
     best = brute_force_min_cover(set(required), wallet)

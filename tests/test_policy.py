@@ -17,7 +17,7 @@ from abcid.policy import (
     _lex,
     _quote,
     attribute_missing,
-    decompose_policy,
+    describe_policy,
     evaluate,
     parse_policy,
     serialize_policy,
@@ -239,17 +239,17 @@ def test_token_positions_with_inserted_blanks(case):
     assert parse_policy(text) == policy
 
 
-# -- decomposition -----------------------------------------------------------------
+# -- five-part description -----------------------------------------------------------
 
 def test_decompose_worked_example():
-    parts = decompose_policy(parse_policy(WORKED))
-    assert parts.subjects == frozenset(
+    p = parse_policy(WORKED)
+    assert p.subject_attrs == frozenset(
         {AttrTerm("student"), AttrTerm("school_member"), AttrTerm("library_subscriber")}
     )
-    assert parts.objects.describe() == "those of type audio"
-    assert parts.action == "read"
-    assert parts.context == (TimeWindow(480, 1080), DaySet(frozenset(DAYS[:5])))
-    assert parts.domain == "library"
+    assert describe_policy(p).splitlines()[1] == "objects:  those of type audio"
+    assert p.action == "read"
+    assert p.context == (TimeWindow(480, 1080), DaySet(frozenset(DAYS[:5])))
+    assert p.domain_id == "library"
 
 
 def test_bare_term_sorts_before_pinned_empty_value():
@@ -258,15 +258,13 @@ def test_bare_term_sorts_before_pinned_empty_value():
     for terms in ('a="", a', 'a, a=""'):
         p = parse_policy(f"permit subjects with b, {terms} may read on resources in domain d")
         assert serialize_policy(p).startswith('permit subjects with a, a="", b may')
-        assert decompose_policy(p).describe().startswith('subjects: a, a="", b\n')
+        assert describe_policy(p).startswith('subjects: a, a="", b\n')
 
 
 def test_decompose_minimal_context_empty():
-    parts = decompose_policy(
-        parse_policy("permit subjects with teacher may write on resources in domain marks")
-    )
-    assert parts.context == ()
-    assert parts.objects.describe() == "all resources"
+    p = parse_policy("permit subjects with teacher may write on resources in domain marks")
+    assert p.context == ()
+    assert describe_policy(p).splitlines()[1] == "objects:  all resources"
 
 
 # -- evaluation ----------------------------------------------------------------------

@@ -208,6 +208,18 @@ def test_wallet_duplicate_ids_rejected(tmp_path):
         wire.wallet_from_json(doc)
 
 
+def test_add_credential_rejects_duplicate_id():
+    rng = random.Random(16)
+    first = rand_credential(rng, credential_id="dup")
+    wallet = Wallet()
+    wallet.add_credential(first, label="one")
+    with pytest.raises(ValueError):
+        wallet.add_credential(rand_credential(rng, credential_id="dup"), label="two")
+    assert wallet.credentials == [first]
+    assert wallet.labels == {"dup": "one"}
+    assert wallet.summaries() == {"dup": frozenset(c.attribute.name for c in first.claims)}
+
+
 def test_missing_fields_raise_format_error():
     doc = wire.credential_to_json(rand_credential(random.Random(13)))
     del doc["e"]
