@@ -42,9 +42,16 @@ def _load_public_key(path: str) -> anoncred.IssuerPublicKey:
     return wire.public_key_from_json(wire.load(path))
 
 
+def _refuse_to_replace(path: str) -> None:
+    """A file holding a secret is never overwritten: whatever it protects would be lost."""
+    if Path(path).exists():
+        raise FileExistsError(f"{path} already exists; not replacing a secret key file")
+
+
 # -- issuer ------------------------------------------------------------------
 
 def cmd_issuer_init(args) -> int:
+    _refuse_to_replace(args.key)
     rng = build_rng(args.seed)
     pk, sk = anoncred.setup_issuer(args.attrs, args.l_n, rng, args.issuer_id)
     wire.save(wire.secret_key_to_json(sk), args.key)
@@ -54,29 +61,13 @@ def cmd_issuer_init(args) -> int:
 
 
 def _claims_from_file(path: str, issuer_id: str) -> tuple[tuple[Claim, ...], CredentialMetadata]:
-    doc = wire.load(path)
-    items = doc.get("claims", [])
-    if not isinstance(items, list):
-        raise FormatError("field 'claims' has wrong type")
-    claims = []
-    for c in items:
-        if isinstance(c, dict):
-            c = dict(c)
-            c.setdefault("issuer_id", issuer_id)
-            c.setdefault("schema_id", doc.get("schema_id", ""))
-        claims.append(wire.claim_from_json(c))
-    if "issued_at" not in doc:
-        raise FormatError("claims file needs an issued_at date")
-    md = wire.metadata_from_json(
-        {
-            "issuer_id": issuer_id,
-            "schema_id": doc.get("schema_id", ""),
-            "issued_at": doc.get("issued_at"),
-            "expires_at": doc.get("expires_at"),
-            "credential_id": doc.get("credential_id", ""),
-        }
-    )
-    return tuple(claims), md
+    doc = {"schema_id": "", "claims": [], **wire.load(path), "issuer_id": issuer_id}
+    md = wire.metadata_from_json(doc)
+    if not md.credential_id:
+        raise FormatError("claims file needs a credential_id")
+    defaults = {"issuer_id": issuer_id, "schema_id": md.schema_id}
+    claims = wire.need(doc, "claims", list)
+    return tuple(wire.claim_from_json({**defaults, **c} if isinstance(c, dict) else c) for c in claims), md
 
 
 def cmd_issuer_issue(args) -> int:
@@ -89,13 +80,14 @@ def cmd_issuer_issue(args) -> int:
     claims, metadata = _claims_from_file(args.claims, pk.issuer_id)
     pre = anoncred.issue(sk, pk, req, claims, metadata, rng)
     wire.save(wire.pre_credential_to_json(pre), args.out)
-    print(f"issued pre-credential {metadata.credential_id or '(unlabeled)'} -> {args.out}")
+    print(f"issued pre-credential {metadata.credential_id} -> {args.out}")
     return 0
 
 
 # -- holder ------------------------------------------------------------------
 
 def cmd_holder_keygen(args) -> int:
+    _refuse_to_replace(args.wallet)
     rng = build_rng(args.seed)
     pk = _load_public_key(args.issuer_pub)
     wallet = Wallet(holder_secret=anoncred.holder_keygen(rng, pk.params.l_m))
@@ -130,7 +122,7 @@ def cmd_holder_complete(args) -> int:
     cred = anoncred.complete_credential(pre, state, wallet.holder_secret)
     wallet.add_credential(cred, label=args.label or "")
     wallet_save(wallet, args.wallet)
-    print(f"credential {cred.metadata.credential_id or '(unlabeled)'} added to {args.wallet}")
+    print(f"credential {cred.metadata.credential_id} added to {args.wallet}")
     return 0
 
 
@@ -199,8 +191,10 @@ def cmd_gate_eval(args) -> int:
     registry, digests = gate.registry_from_json(wire.load(args.registry))
     for path in args.issuer_pub or []:
         gate.attach_trusted_key(registry, _load_public_key(path), digests)
-    for path in args.policy or []:
-        registry.policies[Path(path).stem] = parse_policy(Path(path).read_text(encoding="utf-8"))
+    for path in map(Path, args.policy or []):
+        if path.stem in registry.policies:
+            raise FormatError(f"two --policy files share the id {path.stem!r}")
+        registry.policies[path.stem] = parse_policy(path.read_text(encoding="utf-8"))
     presentations = [wire.presentation_from_json(wire.load(p)) for p in args.presentation or []]
     req = AccessRequest(
         action=args.action,

@@ -46,7 +46,7 @@ from .anoncred import (
 from .model import Attribute, Claim, is_token
 from .policy import PRESENTATION_REJECTED, AccessRequest, Decision, Policy, evaluate, parse_policy
 from .wallet import Wallet
-from .wire import FormatError, _need
+from .wire import STR, Codec, FormatError, message, need
 
 
 class GateError(Exception):
@@ -172,17 +172,25 @@ def key_digest(pk: IssuerPublicKey) -> str:
     return pk.digest().hex()
 
 
+def _strings(items: list) -> list[str]:
+    if not all(isinstance(item, str) for item in items):
+        raise FormatError("expected a list of strings")
+    return items
+
+
+STRING_SET = Codec(list, sorted, _strings)
+DOMAIN_FIELDS = (
+    ("domain_id", "domain_id", STR),
+    ("required_attrs", "required_attrs", STRING_SET),
+    ("trusted_issuers", "trusted_issuers", STRING_SET),
+)
+domain_to_json, domain_from_json = message(DomainSpec, DOMAIN_FIELDS)
+
+
 def registry_to_json(registry: Registry) -> dict:
     return {
         "version": REGISTRY_VERSION,
-        "domains": [
-            {
-                "domain_id": spec.domain_id,
-                "required_attrs": sorted(spec.required_attrs),
-                "trusted_issuers": sorted(spec.trusted_issuers),
-            }
-            for _, spec in sorted(registry.domains.items())
-        ],
+        "domains": [domain_to_json(spec) for _, spec in sorted(registry.domains.items())],
         "issuer_key_digests": {
             issuer_id: key_digest(pk)
             for issuer_id, pk in sorted(registry.issuer_keys.items())
@@ -190,28 +198,15 @@ def registry_to_json(registry: Registry) -> dict:
     }
 
 
-def _strings(doc: dict, key: str) -> list[str]:
-    items = _need(doc, key, list)
-    if not all(isinstance(item, str) for item in items):
-        raise FormatError(f"field {key!r} must list strings")
-    return items
-
-
 def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str]]:
     """Rebuild the domain table; keys and policies are attached separately,
     keys checked against the persisted digests."""
-    if _need(doc, "version", int) != REGISTRY_VERSION:
+    if need(doc, "version", int) != REGISTRY_VERSION:
         raise FormatError("unsupported registry version")
     registry = Registry()
-    for d in _need(doc, "domains", list):
-        spec = DomainSpec(
-            domain_id=_need(d, "domain_id", str),
-            required_attrs=frozenset(_strings(d, "required_attrs")),
-            trusted_issuers=frozenset(_strings(d, "trusted_issuers")),
-        )
-        register_domain(registry, spec)
-    digests = {k: v for k, v in _need(doc, "issuer_key_digests", dict).items()}
-    return registry, digests
+    for d in need(doc, "domains", list):
+        register_domain(registry, domain_from_json(d))
+    return registry, dict(need(doc, "issuer_key_digests", dict))
 
 
 def attach_trusted_key(registry: Registry, pk: IssuerPublicKey, digests: dict[str, str]) -> None:

@@ -63,10 +63,6 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def is_safe_prime(p: int) -> bool:
-    return p > 5 and is_probable_prime(p) and is_probable_prime((p - 1) // 2)
-
-
 def _survives_sieve(n: int) -> bool:
     """False when a small prime other than n itself divides n."""
     return n in _SMALL_PRIME_SET or math.gcd(n, _SMALL_PRIME_PRODUCT) == 1
@@ -105,12 +101,3 @@ def random_prime_in_interval(lo: int, hi: int, rng: random.Random) -> int:
         if is_probable_prime(e):
             return e
 
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol a|p for odd prime p (0, 1, or p-1)."""
-    return pow(a, (p - 1) // 2, p)
-
-
-def is_quadratic_residue(x: int, p: int, q: int) -> bool:
-    """QR test modulo n = p*q, available only to whoever knows the factors."""
-    return legendre(x % p, p) == 1 and legendre(x % q, q) == 1

@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .anoncred import Credential, HolderSecret
-from .wire import FormatError, load, save, wallet_from_json, wallet_to_json
+from .wire import HEX, Codec, FormatError, credential_from_json, credential_to_json, load, message, need, save
+
+WALLET_VERSION = 1
 
 
 @dataclass
@@ -41,14 +43,34 @@ class Wallet:
         }
 
 
+def _wallet(holder_secret: HolderSecret | None, credentials: list, labels: dict) -> Wallet:
+    """The decoded wallet; each credential goes through `add_credential`."""
+    if not all(isinstance(label, str) for label in labels.values()):
+        raise FormatError("labels must map strings to strings")
+    wallet = Wallet(holder_secret, labels=labels)
+    for doc in credentials:
+        wallet.add_credential(credential_from_json(doc))
+    return wallet
+
+
+WALLET_FIELDS = (
+    ("holder_secret", "holder_secret", Codec(dict, *message(HolderSecret, (("k", "k", HEX),)), optional=True)),
+    ("credentials", "credentials", Codec(list, lambda creds: [credential_to_json(c) for c in creds])),
+    ("labels", "labels", Codec(dict)),
+)
+wallet_to_json, wallet_from_json = message(_wallet, WALLET_FIELDS)
+
+
 def wallet_save(wallet: Wallet, path: str | Path) -> None:
     """Replace the wallet file atomically (see `wire.save_text`)."""
-    save(wallet_to_json(wallet.holder_secret, wallet.credentials, wallet.labels), path)
+    save({"version": WALLET_VERSION, **wallet_to_json(wallet)}, path)
 
 
 def wallet_load(path: str | Path) -> Wallet:
-    hs, creds, labels = wallet_from_json(load(path))
-    return Wallet(holder_secret=hs, credentials=creds, labels=labels)
+    doc = load(path)
+    if need(doc, "version", int) != WALLET_VERSION:
+        raise FormatError(f"unsupported wallet version {doc['version']}")
+    return wallet_from_json(doc)
 
 
 __all__ = ["Wallet", "wallet_save", "wallet_load", "FormatError"]

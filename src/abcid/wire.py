@@ -20,7 +20,6 @@ from .anoncred import (
     Credential,
     CredentialMetadata,
     HolderIssuanceState,
-    HolderSecret,
     IssuanceRequest,
     IssuerPublicKey,
     IssuerSecretKey,
@@ -67,13 +66,14 @@ def nonce_from_hex(s: Any) -> bytes:
     return bytes.fromhex(s)
 
 
-def _need(doc: Any, key: str, kind: type) -> Any:
+def need(doc: Any, key: str, kind: type) -> Any:
     if not isinstance(doc, dict):
         raise FormatError(f"expected object, got {type(doc).__name__}")
     if key not in doc:
         raise FormatError(f"missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but no field holds JSON true or false.
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise FormatError(f"field {key!r} has wrong type")
     return value
 
@@ -125,7 +125,7 @@ def _same(value: Any) -> Any:
     return value
 
 
-class _Codec(NamedTuple):
+class Codec(NamedTuple):
     kind: type
     encode: Callable[[Any], Any] = _same
     decode: Callable[[Any], Any] = _same
@@ -148,7 +148,7 @@ def _fields(table: tuple, doc: Any) -> dict:
         if codec.optional and doc.get(key) is None:
             value = None
         else:
-            value = codec.decode(_need(doc, key, codec.kind))
+            value = codec.decode(need(doc, key, codec.kind))
         if attr is None:
             fields.update(value)
         else:
@@ -156,22 +156,27 @@ def _fields(table: tuple, doc: Any) -> dict:
     return fields
 
 
-def _message(cls: type, table: tuple) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
-    """The (to_json, from_json) pair of one message type."""
+def message(cls: Callable[..., Any], table: tuple) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
+    """The (to_json, from_json) pair of one message type. from_json
+    reports a ValueError from `cls`'s own checks as a FormatError."""
 
     def to_json(obj: Any) -> dict:
         return _encode(table, obj)
 
     def from_json(doc: Any) -> Any:
-        return cls(**_fields(table, doc))
+        fields = _fields(table, doc)
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
 
     return to_json, from_json
 
 
-def _group(table: tuple) -> _Codec:
+def _group(table: tuple) -> Codec:
     """A nested JSON object whose keys are fields of the enclosing
     dataclass; its row has None for the dataclass field."""
-    return _Codec(dict, lambda obj: _encode(table, obj), lambda doc: _fields(table, doc))
+    return Codec(dict, lambda obj: _encode(table, obj), lambda doc: _fields(table, doc))
 
 
 def _parse_date(s: str) -> date:
@@ -187,9 +192,9 @@ def _index_key(key: str) -> int:
     return int(key)
 
 
-def _index_map(encode: Callable[[Any], Any], decode: Callable[[Any], Any]) -> _Codec:
+def _index_map(encode: Callable[[Any], Any], decode: Callable[[Any], Any]) -> Codec:
     """Attribute index -> value, keyed by decimal strings in index order."""
-    return _Codec(
+    return Codec(
         dict,
         lambda m: {str(i): encode(v) for i, v in sorted(m.items())},
         lambda doc: {_index_key(k): decode(v) for k, v in doc.items()},
@@ -202,11 +207,11 @@ def _r_bases(doc: list) -> tuple[int, ...]:
     return tuple(hex_to_int(x) for x in doc)
 
 
-STR = _Codec(str)
-NUMBER = _Codec(int)  # a plain JSON integer
-HEX = _Codec(str, int_to_hex, hex_to_int)
-NONCE = _Codec(str, nonce_to_hex, nonce_from_hex)
-DATE = _Codec(str, date.isoformat, _parse_date)
+STR = Codec(str)
+NUMBER = Codec(int)  # a plain JSON integer
+HEX = Codec(str, int_to_hex, hex_to_int)
+NONCE = Codec(str, nonce_to_hex, nonce_from_hex)
+DATE = Codec(str, date.isoformat, _parse_date)
 
 
 # -- claims and metadata ----------------------------------------------------
@@ -223,15 +228,15 @@ def claim_to_json(c: Claim) -> dict:
 def claim_from_json(doc: Any) -> Claim:
     try:
         return Claim(
-            attribute=Attribute(_need(doc, "name", str), _need(doc, "value", str)),
-            issuer_id=_need(doc, "issuer_id", str),
-            schema_id=_need(doc, "schema_id", str),
+            attribute=Attribute(need(doc, "name", str), need(doc, "value", str)),
+            issuer_id=need(doc, "issuer_id", str),
+            schema_id=need(doc, "schema_id", str),
         )
     except ValueError as exc:
         raise FormatError(f"bad claim: {exc}") from None
 
 
-CLAIMS = _Codec(
+CLAIMS = Codec(
     list,
     lambda claims: [claim_to_json(c) for c in claims],
     lambda doc: tuple(claim_from_json(c) for c in doc),
@@ -244,8 +249,8 @@ METADATA_FIELDS = (
     ("expires_at", "expires_at", DATE._replace(optional=True)),
     ("credential_id", "credential_id", STR),
 )
-metadata_to_json, metadata_from_json = _message(CredentialMetadata, METADATA_FIELDS)
-METADATA = _Codec(dict, metadata_to_json, metadata_from_json)
+metadata_to_json, metadata_from_json = message(CredentialMetadata, METADATA_FIELDS)
+METADATA = Codec(dict, metadata_to_json, metadata_from_json)
 
 
 # -- key material -----------------------------------------------------------
@@ -259,23 +264,23 @@ PARAMS_FIELDS = (
     ("l_stat", "l_stat", NUMBER),
     ("l_h", "l_h", NUMBER),
 )
-params_to_json, params_from_json = _message(SystemParams, PARAMS_FIELDS)
+params_to_json, params_from_json = message(SystemParams, PARAMS_FIELDS)
 
 PUBLIC_KEY_FIELDS = (
     ("n", "n", HEX),
     ("s", "S", HEX),
     ("z", "Z", HEX),
-    ("r", "R", _Codec(list, lambda rs: [int_to_hex(r) for r in rs], _r_bases)),
-    ("params", "params", _Codec(dict, params_to_json, params_from_json)),
+    ("r", "R", Codec(list, lambda rs: [int_to_hex(r) for r in rs], _r_bases)),
+    ("params", "params", Codec(dict, params_to_json, params_from_json)),
     ("issuer_id", "issuer_id", STR),
 )
-public_key_to_json, public_key_from_json = _message(IssuerPublicKey, PUBLIC_KEY_FIELDS)
+public_key_to_json, public_key_from_json = message(IssuerPublicKey, PUBLIC_KEY_FIELDS)
 
 SECRET_KEY_FIELDS = (
     ("p", "p", HEX),
     ("q", "q", HEX),
 )
-secret_key_to_json, secret_key_from_json = _message(IssuerSecretKey, SECRET_KEY_FIELDS)
+secret_key_to_json, secret_key_from_json = message(IssuerSecretKey, SECRET_KEY_FIELDS)
 
 
 # -- issuance messages ------------------------------------------------------
@@ -291,7 +296,7 @@ REQUEST_FIELDS = (
     ("proof", None, _group(REQUEST_PROOF_FIELDS)),
     ("nonce", "nonce", NONCE),
 )
-request_to_json, request_from_json = _message(IssuanceRequest, REQUEST_FIELDS)
+request_to_json, request_from_json = message(IssuanceRequest, REQUEST_FIELDS)
 
 
 def holder_state_to_json(state: HolderIssuanceState) -> dict:
@@ -302,10 +307,10 @@ def holder_state_to_json(state: HolderIssuanceState) -> dict:
 
 
 def holder_state_from_json(doc: Any, pk: IssuerPublicKey) -> HolderIssuanceState:
-    digest = _need(doc, "issuer_key_digest", str)
+    digest = need(doc, "issuer_key_digest", str)
     if digest != pk.digest().hex():
         raise FormatError("issuance state belongs to a different issuer key")
-    return HolderIssuanceState(v_prime=hex_to_int(_need(doc, "v_prime", str)), pk=pk)
+    return HolderIssuanceState(v_prime=hex_to_int(need(doc, "v_prime", str)), pk=pk)
 
 
 PRE_CREDENTIAL_FIELDS = (
@@ -315,7 +320,7 @@ PRE_CREDENTIAL_FIELDS = (
     ("claims", "claims", CLAIMS),
     ("metadata", "metadata", METADATA),
 )
-pre_credential_to_json, pre_credential_from_json = _message(PreCredential, PRE_CREDENTIAL_FIELDS)
+pre_credential_to_json, pre_credential_from_json = message(PreCredential, PRE_CREDENTIAL_FIELDS)
 
 
 # -- credentials and presentations ------------------------------------------
@@ -327,7 +332,7 @@ CREDENTIAL_FIELDS = (
     ("claims", "claims", CLAIMS),
     ("metadata", "metadata", METADATA),
 )
-credential_to_json, credential_from_json = _message(Credential, CREDENTIAL_FIELDS)
+credential_to_json, credential_from_json = message(Credential, CREDENTIAL_FIELDS)
 
 PRESENTATION_PROOF_FIELDS = (
     ("c", "c", HEX),
@@ -340,42 +345,10 @@ PRESENTATION_PROOF_FIELDS = (
 PRESENTATION_FIELDS = (
     ("a_prime", "a_prime", HEX),
     ("disclosed", "disclosed", _index_map(claim_to_json, claim_from_json)),
-    ("proof", "proof", _Codec(dict, *_message(PresentationProof, PRESENTATION_PROOF_FIELDS))),
+    ("proof", "proof", Codec(dict, *message(PresentationProof, PRESENTATION_PROOF_FIELDS))),
     ("nonce", "nonce", NONCE),
     ("context", "context", STR),
     ("issuer_id", "issuer_id", STR),
 )
-presentation_to_json, presentation_from_json = _message(Presentation, PRESENTATION_FIELDS)
+presentation_to_json, presentation_from_json = message(Presentation, PRESENTATION_FIELDS)
 
-
-# -- wallet ------------------------------------------------------------------
-
-WALLET_VERSION = 1
-
-
-def wallet_to_json(holder_secret: HolderSecret | None, credentials: list[Credential], labels: dict[str, str]) -> dict:
-    return {
-        "version": WALLET_VERSION,
-        "holder_secret": {"k": int_to_hex(holder_secret.k)} if holder_secret else None,
-        "credentials": [credential_to_json(c) for c in credentials],
-        "labels": dict(labels),
-    }
-
-
-def wallet_from_json(doc: Any) -> tuple[HolderSecret | None, list[Credential], dict[str, str]]:
-    version = _need(doc, "version", int)
-    if version != WALLET_VERSION:
-        raise FormatError(f"unsupported wallet version {version}")
-    hs_doc = doc.get("holder_secret")
-    hs = HolderSecret(k=hex_to_int(_need(hs_doc, "k", str))) if hs_doc is not None else None
-    creds = [credential_from_json(c) for c in _need(doc, "credentials", list)]
-    labels_doc = _need(doc, "labels", dict)
-    labels = {}
-    for k, v in labels_doc.items():
-        if not isinstance(k, str) or not isinstance(v, str):
-            raise FormatError("labels must map strings to strings")
-        labels[k] = v
-    ids = [c.metadata.credential_id for c in creds]
-    if len(set(ids)) != len(ids):
-        raise FormatError("wallet credential ids must be unique")
-    return hs, creds, labels

@@ -248,6 +248,7 @@ def test_missing_file_is_io_error(tmp_path, capsys):
 
 
 GATE_EVAL = "gate eval --registry {t}/registry.json --domain nowhere --rtype doc --at 2026-08-03T09:00:00Z"
+ISSUER_ISSUE = "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json --out {t}/pre.json"
 HOLDER_PRESENT = ("holder present --wallet {d}/wallet.json --issuer-pub {d}/pk.json --credential c_demo"
                   " --nonce " + NONCE_B + " --context x --out {t}/pres.json")
 ERROR_CASES = [
@@ -270,18 +271,54 @@ ERROR_CASES = [
     ("FormatError", HOLDER_PRESENT.replace("{d}/wallet.json", "{t}/no_secret.json")),
     ("FormatError", HOLDER_PRESENT.replace("c_demo", "ghost")),
     ("FormatError", HOLDER_PRESENT + " --disclose reader"),
+    ("FormatError", GATE_EVAL.replace("registry.json", "bad_domain_id.json") + " --action read --nonce " + NONCE_A),
+    ("FormatError", GATE_EVAL.replace("registry.json", "no_trusted_issuer.json") + " --action read --nonce " + NONCE_A),
+    ("FormatError", GATE_EVAL.replace("registry.json", "version_2.json") + " --action read --nonce " + NONCE_A),
+    ("FormatError", GATE_EVAL.replace("registry.json", "version_true.json") + " --action read --nonce " + NONCE_A),
+    ("FormatError", GATE_EVAL.replace("registry.json", "top_level_array.json") + " --action read --nonce " + NONCE_A),
+    ("FormatError", GATE_EVAL + " --action read --nonce " + NONCE_A + " --policy {t}/a/same.pol --policy {t}/b/same.pol"),
+    ("FormatError", ISSUER_ISSUE + " --claims {t}/no_credential_id.json"),
+    ("FormatError", ISSUER_ISSUE + " --claims {t}/no_issued_at.json"),
+    ("FormatError", ISSUER_ISSUE + " --claims {t}/slashed_date.json"),
+    ("FormatError", ISSUER_ISSUE + " --claims {t}/claim_named_bad.json"),
+    ("FormatError", "holder list --wallet {t}/label_not_string.json"),
+    ("FormatError", "holder list --wallet {t}/wallet_version_true.json"),
+    ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/l_stat_true.json"
+                    " --nonce " + NONCE_B + " --context x"),
+    ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/one_base.json"
+                    " --nonce " + NONCE_B + " --context x"),
 ]
-BAD_DOMAIN_FIELDS = {"required_attrs": [{}], "trusted_issuers": [{}]}
+DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
+BAD_REGISTRIES = {
+    "bad_required_attrs": {"domains": [{**DOMAIN, "required_attrs": [{}]}]},
+    "bad_trusted_issuers": {"domains": [{**DOMAIN, "trusted_issuers": [{}]}]},
+    "bad_domain_id": {"domains": [{**DOMAIN, "domain_id": "No where"}]},
+    "no_trusted_issuer": {"domains": [{**DOMAIN, "trusted_issuers": []}]},
+    "version_2": {"version": 2},
+    "version_true": {"version": True},
+}
+CLAIMS = [{"name": "medical_staff", "value": "true"}, {"name": "school_member", "value": "true"}]
+BAD_CLAIMS_FILES = {
+    "no_credential_id": {"issued_at": "2026-01-05", "claims": CLAIMS},
+    "no_issued_at": {"credential_id": "c_six", "claims": CLAIMS},
+    "slashed_date": {"credential_id": "c_six", "issued_at": "02/02/2026", "claims": CLAIMS},
+    "claim_named_bad": {"credential_id": "c_six", "issued_at": "2026-01-05", "claims": [{"name": "Bad", "value": "true"}]},
+}
 
 
 @pytest.mark.parametrize("code_name, command", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
 def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     d, _ = issued_dir
-    wire.save({"version": 1, "domains": [], "issuer_key_digests": {}}, tmp_path / "registry.json")
-    domain = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
-    for key, bad in BAD_DOMAIN_FIELDS.items():
-        registry = {"version": 1, "domains": [{**domain, key: bad}], "issuer_key_digests": {}}
-        wire.save(registry, tmp_path / f"bad_{key}.json")
+    registry = {"version": 1, "domains": [], "issuer_key_digests": {}}
+    wire.save(registry, tmp_path / "registry.json")
+    for name, bad in BAD_REGISTRIES.items():
+        wire.save({**registry, **bad}, tmp_path / f"{name}.json")
+    (tmp_path / "top_level_array.json").write_text("[]")
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "same.pol").write_text("permit subjects with staff may read on resources in domain nowhere\n")
+    for name, doc in BAD_CLAIMS_FILES.items():
+        wire.save(doc, tmp_path / f"{name}.json")
     wire.save(
         {"credential_id": "c_one", "issued_at": "2026-01-05", "claims": [{"name": "staff", "value": "true"}]},
         tmp_path / "one_claim.json",
@@ -292,7 +329,13 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
         tmp_path / "foreign_claim.json",
     )
     wire.save({"credential_id": "c_five", "issued_at": "2026-01-05", "claims": 5}, tmp_path / "claims_not_list.json")
-    wire.save({**wire.load(d / "wallet.json"), "holder_secret": None}, tmp_path / "no_secret.json")
+    wallet = wire.load(d / "wallet.json")
+    wire.save({**wallet, "holder_secret": None}, tmp_path / "no_secret.json")
+    wire.save({**wallet, "labels": {"c_demo": 5}}, tmp_path / "label_not_string.json")
+    wire.save({**wallet, "version": True}, tmp_path / "wallet_version_true.json")
+    pk = wire.load(d / "pk.json")
+    wire.save({**pk, "params": {**pk["params"], "l_stat": True}}, tmp_path / "l_stat_true.json")
+    wire.save({**pk, "r": pk["r"][:1]}, tmp_path / "one_base.json")
     args = [a.format(d=d, t=tmp_path) for a in command.split()]
     code, out, err = cli(capsys, *args)
     assert code == 2
@@ -300,6 +343,27 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "pres.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "holder keygen --wallet {t}/secret.json --issuer-pub {d}/pk.json --seed 2",
+    "issuer init --issuer-id clinic --attrs 1 --l-n 512 --key {t}/secret.json --issuer-pub {t}/pub.json --seed 1",
+], ids=["holder_keygen", "issuer_init"])
+def test_secret_files_are_never_replaced(issued_dir, tmp_path, capsys, monkeypatch, command):
+    d, _ = issued_dir
+    secret = tmp_path / "secret.json"
+    secret.write_bytes((d / "wallet.json").read_bytes())
+    before = secret.read_bytes()
+
+    def no_search(*args):
+        raise AssertionError("prime search started")
+
+    monkeypatch.setattr("abcid.anoncred.safe_prime", no_search)
+    code, out, err = cli(capsys, *(a.format(d=d, t=tmp_path) for a in command.split()))
+    assert code == 2
+    assert err.startswith("error[IoError]: ")
+    assert secret.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [secret]
 
 
 def test_gate_eval_names_each_rejected_presentation(issued_dir, tmp_path, capsys):
@@ -351,6 +415,7 @@ def test_written_files_are_owner_only(tmp_path, capsys):
     for step in steps:
         code, out, err = cli(capsys, *step.split())
         assert code == 0, err
+    assert cli(capsys, "holder", "list", "--wallet", f"{t}/wallet.json") == (0, "wallet is empty\n", "")
     files = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert len(files) >= 14
     for path in files:

@@ -153,6 +153,7 @@ def test_parse_error_positions():
         "permit subjects with a may read on resources when day in [mon] and day in [tue] in domain d",
         'permit subjects with a="unterminated may read on resources in domain d',
         "permit subjects with a=value may read on resources in domain d",
+        "permit subjects with a may read on resources when weekday in [mon] in domain d",
     ],
 )
 def test_parse_rejects_bad_policies(text):

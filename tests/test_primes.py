@@ -4,14 +4,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcid.primes import (
-    is_probable_prime,
-    is_quadratic_residue,
-    is_safe_prime,
-    legendre,
-    random_prime_in_interval,
-    safe_prime,
-)
+from abcid.primes import is_probable_prime, random_prime_in_interval, safe_prime
 
 
 def test_agrees_with_sympy_small_range():
@@ -30,7 +23,6 @@ def test_safe_prime_shape():
     p = safe_prime(128, rng)
     assert p.bit_length() == 128
     assert p % 4 == 3
-    assert is_safe_prime(p)
     assert sympy.isprime(p) and sympy.isprime((p - 1) // 2)
 
 
@@ -52,12 +44,3 @@ def test_prime_in_interval_small():
         e = random_prime_in_interval(1024, 1056, rng)
         assert e in (1031, 1033, 1039, 1049, 1051)
 
-
-def test_legendre_and_qr():
-    p, q = 23, 47
-    n = p * q
-    squares = {x * x % n for x in range(2, n)}
-    for s in list(squares)[:50]:
-        if s % p and s % q:
-            assert is_quadratic_residue(s, p, q)
-    assert legendre(5, 23) == pow(5, 11, 23)

@@ -172,7 +172,7 @@ def test_wallet_save_failure_keeps_old_wallet(tmp_path, monkeypatch, fail_at):
         raise OSError("disk full")
 
     if fail_at == "serialize":
-        monkeypatch.setattr(wire, "credential_to_json", fail_on_second)
+        monkeypatch.setattr("abcid.wallet.credential_to_json", fail_on_second)
     else:
         monkeypatch.setattr(os, "fsync", fail_fsync)
     with pytest.raises(OSError):
@@ -203,9 +203,9 @@ def test_wallet_version_mismatch(tmp_path):
 def test_wallet_duplicate_ids_rejected(tmp_path):
     rng = random.Random(12)
     cred = rand_credential(rng, credential_id="dup")
-    doc = wire.wallet_to_json(None, [cred, cred], {})
+    wallet_save(Wallet(credentials=[cred, cred]), tmp_path / "w.json")
     with pytest.raises(wire.FormatError):
-        wire.wallet_from_json(doc)
+        wallet_load(tmp_path / "w.json")
 
 
 def test_add_credential_rejects_duplicate_id():
