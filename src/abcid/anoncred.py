@@ -144,9 +144,9 @@ class IssuerPublicKey:
 
     @cached_property
     def _tables(self) -> dict[int, tuple[int, ...]]:
-        """base -> (b, b^(2^6), b^(2^12), ...) mod n for S and R_0..R_L, each
-        as long as the largest response its base is raised to (the s_v and
-        the s_k/s_m length bounds). Immutable, so threads can share them."""
+        """base -> (b, b^(2^6), b^(2^12), ...) mod n for S, R_0..R_L and Z^-1,
+        each as long as the largest exponent its base is raised to (the s_v,
+        s_k/s_m and challenge bounds). Immutable, so threads can share them."""
         p = self.params
 
         def table(base: int, bits: int) -> tuple[int, ...]:
@@ -155,7 +155,10 @@ class IssuerPublicKey:
                 row.append(pow(row[-1], 1 << _WINDOW, self.n))
             return tuple(row)
 
-        tables = {r: table(r, p.l_m + p.l_stat + p.l_h + 1) for r in self.R}
+        tables = {}  # Z^-1 first, so that a longer R_i or S table replaces it
+        if math.gcd(self.Z, self.n) == 1:  # else verify rejects before any use
+            tables[pow(self.Z, -1, self.n)] = table(pow(self.Z, -1, self.n), p.l_h)
+        tables |= {r: table(r, p.l_m + p.l_stat + p.l_h + 1) for r in self.R}
         # S last: should it equal some R_i, its longer table serves both.
         tables[self.S] = table(self.S, p.l_v + p.l_stat + p.l_h + 1)
         return tables
@@ -592,11 +595,11 @@ def verify_presentation(
     # (Z / prod_disclosed R_j^m_j)^-c = Z^-c * prod_disclosed R_j^(c*m_j)
     # s_e answers for e - 2^(l_e-1), so A' gets the offset back here.
     a_exp = proof.s_e + proof.c * p.e_interval[0]
-    terms = [(pres.a_prime, a_exp), (pk.S, proof.s_v), (pk.R[0], proof.s_k), (pk.Z, -proof.c)]
+    terms = [(pres.a_prime, a_exp), (pk.S, proof.s_v), (pk.R[0], proof.s_k)]
     terms += [(pk.R[i], s) for i, s in proof.s_m.items()]
     terms += [(pk.R[i], proof.c * encode_attribute(c, p)) for i, c in pres.disclosed.items()]
     try:
-        T_hat = _mexp(pk, terms)
+        T_hat = _mexp(pk, [*terms, (pow(pk.Z, -1, n), proof.c)])
     except ValueError:  # some transcript value is not invertible mod n
         raise ProofInvalid("degenerate transcript value") from None
 

@@ -42,7 +42,7 @@ def _load_public_key(path: str) -> anoncred.IssuerPublicKey:
     return wire.public_key_from_json(wire.load(path))
 
 
-def _refuse_to_replace(path: str) -> None:
+def _refuse_to_replace(path: str | Path) -> None:
     """A file holding a secret is never overwritten: whatever it protects would be lost."""
     if Path(path).exists():
         raise FileExistsError(f"{path} already exists; not replacing a secret key file")
@@ -221,6 +221,8 @@ def cmd_gate_eval(args) -> int:
 def cmd_fixture_emit(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for secret in (out / "wallet.json", *out.glob("*.key.json")):
+        _refuse_to_replace(secret)
     fx = gate.reference_fixture(seed=args.seed if args.seed is not None else 20260101)
 
     (out / "policies").mkdir(exist_ok=True)

@@ -25,6 +25,7 @@ assert the resulting Deny instead of smoothing it over.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from urllib.parse import quote
@@ -206,7 +207,10 @@ def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str]]:
     registry = Registry()
     for d in need(doc, "domains", list):
         register_domain(registry, domain_from_json(d))
-    return registry, dict(need(doc, "issuer_key_digests", dict))
+    digests = need(doc, "issuer_key_digests", dict)
+    if not all(isinstance(d, str) and re.fullmatch("[0-9a-f]{64}", d) for d in digests.values()):
+        raise FormatError("an issuer key digest is not 64 lowercase hex digits")
+    return registry, dict(digests)
 
 
 def attach_trusted_key(registry: Registry, pk: IssuerPublicKey, digests: dict[str, str]) -> None:

@@ -8,6 +8,7 @@ candidate, which keeps seeded key generation bit-stable.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -25,10 +26,17 @@ SMALL_PRIMES = _sieve(2000)
 _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
 _SMALL_PRIME_PRODUCT = math.prod(SMALL_PRIMES)
 
-# Deterministic for all n < 3.3e24 (Sorenson & Webster); larger candidates
-# get extra witnesses seeded from n itself.
+# Deterministic for all n < 3.3e24 (Sorenson & Webster), so up to 81 bits.
 _FIXED_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_EXTRA_ROUNDS = 28
+# (min bits, random bases): from Damgard-Landrock-Pomerance 1993, Theorems
+# 2-3, a random odd candidate of any length in a row's range that passes
+# this many random bases is composite with probability at most 2^-128.
+_ROUNDS = ((595, 10), (505, 12), (210, 29), (82, 55))
+
+
+@functools.cache  # built on first use, not at import: about 3 ms
+def _second_sieve() -> int:
+    return math.prod(p for p in _sieve(1 << 14) if p > SMALL_PRIMES[-1])
 
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
@@ -43,24 +51,27 @@ def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic per candidate."""
+    """Miller-Rabin, deterministic per candidate: exact up to 81 bits, then
+    base 2 plus `_ROUNDS` bases seeded from n. Sized for the random candidates
+    this package draws itself; not a test for adversarial input, such as an
+    `e` received from an issuer."""
     if n < 2 or not _survives_sieve(n):
         return False
     if n <= SMALL_PRIMES[-1]:  # the filter alone is exact below 2000
         return True
+    if math.gcd(n, _second_sieve()) not in (1, n):
+        return False
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _FIXED_WITNESSES:
-        if not _miller_rabin_round(n, a, d, r):
-            return False
-    if n.bit_length() > 81:
-        extra = random.Random(n)
-        for _ in range(_EXTRA_ROUNDS):
-            if not _miller_rabin_round(n, extra.randrange(2, n - 1), d, r):
-                return False
-    return True
+    if n.bit_length() <= 81:
+        return all(_miller_rabin_round(n, a, d, r) for a in _FIXED_WITNESSES)
+    if not _miller_rabin_round(n, 2, d, r):
+        return False
+    seeded = random.Random(n)
+    t = next(t for bits, t in _ROUNDS if n.bit_length() >= bits)
+    return all(_miller_rabin_round(n, seeded.randrange(2, n - 1), d, r) for _ in range(t))
 
 
 def _survives_sieve(n: int) -> bool:

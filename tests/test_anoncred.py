@@ -439,7 +439,7 @@ def test_mexp_matches_pow(issuer512, data):
     other = data.draw(st.integers(2, n - 2), label="non-key base")
     # int(str(S)) is a separate object equal to S; S + n is congruent to S
     # but has no table.
-    bases = [pk.S, *pk.R, int(str(pk.S)), pk.S + n, other]
+    bases = [pk.S, *pk.R, pow(pk.Z, -1, n), int(str(pk.S)), pk.S + n, other]
     terms = data.draw(
         st.lists(
             st.sampled_from(bases).flatmap(
@@ -463,6 +463,18 @@ def test_mexp_table_boundary_and_errors(issuer512):
     for bad in (0, sk.p, sk.q * 5):
         with pytest.raises(ValueError):
             _mexp(pk, [(pk.S, 3), (bad, -1)])
+
+
+def test_key_with_non_unit_z(issued512):
+    """Z^-1 gets a table only when Z is a unit: a malformed key still
+    presents and begins issuance, and its shows are ProofInvalid."""
+    pk, sk, hs, cred = issued512
+    bad = replace(pk, Z=sk.p)
+    assert pow(pk.Z, -1, pk.n) in pk._tables and len(bad._tables) == len(pk._tables) - 1
+    begin_issuance(bad, hs, NONCE, random.Random(23))
+    pres = present(bad, cred, hs, {1}, NONCE, CTX, random.Random(24))
+    with pytest.raises(ProofInvalid, match="degenerate transcript value"):
+        verify_presentation(bad, pres, NONCE, CTX)
 
 
 def _non_residue_request(pk, hs, nonce, rng):

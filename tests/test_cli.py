@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -228,6 +229,14 @@ def test_fixture_emit_and_gate_eval(tmp_path, capsys):
     assert out.startswith("Deny")
     assert "AttributeMissing(school_member)" in out
 
+    # A second emit into the same directory replaces no secret.
+    secrets = ("wallet.json", "campus_office.key.json", "registry_office.key.json")
+    before = [hashlib.sha256((fixdir / name).read_bytes()).hexdigest() for name in secrets]
+    code, out, err = cli(capsys, "fixture", "emit", "--out-dir", str(fixdir), "--seed", "5")
+    assert code == 2
+    assert err.startswith("error[IoError]: ")
+    assert [hashlib.sha256((fixdir / name).read_bytes()).hexdigest() for name in secrets] == before
+
 
 def test_usage_errors_exit_2(capsys):
     assert run(["issuer"]) == 2
@@ -276,6 +285,8 @@ ERROR_CASES = [
     ("FormatError", GATE_EVAL.replace("registry.json", "version_2.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", GATE_EVAL.replace("registry.json", "version_true.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", GATE_EVAL.replace("registry.json", "top_level_array.json") + " --action read --nonce " + NONCE_A),
+    ("FormatError", GATE_EVAL.replace("registry.json", "digest_not_hex.json") + " --action read --nonce " + NONCE_A
+                    + " --issuer-pub {d}/pk.json"),
     ("FormatError", GATE_EVAL + " --action read --nonce " + NONCE_A + " --policy {t}/a/same.pol --policy {t}/b/same.pol"),
     ("FormatError", ISSUER_ISSUE + " --claims {t}/no_credential_id.json"),
     ("FormatError", ISSUER_ISSUE + " --claims {t}/no_issued_at.json"),
@@ -296,6 +307,7 @@ BAD_REGISTRIES = {
     "no_trusted_issuer": {"domains": [{**DOMAIN, "trusted_issuers": []}]},
     "version_2": {"version": 2},
     "version_true": {"version": True},
+    "digest_not_hex": {"issuer_key_digests": {"clinic": 5}},
 }
 CLAIMS = [{"name": "medical_staff", "value": "true"}, {"name": "school_member", "value": "true"}]
 BAD_CLAIMS_FILES = {
