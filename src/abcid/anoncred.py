@@ -463,6 +463,8 @@ def complete_credential(
     lo, hi = p.e_interval
     if not lo <= pre.e <= hi:
         raise SignatureInvalid("e outside its prescribed interval")
+    if pre.e % 2 == 0:  # then (-A)^e = A^e, and the issuer could return -A as a tag
+        raise SignatureInvalid("e is even")
     ms = [encode_attribute(c, p) for c in pre.claims]
     if not signature_holds(pk, pre.A, pre.e, v, hs.k, ms):
         raise SignatureInvalid("credential fails the verification equation")

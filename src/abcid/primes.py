@@ -26,6 +26,13 @@ SMALL_PRIMES = _sieve(2000)
 _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
 _SMALL_PRIME_PRODUCT = math.prod(SMALL_PRIMES)
 
+# _COPRIME[r] is 1 when gcd(r, _WHEEL) == 1: one table lookup rejects a
+# multiple of 3..13 before any gcd. Slices, not math.gcd: import cost.
+_WHEEL = 3 * 5 * 7 * 11 * 13
+_COPRIME = bytearray([1]) * _WHEEL
+for _p in SMALL_PRIMES[1:6]:
+    _COPRIME[::_p] = bytes(len(range(0, _WHEEL, _p)))
+
 # Deterministic for all n < 3.3e24 (Sorenson & Webster), so up to 81 bits.
 _FIXED_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (min bits, random bases): from Damgard-Landrock-Pomerance 1993, Theorems
@@ -55,7 +62,7 @@ def is_probable_prime(n: int) -> bool:
     base 2 plus `_ROUNDS` bases seeded from n. Sized for the random candidates
     this package draws itself; not a test for adversarial input, such as an
     `e` received from an issuer."""
-    if n < 2 or not _survives_sieve(n):
+    if n < 2 or (n > 13 and not _COPRIME[n % _WHEEL]) or not _survives_sieve(n):
         return False
     if n <= SMALL_PRIMES[-1]:  # the filter alone is exact below 2000
         return True
@@ -82,17 +89,25 @@ def _survives_sieve(n: int) -> bool:
 def safe_prime(bits: int, rng: random.Random) -> int:
     """Random safe prime p = 2p' + 1 with exactly `bits` bits.
 
-    p' odd forces p = 3 (mod 4), which the scheme relies on. Candidates
-    failing trial division on either p or p' are discarded before any
-    Miller-Rabin work.
+    p' odd forces p = 3 (mod 4), which the scheme relies on. A candidate
+    is discarded when a prime below 2^14 divides p or p' (the wheel, then
+    the two gcd stages) before any modular exponentiation. Each stage only
+    rejects what the pre-check or Miller-Rabin would, so the prime returned
+    for a seed does not depend on them.
     """
     if bits < 8:
         raise ValueError("safe prime size must be at least 8 bits")
     while True:
         # Top two bits forced so products of two such primes keep full size.
         q = rng.getrandbits(bits - 3) | (0b11 << (bits - 3)) | 1
+        r = q % _WHEEL
+        if not (_COPRIME[r] and _COPRIME[(2 * r + 1) % _WHEEL]):
+            continue
         p = 2 * q + 1
         if not (_survives_sieve(q) and _survives_sieve(p)):
+            continue
+        second = _second_sieve()
+        if math.gcd(q, second) not in (1, q) or math.gcd(p, second) not in (1, p):
             continue
         # Cheap pre-check: 2^q mod p in {1, p-1} is implied for safe p.
         if pow(2, q, p) not in (1, p - 1):
@@ -102,13 +117,17 @@ def safe_prime(bits: int, rng: random.Random) -> int:
 
 
 def random_prime_in_interval(lo: int, hi: int, rng: random.Random) -> int:
-    """Uniformly sampled prime in [lo, hi]."""
+    """Uniformly sampled odd prime in [lo, hi]. After 64 draws per bit of
+    `hi` find none (a chance below 2^-260 where primes are as dense as near
+    hi), the least prime in [lo, hi]; ValueError if there is none."""
     if hi < lo:
         raise ValueError("empty interval")
-    while True:
+    for _ in range(64 * hi.bit_length()):
         e = rng.randrange(lo, hi + 1) | 1
-        if e > hi:
-            continue
-        if is_probable_prime(e):
+        if e <= hi and is_probable_prime(e):
             return e
+    e = next((n for n in range(lo, hi + 1) if is_probable_prime(n)), None)
+    if e is None:
+        raise ValueError(f"no prime in [{lo}, {hi}]")
+    return e
 

@@ -38,6 +38,7 @@ from abcid.anoncred import (
     present,
     setup_issuer,
     setup_issuer_from_primes,
+    signature_holds,
     verify_issuance_request,
     verify_presentation,
 )
@@ -202,6 +203,29 @@ def test_complete_checks_e_interval():
     state = HolderIssuanceState(v_prime=cred.v - pre.v_dprime, pk=pk)
     with pytest.raises(SignatureInvalid):
         complete_credential(replace(pre, e=3), state, hs)
+
+
+def test_complete_rejects_even_e():
+    """Soundness harness: an issuer that signs with an even e can return
+    -A instead of A. The CL equation still holds, since (-A)^e = A^e, but
+    -A is a non-residue mod the issuer's p, which tags every show of the
+    credential for the issuer. The holder must refuse it."""
+    pk, sk = setup_issuer(1, 512, random.Random(7), "tagger")
+    rng = random.Random(8)
+    hs = holder_keygen(rng)
+    claims = make_claims(("member",), "tagger")
+    req, state = begin_issuance(pk, hs, NONCE, rng)
+    pre = issue(sk, pk, req, claims, metadata("tagger"), rng)
+    Q = pow(pre.A, pre.e, pk.n)  # = Z / (U S^v'' R_1^m_1), a quadratic residue
+    even_e = next(e for e in range(pre.e + 1, pre.e + 1000, 2) if math.gcd(e, sk.group_order) == 1)
+    assert pk.params.e_interval[0] <= even_e <= pk.params.e_interval[1]
+    tagged = pk.n - pow(Q, pow(even_e, -1, sk.group_order), pk.n)
+    v = state.v_prime + pre.v_dprime
+    ms = [encode_attribute(c, pk.params) for c in claims]
+    assert signature_holds(pk, tagged, even_e, v, hs.k, ms)
+    assert legendre_symbol(tagged, sk.p) == -1
+    with pytest.raises(SignatureInvalid, match="e is even"):
+        complete_credential(replace(pre, A=tagged, e=even_e), state, hs)
 
 
 # -- presentation --------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Seeded 512-bit issuance and presentation outputs, pinned by one hash.
+"""Seeded 512-bit outputs pinned by hashes: issuance and presentation on
+fixed primes, and the seeded prime search itself.
 
 Uses only the public API, so the same file runs against any revision.
 """
@@ -15,6 +16,8 @@ from abcid.anoncred import (
     present,
     setup_issuer_from_primes,
 )
+from abcid.gate import reference_fixture
+from abcid.primes import safe_prime
 
 from conftest import make_claims, metadata
 
@@ -47,3 +50,18 @@ def test_seeded_outputs_match_golden_hash():
         for disclose in ((), (2,), (1, 3)):
             outputs.append(present(pk, cred, hs, disclose, nonce, CTX, rng))
     assert sha256(repr(outputs).encode()).hexdigest() == GOLDEN_SHA256
+
+
+# SHA-256 over the repr of seeded safe primes and the key digests of the
+# 512-bit reference fixture. Filters in front of the prime search may only
+# skip candidates it would reject anyway; only a change to how candidates
+# are drawn may change this value.
+KEY_SEARCH_SHA256 = "c6ae0adc4026710c38a70e89a7061dbe1db1cb5c03c1742d65aa11a2adf78d23"
+
+
+def test_seeded_key_search_matches_golden_hash():
+    outputs = [safe_prime(256, random.Random(s)) for s in (1, 2, 3)]
+    outputs.append(safe_prime(512, random.Random(20260101)))
+    fx = reference_fixture(seed=20260101, l_n=512)
+    outputs += [fx.public_key(issuer).digest() for issuer in sorted(fx.issuer_keys)]
+    assert sha256(repr(outputs).encode()).hexdigest() == KEY_SEARCH_SHA256

@@ -1,8 +1,9 @@
 import math
 import random
 
+import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abcid import primes
@@ -12,7 +13,8 @@ E_LO, E_HI = 1 << 596, (1 << 596) + (1 << 120)
 
 
 def test_agrees_with_sympy_small_range():
-    for n in range(2, 3000):
+    # Covers the wheel's own primes 3..13 and its wrap at 15015.
+    for n in range(2, 20000):
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
@@ -46,6 +48,20 @@ def test_prime_in_interval_small():
     for _ in range(20):
         e = random_prime_in_interval(1024, 1056, rng)
         assert e in (1031, 1033, 1039, 1049, 1051)
+
+
+@pytest.mark.parametrize("lo, hi, allowed", [
+    (2, 2, {2}),  # an odd draw never hits 2
+    (24, 28, set()),
+    (1024, 1056, {1031, 1033, 1039, 1049, 1051}),
+    (E_LO, E_HI, {E_LO + 0x82A6C6F6724BA08329C05B09E80319}),  # as drawn before the cap
+], ids=["only-2", "no-prime", "narrow", "e-interval"])
+def test_prime_in_interval_terminates(lo, hi, allowed):
+    if not allowed:
+        with pytest.raises(ValueError, match="no prime"):
+            random_prime_in_interval(lo, hi, random.Random(11))
+    else:
+        assert random_prime_in_interval(lo, hi, random.Random(11)) in allowed
 
 
 def _dlp_log2_bound(k: int, t: int) -> float:
@@ -103,3 +119,82 @@ def test_second_sieve_edges_agree_with_sympy(monkeypatch):
         _bases_tried(monkeypatch, n)
     assert _bases_tried(monkeypatch, 2003 * e) == []  # trial division rejects it
     assert random_prime_in_interval(2003, 2003, random.Random(1)) == 2003
+
+
+def test_wheel_marks_exactly_the_units():
+    assert list(primes._COPRIME) == [math.gcd(r, primes._WHEEL) == 1 for r in range(primes._WHEEL)]
+
+
+class _Probe(Exception):
+    """Stops `safe_prime` after one candidate; args[0] says whether it got
+    as far as a modular exponentiation."""
+
+
+def _reaches_pow(low_bits: int, bits: int) -> bool:
+    class OneDraw:
+        drawn = False
+
+        def getrandbits(self, k):
+            if self.drawn:
+                raise _Probe(False)
+            self.drawn = True
+            return low_bits % (1 << k)
+
+    def stop(*args):
+        raise _Probe(True)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "pow", stop, raising=False)
+        try:
+            safe_prime(bits, OneDraw())
+        except _Probe as probe:
+            return probe.args[0]
+    raise AssertionError("unreachable")
+
+
+_STEER = [1, 3, 5, 7, 11, 13, 17, 1999, *sympy.primerange(2000, 2100), *sympy.primerange(16000, 1 << 14)]
+
+
+@given(
+    st.integers(min_value=8, max_value=300),
+    st.integers(min_value=0),
+    st.sampled_from(_STEER),
+    st.booleans(),
+)
+@example(bits=15, j=1856, f=16001, in_p=False)  # q = 16001 and 2q + 1 are prime
+@example(bits=14, j=14, f=12347, in_p=True)  # 2q + 1 = 12347 and q are prime
+@settings(max_examples=300, deadline=None)
+def test_filters_reject_only_composites(bits, j, f, in_p):
+    """Whatever `safe_prime` discards before its pre-check has q or 2q + 1
+    composite (by sympy), so the pre-check or Miller-Rabin discarded it
+    too, and the prime returned for a seed cannot change. Unless f is 1,
+    the candidate is steered so that f divides q, or 2q + 1 if `in_p`."""
+    top = 0b11 << (bits - 3)  # safe_prime's candidates are q = top + 2j + 1
+    j %= 1 << (bits - 4)
+    if f > 1:
+        a, b = (4, 2 * top + 3) if in_p else (2, top + 1)  # f | a*j + b
+        j -= (a * j + b) * pow(a, -1, f) % f
+        j += f if j < 0 else 0
+    q = top + 2 * j + 1
+    assume(q.bit_length() == bits - 1)
+    if not _reaches_pow(2 * j + 1, bits):
+        assert not (sympy.isprime(q) and sympy.isprime(2 * q + 1)), q
+
+
+def test_safe_prime_reaches_pow_less(monkeypatch):
+    calls = 0
+    real = pow
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(primes, "pow", counted, raising=False)
+    counts = []
+    for s in (1, 2, 3):
+        calls = 0
+        safe_prime(256, random.Random(s))
+        counts.append(calls)
+    # Before the wheel and the second gcd stage: [139, 286, 619].
+    assert counts == [106, 208, 424]
