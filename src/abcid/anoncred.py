@@ -43,7 +43,7 @@ from .hashing import (
     int_signed_bytes,
     transcript_hash,
 )
-from .model import Claim, claim_bytes, is_token
+from .model import Claim, CodedError, claim_bytes, is_token
 from .primes import random_prime_in_interval, safe_prime
 
 NONCE_LEN = 16
@@ -55,8 +55,8 @@ DEFAULT_L_M = 256
 _WINDOW = 6  # bits per fixed-base table step, and per exponent digit in _mexp
 
 
-class AbcError(Exception):
-    """Base class; `code` is the stable machine-readable identifier."""
+class AbcError(CodedError):
+    """Base class of the credential scheme's errors."""
 
     code = "AbcError"
 
@@ -142,26 +142,35 @@ class IssuerPublicKey:
         ints = (self.L, *astuple(self.params), self.n, self.S, self.Z, *self.R)
         return transcript_hash([TAG_PK, self.issuer_id.encode("utf-8"), *map(int_signed_bytes, ints)])
 
+    def _table(self, base: int, bits: int) -> tuple[int, ...]:
+        """(b, b^(2^6), b^(2^12), ...) mod n, long enough for a `bits`-bit exponent."""
+        row = [base]
+        for _ in range((bits - 1) // _WINDOW):
+            row.append(pow(row[-1], 1 << _WINDOW, self.n))
+        return tuple(row)
+
     @cached_property
     def _tables(self) -> dict[int, tuple[int, ...]]:
-        """base -> (b, b^(2^6), b^(2^12), ...) mod n for S, R_0..R_L and Z^-1,
-        each as long as the largest exponent its base is raised to (the s_v,
-        s_k/s_m and challenge bounds). Immutable, so threads can share them."""
+        """base -> fixed-base table for S and R_0..R_L, each as long as the
+        largest exponent its base is raised to (the s_v and s_k/s_m bounds).
+        Immutable, so threads can share them."""
         p = self.params
-
-        def table(base: int, bits: int) -> tuple[int, ...]:
-            row = [base]
-            for _ in range((bits - 1) // _WINDOW):
-                row.append(pow(row[-1], 1 << _WINDOW, self.n))
-            return tuple(row)
-
-        tables = {}  # Z^-1 first, so that a longer R_i or S table replaces it
-        if math.gcd(self.Z, self.n) == 1:  # else verify rejects before any use
-            tables[pow(self.Z, -1, self.n)] = table(pow(self.Z, -1, self.n), p.l_h)
-        tables |= {r: table(r, p.l_m + p.l_stat + p.l_h + 1) for r in self.R}
+        tables = {r: self._table(r, p.l_m + p.l_stat + p.l_h + 1) for r in self.R}
         # S last: should it equal some R_i, its longer table serves both.
-        tables[self.S] = table(self.S, p.l_v + p.l_stat + p.l_h + 1)
+        tables[self.S] = self._table(self.S, p.l_v + p.l_stat + p.l_h + 1)
         return tables
+
+    @cached_property
+    def _z_inv(self) -> int:
+        """Z^-1 mod n; ValueError, and nothing cached, when Z is not a unit."""
+        return pow(self.Z, -1, self.n)
+
+    @cached_property
+    def _verify_tables(self) -> dict[int, tuple[int, ...]]:
+        """_tables plus one for Z^-1, which only verify raises (to the
+        challenge); built by the first verify. A longer R_i or S table
+        replaces the Z^-1 one should the bases be equal."""
+        return {self._z_inv: self._table(self._z_inv, self.params.l_h)} | self._tables
 
 
 @dataclass(frozen=True)
@@ -258,7 +267,7 @@ def encode_attribute(claim: Claim, params: SystemParams) -> int:
     return int.from_bytes(digest, "big") >> (256 - (params.l_m - 1))
 
 
-def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]]) -> int:
+def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping | None = None) -> int:
     """prod base^exp (mod pk.n) over the (base, exp) terms.
 
     A term whose base has a key table and whose exponent is >= 0 and fits
@@ -267,10 +276,10 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]]) -> int:
     into the bucket of the exponent's j-th 6-bit digit, and the buckets are
     folded with a running product. Every other term uses `pow`, so a
     negative exponent inverts its base and raises ValueError when the base
-    is not invertible, as `pow` does.
+    is not invertible, as `pow` does. `tables` defaults to `pk._tables`.
     """
     n = pk.n
-    tables = pk._tables
+    tables = pk._tables if tables is None else tables
     buckets = [1] * (1 << _WINDOW)
     mask = len(buckets) - 1
     acc = 1
@@ -601,8 +610,8 @@ def verify_presentation(
     terms += [(pk.R[i], s) for i, s in proof.s_m.items()]
     terms += [(pk.R[i], proof.c * encode_attribute(c, p)) for i, c in pres.disclosed.items()]
     try:
-        T_hat = _mexp(pk, [*terms, (pow(pk.Z, -1, n), proof.c)])
-    except ValueError:  # some transcript value is not invertible mod n
+        T_hat = _mexp(pk, [*terms, (pk._z_inv, proof.c)], pk._verify_tables)
+    except ValueError:  # some transcript value, or Z, is not invertible mod n
         raise ProofInvalid("degenerate transcript value") from None
 
     if _present_challenge(pk, pres.a_prime, T_hat, pres.disclosed, pres.nonce, pres.context) != proof.c:

@@ -18,13 +18,18 @@ import random
 import sys
 from datetime import datetime
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import anoncred, gate, wire
+# The parser and the error handler need only these; each command imports
+# the rest, so an issuer, holder or verifier step never loads the policy
+# language or the gate.
+from . import anoncred, wire
 from .anoncred import AbcError, CredentialMetadata, EncodingError, ParameterError
-from .model import Claim, Unsatisfiable, select_credentials
-from .policy import AccessRequest, ParseError, describe_policy, parse_policy, serialize_policy
-from .wallet import Wallet, wallet_load, wallet_save
+from .model import Claim, CodedError, Unsatisfiable, select_credentials
 from .wire import FormatError
+
+if TYPE_CHECKING:
+    from .wallet import Wallet
 
 
 def build_rng(seed: int | None) -> anoncred.Rng:
@@ -87,6 +92,8 @@ def cmd_issuer_issue(args) -> int:
 # -- holder ------------------------------------------------------------------
 
 def cmd_holder_keygen(args) -> int:
+    from .wallet import Wallet, wallet_save
+
     _refuse_to_replace(args.wallet)
     rng = build_rng(args.seed)
     pk = _load_public_key(args.issuer_pub)
@@ -97,6 +104,8 @@ def cmd_holder_keygen(args) -> int:
 
 
 def _wallet_with_secret(path: str) -> Wallet:
+    from .wallet import wallet_load
+
     wallet = wallet_load(path)
     if wallet.holder_secret is None:
         raise FormatError("wallet has no holder secret; run `holder keygen` first")
@@ -115,6 +124,8 @@ def cmd_holder_request(args) -> int:
 
 
 def cmd_holder_complete(args) -> int:
+    from .wallet import wallet_save
+
     wallet = _wallet_with_secret(args.wallet)
     pk = _load_public_key(args.issuer_pub)
     state = wire.holder_state_from_json(wire.load(args.state), pk)
@@ -127,6 +138,8 @@ def cmd_holder_complete(args) -> int:
 
 
 def cmd_holder_list(args) -> int:
+    from .wallet import wallet_load
+
     wallet = wallet_load(args.wallet)
     if not wallet.credentials:
         print("wallet is empty")
@@ -181,6 +194,8 @@ def cmd_verifier_verify(args) -> int:
 # -- policy ------------------------------------------------------------------
 
 def cmd_policy_lint(args) -> int:
+    from .policy import describe_policy, parse_policy
+
     print(describe_policy(parse_policy(Path(args.file).read_text(encoding="utf-8"))))
     return 0
 
@@ -188,6 +203,9 @@ def cmd_policy_lint(args) -> int:
 # -- gate ----------------------------------------------------------------------
 
 def cmd_gate_eval(args) -> int:
+    from . import gate
+    from .policy import AccessRequest, parse_policy
+
     registry, digests = gate.registry_from_json(wire.load(args.registry))
     for path in args.issuer_pub or []:
         gate.attach_trusted_key(registry, _load_public_key(path), digests)
@@ -219,6 +237,10 @@ def cmd_gate_eval(args) -> int:
 # -- fixture -------------------------------------------------------------------
 
 def cmd_fixture_emit(args) -> int:
+    from . import gate
+    from .policy import parse_policy, serialize_policy
+    from .wallet import wallet_save
+
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for secret in (out / "wallet.json", *out.glob("*.key.json")):
@@ -376,7 +398,7 @@ def run(argv: list[str]) -> int:
         return args.fn(args)
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
-    except (AbcError, Unsatisfiable, ParseError, FormatError, gate.GateError) as exc:
+    except CodedError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         # A proof or wallet that does not establish what was asked exits 1;
         # bad parameters, encodings and documents exit 2.

@@ -44,13 +44,13 @@ from .anoncred import (
     setup_issuer,
     verify_presentation,
 )
-from .model import Attribute, Claim, is_token
+from .model import Attribute, Claim, CodedError, is_token
 from .policy import PRESENTATION_REJECTED, AccessRequest, Decision, Policy, evaluate, parse_policy
 from .wallet import Wallet
 from .wire import STR, Codec, FormatError, message, need
 
 
-class GateError(Exception):
+class GateError(CodedError):
     code = "GateError"
 
 

@@ -111,7 +111,14 @@ def project_partial_identity(di: DigitalIdentity, domain_id: str) -> PartialIden
     return PartialIdentity(domain_id, frozenset(claims))
 
 
-class Unsatisfiable(Exception):
+class CodedError(Exception):
+    """Base of every error the package reports by a stable, machine-readable
+    `code`; the CLI prints it as `error[<code>]`."""
+
+    code = "CodedError"
+
+
+class Unsatisfiable(CodedError):
     """The wallet cannot jointly cover the required attributes."""
 
     code = "Unsatisfiable"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .model import Attribute, is_token
+from .model import Attribute, CodedError, is_token
 
 DAYS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 
@@ -135,7 +135,7 @@ class Decision:
 # Parsing
 # ---------------------------------------------------------------------------
 
-class ParseError(Exception):
+class ParseError(CodedError):
     code = "ParseError"
 
     def __init__(self, message: str, line: int, col: int, expected: Iterable[str] = ()):

@@ -123,7 +123,9 @@ def random_prime_in_interval(lo: int, hi: int, rng: random.Random) -> int:
     if hi < lo:
         raise ValueError("empty interval")
     for _ in range(64 * hi.bit_length()):
-        e = rng.randrange(lo, hi + 1) | 1
+        # From an even start every odd value in [lo, hi] has two draws,
+        # itself and the even number below it, so an odd lo is not halved.
+        e = rng.randrange(lo & ~1, hi + 1) | 1
         if e <= hi and is_probable_prime(e):
             return e
     e = next((n for n in range(lo, hi + 1) if is_probable_prime(n)), None)

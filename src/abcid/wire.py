@@ -17,6 +17,7 @@ from typing import Any, Callable, NamedTuple
 
 from .anoncred import (
     NONCE_LEN,
+    PROFILES,
     Credential,
     CredentialMetadata,
     HolderIssuanceState,
@@ -28,10 +29,10 @@ from .anoncred import (
     PresentationProof,
     SystemParams,
 )
-from .model import Attribute, Claim
+from .model import Attribute, Claim, CodedError
 
 
-class FormatError(Exception):
+class FormatError(CodedError):
     """A document does not match its schema or version."""
 
     code = "FormatError"
@@ -266,12 +267,22 @@ PARAMS_FIELDS = (
 )
 params_to_json, params_from_json = message(SystemParams, PARAMS_FIELDS)
 
+
+def _profile_params(doc: dict) -> SystemParams:
+    """A key's parameters must be one of the shipped profiles: any other
+    choice, such as a 1-bit l_stat, weakens every proof made under it."""
+    params = params_from_json(doc)
+    if PROFILES.get(params.l_n) != params:
+        raise FormatError(f"key parameters do not match the profile for l_n={params.l_n}")
+    return params
+
+
 PUBLIC_KEY_FIELDS = (
     ("n", "n", HEX),
     ("s", "S", HEX),
     ("z", "Z", HEX),
     ("r", "R", Codec(list, lambda rs: [int_to_hex(r) for r in rs], _r_bases)),
-    ("params", "params", Codec(dict, params_to_json, params_from_json)),
+    ("params", "params", Codec(dict, params_to_json, _profile_params)),
     ("issuer_id", "issuer_id", STR),
 )
 public_key_to_json, public_key_from_json = message(IssuerPublicKey, PUBLIC_KEY_FIELDS)

@@ -459,7 +459,8 @@ def _exponents(bits):
 def test_mexp_matches_pow(issuer512, data):
     pk, _ = issuer512
     n = pk.n
-    table_bits = {base: _WINDOW * len(table) for base, table in pk._tables.items()}
+    tables = pk._verify_tables
+    table_bits = {base: _WINDOW * len(table) for base, table in tables.items()}
     other = data.draw(st.integers(2, n - 2), label="non-key base")
     # int(str(S)) is a separate object equal to S; S + n is congruent to S
     # but has no table.
@@ -473,17 +474,17 @@ def test_mexp_matches_pow(issuer512, data):
         ),
         label="terms",
     )
-    assert _mexp(pk, terms) == math.prod(pow(b, e, n) for b, e in terms) % n
+    assert _mexp(pk, terms) == _mexp(pk, terms, tables) == math.prod(pow(b, e, n) for b, e in terms) % n
 
 
 def test_mexp_table_boundary_and_errors(issuer512):
     pk, sk = issuer512
     n = pk.n
     assert _mexp(pk, []) == 1
-    for base, table in pk._tables.items():
+    for base, table in pk._verify_tables.items():
         bits = _WINDOW * len(table)
         for exp in (0, 1, (1 << bits) - 1, 1 << bits, -1, -(1 << bits)):
-            assert _mexp(pk, [(base, exp)]) == pow(base, exp, n)
+            assert _mexp(pk, [(base, exp)], pk._verify_tables) == pow(base, exp, n)
     for bad in (0, sk.p, sk.q * 5):
         with pytest.raises(ValueError):
             _mexp(pk, [(pk.S, 3), (bad, -1)])
@@ -494,7 +495,9 @@ def test_key_with_non_unit_z(issued512):
     presents and begins issuance, and its shows are ProofInvalid."""
     pk, sk, hs, cred = issued512
     bad = replace(pk, Z=sk.p)
-    assert pow(pk.Z, -1, pk.n) in pk._tables and len(bad._tables) == len(pk._tables) - 1
+    assert pow(pk.Z, -1, pk.n) in pk._verify_tables
+    with pytest.raises(ValueError):
+        bad._verify_tables
     begin_issuance(bad, hs, NONCE, random.Random(23))
     pres = present(bad, cred, hs, {1}, NONCE, CTX, random.Random(24))
     with pytest.raises(ProofInvalid, match="degenerate transcript value"):
@@ -530,6 +533,22 @@ def test_crt_signature_on_non_residue_commitment(issuer512, size):
     assert pre.A == oracle.issue_signature_part(
         pk.n, sk.p, sk.q, pk.Z, pk.S, pk.R, req.U, pre.e, pre.v_dprime, ms
     )
+
+
+def test_z_inverse_table_built_by_first_verify(issued512):
+    """Issuing and presenting never build the Z^-1 table; the first verify
+    builds it once, and later verifies reuse it."""
+    pk, sk, hs, cred = issued512
+    fresh = replace(pk)
+    req, _ = begin_issuance(fresh, hs, NONCE, random.Random(25))
+    issue(sk, fresh, req, cred.claims, cred.metadata, random.Random(26))
+    pres = present(fresh, cred, hs, {1}, NONCE, CTX, random.Random(27))
+    assert "_tables" in vars(fresh) and "_verify_tables" not in vars(fresh)
+    verify_presentation(fresh, pres, NONCE, CTX)
+    tables = vars(fresh)["_verify_tables"]
+    assert tables.keys() == {pow(pk.Z, -1, pk.n), *fresh._tables}
+    verify_presentation(fresh, pres, NONCE, CTX)
+    assert fresh._verify_tables is tables
 
 
 def test_fresh_key_shared_across_threads(issued512):

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import abcid
 from abcid import gate, wire
 from abcid.cli import run
 from abcid.gate import WORKED_POLICY_TEXT
@@ -288,6 +290,7 @@ ERROR_CASES = [
     ("FormatError", GATE_EVAL.replace("registry.json", "digest_not_hex.json") + " --action read --nonce " + NONCE_A
                     + " --issuer-pub {d}/pk.json"),
     ("FormatError", GATE_EVAL + " --action read --nonce " + NONCE_A + " --policy {t}/a/same.pol --policy {t}/b/same.pol"),
+    ("ParseError", GATE_EVAL + " --action read --nonce " + NONCE_A + " --policy {t}/truncated.pol"),
     ("FormatError", ISSUER_ISSUE + " --claims {t}/no_credential_id.json"),
     ("FormatError", ISSUER_ISSUE + " --claims {t}/no_issued_at.json"),
     ("FormatError", ISSUER_ISSUE + " --claims {t}/slashed_date.json"),
@@ -295,6 +298,8 @@ ERROR_CASES = [
     ("FormatError", "holder list --wallet {t}/label_not_string.json"),
     ("FormatError", "holder list --wallet {t}/wallet_version_true.json"),
     ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/l_stat_true.json"
+                    " --nonce " + NONCE_B + " --context x"),
+    ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/l_stat_one.json"
                     " --nonce " + NONCE_B + " --context x"),
     ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/one_base.json"
                     " --nonce " + NONCE_B + " --context x"),
@@ -329,6 +334,7 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
         (tmp_path / sub / "same.pol").write_text("permit subjects with staff may read on resources in domain nowhere\n")
+    (tmp_path / "truncated.pol").write_text("permit subjects with staff may read on\n")
     for name, doc in BAD_CLAIMS_FILES.items():
         wire.save(doc, tmp_path / f"{name}.json")
     wire.save(
@@ -347,6 +353,7 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     wire.save({**wallet, "version": True}, tmp_path / "wallet_version_true.json")
     pk = wire.load(d / "pk.json")
     wire.save({**pk, "params": {**pk["params"], "l_stat": True}}, tmp_path / "l_stat_true.json")
+    wire.save({**pk, "params": {**pk["params"], "l_stat": 1}}, tmp_path / "l_stat_one.json")
     wire.save({**pk, "r": pk["r"][:1]}, tmp_path / "one_base.json")
     args = [a.format(d=d, t=tmp_path) for a in command.split()]
     code, out, err = cli(capsys, *args)
@@ -482,6 +489,36 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "issuer" in proc.stdout
+
+
+def test_party_commands_load_neither_gate_nor_policy(issued_dir, tmp_path, capsys):
+    """A holder or verifier step imports only the modules it runs: the
+    policy language and the gate stay unloaded."""
+    d, _ = issued_dir
+    pres = tmp_path / "pres.json"
+    code, _, err = cli(capsys, *HOLDER_PRESENT.format(d=d, t=tmp_path).split(), "--disclose", "medical_staff")
+    assert code == 0, err
+    steps = [
+        ["holder", "keygen", "--wallet", str(tmp_path / "wallet.json"), "--issuer-pub", str(d / "pk.json")],
+        ["holder", "list", "--wallet", str(d / "wallet.json")],
+        ["verifier", "verify", "--in", str(pres), "--issuer-pub", str(d / "pk.json"),
+         "--nonce", NONCE_B, "--context", "x"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from abcid.cli import run\n"
+        "codes = [run(step) for step in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('abcid'))]))\n"
+    )
+    src = str(Path(abcid.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(steps)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0], proc.stderr
+    assert "abcid.wallet" in modules
+    assert "abcid.gate" not in modules and "abcid.policy" not in modules
 
 
 def test_e2e_demo_script(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -62,6 +63,14 @@ def test_prime_in_interval_terminates(lo, hi, allowed):
             random_prime_in_interval(lo, hi, random.Random(11))
     else:
         assert random_prime_in_interval(lo, hi, random.Random(11)) in allowed
+
+
+def test_prime_in_interval_uniform_from_odd_lo():
+    """An odd `lo` is drawn as often as every other odd value."""
+    rng = random.Random(5)
+    counts = Counter(random_prime_in_interval(1031, 1040, rng) for _ in range(30_000))
+    assert sorted(counts) == [1031, 1033, 1039]
+    assert all(9_000 < c < 11_000 for c in counts.values()), counts
 
 
 def _dlp_log2_bound(k: int, t: int) -> float:

@@ -1,10 +1,11 @@
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
 from abcid import wire
-from abcid.anoncred import begin_issuance, holder_keygen
+from abcid.anoncred import PROFILES, begin_issuance, holder_keygen
 from abcid.wallet import Wallet, wallet_load, wallet_save
 
 from conftest import toy_issuer, TOY_PARAMS
@@ -63,10 +64,21 @@ def test_index_keys_are_canonical_ascii_decimals():
 
 # -- message round trips -----------------------------------------------------------
 
-def test_public_and_secret_key_round_trip():
-    pk, sk = toy_issuer()
+def test_public_and_secret_key_round_trip(issuer512):
+    pk, sk = issuer512
     assert wire.public_key_from_json(wire.public_key_to_json(pk)) == pk
     assert wire.secret_key_from_json(wire.secret_key_to_json(sk)) == sk
+
+
+def test_public_key_needs_profile_parameters():
+    """Only a shipped profile's parameters cross the wire: a toy key, or a
+    512-bit key with a 1-bit l_stat, is a FormatError."""
+    pk, _ = toy_issuer()
+    with pytest.raises(wire.FormatError, match="profile"):
+        wire.public_key_from_json(wire.public_key_to_json(pk))
+    weak = replace(PROFILES[512], l_stat=1)
+    with pytest.raises(wire.FormatError, match="profile for l_n=512"):
+        wire.public_key_from_json(wire.public_key_to_json(replace(pk, params=weak)))
 
 
 def test_request_and_state_round_trip():
