@@ -474,6 +474,8 @@ def complete_credential(
         raise SignatureInvalid("e outside its prescribed interval")
     if pre.e % 2 == 0:  # then (-A)^e = A^e, and the issuer could return -A as a tag
         raise SignatureInvalid("e is even")
+    if len(pre.claims) != pk.L:  # the equation would skip any claim past the key's bases
+        raise SignatureInvalid(f"issuer key signs exactly {pk.L} claims, got {len(pre.claims)}")
     ms = [encode_attribute(c, p) for c in pre.claims]
     if not signature_holds(pk, pre.A, pre.e, v, hs.k, ms):
         raise SignatureInvalid("credential fails the verification equation")
@@ -519,8 +521,10 @@ def present(
     secret is well-formed but will not verify.
     """
     _check_nonce(nonce)
-    disclose = set(disclose)
     L_c = len(cred.claims)
+    if L_c != pk.L:
+        raise EncodingError(f"issuer key fits exactly {pk.L} claims, got {L_c}")
+    disclose = set(disclose)
     if any(i < 1 or i > L_c for i in disclose):
         raise IndexError(f"disclosure indices must lie in 1..{L_c}")
     p = pk.params

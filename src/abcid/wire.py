@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -136,7 +137,7 @@ class Codec(NamedTuple):
 def _encode(table: tuple, obj: Any) -> dict:
     doc = {}
     for key, attr, codec in table:
-        value = obj if attr is None else getattr(obj, attr)
+        value = getattr(obj, attr)
         doc[key] = None if value is None and codec.optional else codec.encode(value)
     return doc
 
@@ -147,13 +148,9 @@ def _fields(table: tuple, doc: Any) -> dict:
     fields = {}
     for key, attr, codec in table:
         if codec.optional and doc.get(key) is None:
-            value = None
+            fields[attr] = None
         else:
-            value = codec.decode(need(doc, key, codec.kind))
-        if attr is None:
-            fields.update(value)
-        else:
-            fields[attr] = value
+            fields[attr] = codec.decode(need(doc, key, codec.kind))
     return fields
 
 
@@ -172,12 +169,6 @@ def message(cls: Callable[..., Any], table: tuple) -> tuple[Callable[[Any], dict
             raise FormatError(str(exc)) from None
 
     return to_json, from_json
-
-
-def _group(table: tuple) -> Codec:
-    """A nested JSON object whose keys are fields of the enclosing
-    dataclass; its row has None for the dataclass field."""
-    return Codec(dict, lambda obj: _encode(table, obj), lambda doc: _fields(table, doc))
 
 
 def _parse_date(s: str) -> date:
@@ -209,7 +200,6 @@ def _r_bases(doc: list) -> tuple[int, ...]:
 
 
 STR = Codec(str)
-NUMBER = Codec(int)  # a plain JSON integer
 HEX = Codec(str, int_to_hex, hex_to_int)
 NONCE = Codec(str, nonce_to_hex, nonce_from_hex)
 DATE = Codec(str, date.isoformat, _parse_date)
@@ -256,24 +246,16 @@ METADATA = Codec(dict, metadata_to_json, metadata_from_json)
 
 # -- key material -----------------------------------------------------------
 
-PARAMS_FIELDS = (
-    ("l_n", "l_n", NUMBER),
-    ("l_m", "l_m", NUMBER),
-    ("l_e", "l_e", NUMBER),
-    ("l_e_prime", "l_e_prime", NUMBER),
-    ("l_v", "l_v", NUMBER),
-    ("l_stat", "l_stat", NUMBER),
-    ("l_h", "l_h", NUMBER),
-)
-params_to_json, params_from_json = message(SystemParams, PARAMS_FIELDS)
-
-
 def _profile_params(doc: dict) -> SystemParams:
-    """A key's parameters must be one of the shipped profiles: any other
-    choice, such as a 1-bit l_stat, weakens every proof made under it."""
-    params = params_from_json(doc)
-    if PROFILES.get(params.l_n) != params:
-        raise FormatError(f"key parameters do not match the profile for l_n={params.l_n}")
+    """A key names its profile by l_n alone: any other choice, such as a
+    1-bit l_stat, weakens every proof made under it. A field beside l_n
+    (older keys list all seven) must equal the profile's own value."""
+    l_n = need(doc, "l_n", int)
+    params = PROFILES.get(l_n)
+    if params is None:
+        raise FormatError(f"no key profile for l_n={l_n}")
+    if not doc.items() <= asdict(params).items():
+        raise FormatError(f"key parameters do not match the profile for l_n={l_n}")
     return params
 
 
@@ -282,7 +264,7 @@ PUBLIC_KEY_FIELDS = (
     ("s", "S", HEX),
     ("z", "Z", HEX),
     ("r", "R", Codec(list, lambda rs: [int_to_hex(r) for r in rs], _r_bases)),
-    ("params", "params", Codec(dict, params_to_json, _profile_params)),
+    ("params", "params", Codec(dict, lambda params: {"l_n": params.l_n}, _profile_params)),
     ("issuer_id", "issuer_id", STR),
 )
 public_key_to_json, public_key_from_json = message(IssuerPublicKey, PUBLIC_KEY_FIELDS)
@@ -296,15 +278,11 @@ secret_key_to_json, secret_key_from_json = message(IssuerSecretKey, SECRET_KEY_F
 
 # -- issuance messages ------------------------------------------------------
 
-REQUEST_PROOF_FIELDS = (
+REQUEST_FIELDS = (
+    ("u", "U", HEX),
     ("c", "c", HEX),
     ("s_v", "s_v", HEX),
     ("s_k", "s_k", HEX),
-)
-
-REQUEST_FIELDS = (
-    ("u", "U", HEX),
-    ("proof", None, _group(REQUEST_PROOF_FIELDS)),
     ("nonce", "nonce", NONCE),
 )
 request_to_json, request_from_json = message(IssuanceRequest, REQUEST_FIELDS)

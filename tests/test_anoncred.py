@@ -1,9 +1,11 @@
 import copy
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from datetime import date, timedelta
 from hashlib import sha256
 from threading import Barrier
 
@@ -228,6 +230,24 @@ def test_complete_rejects_even_e():
         complete_credential(replace(pre, A=tagged, e=even_e), state, hs)
 
 
+def test_complete_rejects_extra_claim(issuer512):
+    """Soundness harness: the CL equation has one base per claim the key
+    signs, so a claim appended to a pre-credential would enter the wallet
+    unsigned. Completion refuses it, and so does a show of a credential
+    edited the same way."""
+    pk, sk = issuer512
+    rng = random.Random(9)
+    hs = holder_keygen(rng)
+    req, state = begin_issuance(pk, hs, NONCE, rng)
+    pre = issue(sk, pk, req, make_claims(("member", "over_18", "reader"), "lab"), metadata("lab"), rng)
+    extra = make_claims(("admin",), "lab")
+    with pytest.raises(SignatureInvalid, match="exactly 3 claims, got 4"):
+        complete_credential(replace(pre, claims=pre.claims + extra), state, hs)
+    cred = complete_credential(pre, state, hs)
+    with pytest.raises(EncodingError, match="exactly 3 claims, got 4"):
+        present(pk, replace(cred, claims=cred.claims + extra), hs, {1}, NONCE, CTX, rng)
+
+
 # -- presentation --------------------------------------------------------------
 
 def test_present_full_and_empty_disclosure(issued512):
@@ -303,21 +323,42 @@ def test_verify_rejects_single_field_perturbations(issued512):
 
 
 def _leaf_paths(doc, path=()):
-    if not isinstance(doc, dict):
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
         yield path
         return
-    for key, value in doc.items():
+    for key, value in items:
         yield from _leaf_paths(value, path + (key,))
 
 
-def _mutated(path, value: str) -> str:
+def _mutated(path, value: str | None) -> str:
     """Another value of the same shape: hex integers plus one, the nonce
-    with one digit changed, any other string with a character appended."""
+    with one digit changed, dates one day later, a null date set, any
+    other string with a character appended."""
+    if value is None:
+        return "2027-01-01"
     if path == ("nonce",):
         return value[:-1] + ("1" if value[-1] == "0" else "0")
     if value.lstrip("-").startswith("0x"):
         return wire.int_to_hex(wire.hex_to_int(value) + 1)
+    if re.fullmatch(r"\d{4}-\d{2}-\d{2}", value):
+        return (date.fromisoformat(value) + timedelta(days=1)).isoformat()
     return value + "x"
+
+
+def _leaf_mutants(doc):
+    """(path, copy of doc with that one leaf mutated) for every leaf."""
+    for path in _leaf_paths(doc):
+        mutant = copy.deepcopy(doc)
+        *outer, leaf = path
+        node = mutant
+        for key in outer:
+            node = node[key]
+        node[leaf] = _mutated(path, node[leaf])
+        yield path, mutant
 
 
 def test_only_claim_schema_ids_are_unauthenticated(issued512):
@@ -327,22 +368,44 @@ def test_only_claim_schema_ids_are_unauthenticated(issued512):
     reach the encoded attribute."""
     pk, _, hs, cred = issued512
     doc = wire.presentation_to_json(present(pk, cred, hs, {1, 3}, NONCE, CTX, random.Random(18)))
-    paths = list(_leaf_paths(doc))
+    mutants = dict(_leaf_mutants(doc))
     survivors = set()
-    for path in paths:
-        mutant = copy.deepcopy(doc)
-        *outer, leaf = path
-        node = mutant
-        for key in outer:
-            node = node[key]
-        node[leaf] = _mutated(path, node[leaf])
+    for path, mutant in mutants.items():
         try:
             verify_presentation(pk, wire.presentation_from_json(mutant), NONCE, CTX)
         except (wire.FormatError, AbcError):
             continue
         survivors.add(path)
     assert survivors == {("disclosed", "1", "schema_id"), ("disclosed", "3", "schema_id")}
-    assert len(paths) == 17
+    assert len(mutants) == 17
+
+
+def test_pre_credential_survivors_are_schema_ids_and_metadata(issuer512):
+    """Soundness harness: change one leaf of a real pre-credential, or
+    append or drop a claim, and complete it. The signature covers each
+    claim's name, value and issuer; what survives is the claims' schema
+    ids and the credential metadata, which nothing signs yet."""
+    pk, sk = issuer512
+    rng = random.Random(19)
+    hs = holder_keygen(rng)
+    req, state = begin_issuance(pk, hs, NONCE, rng)
+    claims = make_claims(("member", "over_18", "reader"), "lab")
+    doc = wire.pre_credential_to_json(issue(sk, pk, req, claims, metadata("lab", "cred_pre"), rng))
+    mutants = dict(_leaf_mutants(doc))
+    mutants["claim appended"] = {**doc, "claims": doc["claims"] + doc["claims"][:1]}
+    mutants["claim dropped"] = {**doc, "claims": doc["claims"][1:]}
+    assert len(mutants) == 22
+    survivors = set()
+    for path, mutant in mutants.items():
+        try:
+            complete_credential(wire.pre_credential_from_json(mutant), state, hs)
+        except (wire.FormatError, AbcError):
+            continue
+        survivors.add(path)
+    assert survivors == {
+        *(("claims", i, "schema_id") for i in range(3)),
+        *(("metadata", key) for key in ("issuer_id", "schema_id", "issued_at", "expires_at", "credential_id")),
+    }
 
 
 def test_verify_rejects_swapped_disclosed_value(issued512):

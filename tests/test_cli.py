@@ -119,6 +119,28 @@ def test_issue_rejects_mismatched_nonce(issued_dir, capsys):
     assert not (d / "nope.json").exists()
 
 
+def test_complete_rejects_unsigned_extra_claim(issued_dir, capsys, tmp_path):
+    """A claim appended to a pre-credential is not signed: completion
+    refuses it and the wallet stays as it was."""
+    d, _ = issued_dir
+    pre = wire.load(d / "precred.json")
+    pre["claims"].append(ADMIN_CLAIM)
+    pre["metadata"]["credential_id"] = "c_admin"
+    wire.save(pre, tmp_path / "precred.json")
+    wallet = tmp_path / "wallet.json"
+    wallet.write_bytes((d / "wallet.json").read_bytes())
+    before = wallet.read_bytes()
+    code, out, err = cli(
+        capsys,
+        "holder", "complete", "--wallet", str(wallet), "--issuer-pub", str(d / "pk.json"),
+        "--in", str(tmp_path / "precred.json"), "--state", str(d / "state.json"),
+    )
+    assert code == 1
+    assert err.startswith("error[SignatureInvalid]: ")
+    assert "Traceback" not in err
+    assert wallet.read_bytes() == before
+
+
 def test_holder_list_output(issued_dir, capsys):
     d, _ = issued_dir
     code, out, err = cli(capsys, "holder", "list", "--wallet", str(d / "wallet.json"))
@@ -282,6 +304,7 @@ ERROR_CASES = [
     ("FormatError", HOLDER_PRESENT.replace("{d}/wallet.json", "{t}/no_secret.json")),
     ("FormatError", HOLDER_PRESENT.replace("c_demo", "ghost")),
     ("FormatError", HOLDER_PRESENT + " --disclose reader"),
+    ("EncodingError", HOLDER_PRESENT.replace("{d}/wallet.json", "{t}/extra_claim.json") + " --disclose medical_staff"),
     ("FormatError", GATE_EVAL.replace("registry.json", "bad_domain_id.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", GATE_EVAL.replace("registry.json", "no_trusted_issuer.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", GATE_EVAL.replace("registry.json", "version_2.json") + " --action read --nonce " + NONCE_A),
@@ -304,6 +327,7 @@ ERROR_CASES = [
     ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/one_base.json"
                     " --nonce " + NONCE_B + " --context x"),
 ]
+ADMIN_CLAIM = {"name": "admin", "value": "true", "issuer_id": "clinic", "schema_id": "staff_v1"}
 DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
 BAD_REGISTRIES = {
     "bad_required_attrs": {"domains": [{**DOMAIN, "required_attrs": [{}]}]},
@@ -351,6 +375,9 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     wire.save({**wallet, "holder_secret": None}, tmp_path / "no_secret.json")
     wire.save({**wallet, "labels": {"c_demo": 5}}, tmp_path / "label_not_string.json")
     wire.save({**wallet, "version": True}, tmp_path / "wallet_version_true.json")
+    (cred,) = wallet["credentials"]
+    wire.save({**wallet, "credentials": [{**cred, "claims": cred["claims"] + [ADMIN_CLAIM]}]},
+              tmp_path / "extra_claim.json")
     pk = wire.load(d / "pk.json")
     wire.save({**pk, "params": {**pk["params"], "l_stat": True}}, tmp_path / "l_stat_true.json")
     wire.save({**pk, "params": {**pk["params"], "l_stat": 1}}, tmp_path / "l_stat_one.json")
@@ -521,13 +548,27 @@ def test_party_commands_load_neither_gate_nor_policy(issued_dir, tmp_path, capsy
     assert "abcid.gate" not in modules and "abcid.policy" not in modules
 
 
+# SHA-256 over the sorted (relative path, bytes) pairs of every file the
+# walkthrough writes under seed 42. Re-pin it only for a deliberate change
+# to a document format or to the scheme, never to make a refactor pass.
+E2E_SEED_42_FILES = 21
+E2E_SEED_42_SHA256 = "c533a176647825c749d3e6f523da47bad8b4ec6b80b231019b8061612fa21a68"
+
+
 def test_e2e_demo_script(tmp_path):
     """The README walkthrough runs as documented; its gate step passes all
-    four fixture policies, so the domain's own policy must decide."""
+    four fixture policies, so the domain's own policy must decide. Under a
+    seed every file it writes is pinned."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "e2e_demo.sh"
-    proc = subprocess.run(
-        ["bash", str(script), str(tmp_path / "work"), "42"], capture_output=True, text=True
-    )
+    work = tmp_path / "work"
+    proc = subprocess.run(["bash", str(script), str(work), "42"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "valid presentation from issuer clinic" in proc.stdout
     assert "Permit  reasons: Permitted" in proc.stdout
+    files = sorted(p for p in work.rglob("*") if p.is_file())
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.relative_to(work).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    assert len(files) == E2E_SEED_42_FILES
+    assert digest.hexdigest() == E2E_SEED_42_SHA256

@@ -1,6 +1,6 @@
 import os
 import random
-from dataclasses import replace
+from dataclasses import asdict
 
 import pytest
 
@@ -70,15 +70,23 @@ def test_public_and_secret_key_round_trip(issuer512):
     assert wire.secret_key_from_json(wire.secret_key_to_json(sk)) == sk
 
 
-def test_public_key_needs_profile_parameters():
-    """Only a shipped profile's parameters cross the wire: a toy key, or a
-    512-bit key with a 1-bit l_stat, is a FormatError."""
-    pk, _ = toy_issuer()
-    with pytest.raises(wire.FormatError, match="profile"):
-        wire.public_key_from_json(wire.public_key_to_json(pk))
-    weak = replace(PROFILES[512], l_stat=1)
-    with pytest.raises(wire.FormatError, match="profile for l_n=512"):
-        wire.public_key_from_json(wire.public_key_to_json(replace(pk, params=weak)))
+def test_public_key_needs_profile_parameters(issuer512):
+    """A key document names its profile by l_n alone. A toy l_n, a field
+    that differs from the profile (such as a 1-bit l_stat), an unknown field
+    or a missing l_n is a FormatError; an older document that lists all
+    seven fields loads when they equal the profile."""
+    pk, _ = issuer512
+    doc = wire.public_key_to_json(pk)
+    assert doc["params"] == {"l_n": 512}
+    toy_pk, _ = toy_issuer()
+    with pytest.raises(wire.FormatError, match="no key profile for l_n=11"):
+        wire.public_key_from_json(wire.public_key_to_json(toy_pk))
+    for params in ({"l_n": 512, "l_stat": 1}, {"l_n": True}, {"l_n": 512, "extra": 0}, {"l_stat": 80}):
+        with pytest.raises(wire.FormatError):
+            wire.public_key_from_json({**doc, "params": params})
+    seven_fields = {**doc, "params": asdict(PROFILES[512])}
+    assert list(seven_fields["params"]) == ["l_n", "l_m", "l_e", "l_e_prime", "l_v", "l_stat", "l_h"]
+    assert wire.public_key_from_json(seven_fields) == wire.public_key_from_json(doc) == pk
 
 
 def test_request_and_state_round_trip():
@@ -89,6 +97,20 @@ def test_request_and_state_round_trip():
     assert wire.request_from_json(wire.request_to_json(req)) == req
     doc = wire.holder_state_to_json(state)
     assert wire.holder_state_from_json(doc, pk) == state
+
+
+def test_request_is_flat():
+    """A request lists its proof's c, s_v and s_k beside u. Requests once
+    nested them under "proof"; a request lives for one issuance round, so
+    that layout is refused, not read."""
+    pk, _ = toy_issuer()
+    rng = random.Random(2)
+    req, _ = begin_issuance(pk, holder_keygen(rng, TOY_PARAMS.l_m), b"\x01" * 16, rng)
+    doc = wire.request_to_json(req)
+    assert list(doc) == ["u", "c", "s_v", "s_k", "nonce"]
+    nested = {"u": doc["u"], "proof": {k: doc[k] for k in ("c", "s_v", "s_k")}, "nonce": doc["nonce"]}
+    with pytest.raises(wire.FormatError, match="missing field 'c'"):
+        wire.request_from_json(nested)
 
 
 def test_state_rejects_wrong_key():
