@@ -58,35 +58,33 @@ _WINDOW = 6  # bits per fixed-base table step, and per exponent digit in _mexp
 class AbcError(CodedError):
     """Base class of the credential scheme's errors."""
 
-    code = "AbcError"
-
 
 class ParameterError(AbcError):
-    code = "ParameterError"
+    """Parameters, a key or a nonce the scheme cannot use."""
 
 
 class ProofInvalid(AbcError):
-    code = "ProofInvalid"
+    """A proof does not verify."""
 
 
 class EncodingError(AbcError):
-    code = "EncodingError"
+    """Claims or metadata the issuer's key cannot carry."""
 
 
 class SignatureInvalid(AbcError):
-    code = "SignatureInvalid"
+    """A pre-credential the holder must refuse."""
 
 
 class NonceMismatch(AbcError):
-    code = "NonceMismatch"
+    """A transcript bound to another nonce."""
 
 
 class ContextMismatch(AbcError):
-    code = "ContextMismatch"
+    """A presentation bound to another context."""
 
 
 class LengthCheckFailed(AbcError):
-    code = "LengthCheckFailed"
+    """A response outside its length bound."""
 
 
 @dataclass(frozen=True)
@@ -434,6 +432,8 @@ def issue(
     ms = [encode_attribute(c, p) for c in claims]
     if any(c.issuer_id != pk.issuer_id for c in claims):
         raise EncodingError(f"issuer {pk.issuer_id!r} certifies only claims under its own id")
+    if metadata.issuer_id != pk.issuer_id:
+        raise EncodingError(f"issuer {pk.issuer_id!r} issues only credentials under its own id")
 
     lo, hi = p.e_interval
     while True:
@@ -476,6 +476,8 @@ def complete_credential(
         raise SignatureInvalid("e is even")
     if len(pre.claims) != pk.L:  # the equation would skip any claim past the key's bases
         raise SignatureInvalid(f"issuer key signs exactly {pk.L} claims, got {len(pre.claims)}")
+    if pre.metadata.issuer_id != pk.issuer_id:  # shows name the key's issuer, not this string
+        raise SignatureInvalid(f"issuer key belongs to {pk.issuer_id!r}, not {pre.metadata.issuer_id!r}")
     ms = [encode_attribute(c, p) for c in pre.claims]
     if not signature_holds(pk, pre.A, pre.e, v, hs.k, ms):
         raise SignatureInvalid("credential fails the verification equation")
@@ -559,7 +561,7 @@ def present(
         proof=proof,
         nonce=bytes(nonce),
         context=context,
-        issuer_id=cred.metadata.issuer_id,
+        issuer_id=pk.issuer_id,
     )
 
 

@@ -80,7 +80,7 @@ def cmd_issuer_issue(args) -> int:
     sk = wire.secret_key_from_json(wire.load(args.key))
     pk = _load_public_key(args.issuer_pub)
     req = wire.request_from_json(wire.load(args.infile))
-    if args.nonce is not None and req.nonce != args.nonce:
+    if req.nonce != args.nonce:
         raise anoncred.NonceMismatch("request is bound to a different issuer nonce")
     claims, metadata = _claims_from_file(args.claims, pk.issuer_id)
     pre = anoncred.issue(sk, pk, req, claims, metadata, rng)
@@ -276,115 +276,90 @@ def cmd_fixture_emit(args) -> int:
 
 # -- wiring --------------------------------------------------------------------
 
-def _add_common_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", required=True, help="output file")
+def _shared(flag: str, parents: tuple = (), **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one option that several commands take."""
+    p = argparse.ArgumentParser(add_help=False, parents=parents)
+    p.add_argument(flag, **kwargs)
+    return p
+
+
+def _command(group, name: str, fn, help: str, *parents) -> argparse.ArgumentParser:
+    """A subcommand of `group` that runs `fn` and takes the options of `parents`."""
+    p = group.add_parser(name, help=help, parents=parents)
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
+    seed = _shared("--seed", type=int)
+    out = _shared("--out", required=True, help="output file")
+    infile = _shared("--in", dest="infile", required=True, help="input document")
+    key = _shared("--issuer-pub", required=True, help="issuer public key file")
+    wallet = _shared("--wallet", required=True)
+    nonce = _shared("--nonce", type=wire.nonce_from_hex, required=True, help="32 hex digits")
+    show = _shared("--context", required=True, parents=(nonce,))
+
     parser = argparse.ArgumentParser(prog="abcid", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="group", required=True)
 
-    issuer = sub.add_parser("issuer", help="issuer-side operations").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = issuer.add_parser("init", help="generate an issuer key pair")
+    def group(name: str, help: str):
+        return sub.add_parser(name, help=help).add_subparsers(dest="cmd", required=True)
+
+    issuer = group("issuer", "issuer-side operations")
+    p = _command(issuer, "init", cmd_issuer_init, "generate an issuer key pair", seed)
     p.add_argument("--issuer-id", required=True)
     p.add_argument("--attrs", type=int, required=True, help="claims per credential")
     p.add_argument("--l-n", type=int, default=2048, choices=sorted(anoncred.PROFILES))
     p.add_argument("--key", required=True, help="secret key output file")
     p.add_argument("--issuer-pub", required=True, help="public key output file")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_issuer_init)
 
-    p = issuer.add_parser("issue", help="sign a blinded issuance request")
+    p = _command(issuer, "issue", cmd_issuer_issue, "sign a blinded issuance request",
+                 key, infile, nonce, seed, out)
     p.add_argument("--key", required=True)
-    p.add_argument("--issuer-pub", required=True)
-    p.add_argument("--in", dest="infile", required=True, help="issuance request file")
     p.add_argument("--claims", required=True, help="claims + metadata JSON file")
-    p.add_argument("--nonce", type=wire.nonce_from_hex, help="expected issuer nonce (32 hex)")
-    p.add_argument("--seed", type=int)
-    _add_common_output(p)
-    p.set_defaults(fn=cmd_issuer_issue)
 
-    holder = sub.add_parser("holder", help="wallet-side operations").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = holder.add_parser("keygen", help="create a wallet with a fresh holder secret")
-    p.add_argument("--wallet", required=True)
-    p.add_argument("--issuer-pub", required=True)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_holder_keygen)
+    holder = group("holder", "wallet-side operations")
+    _command(holder, "keygen", cmd_holder_keygen, "create a wallet with a fresh holder secret",
+             wallet, key, seed)
 
-    p = holder.add_parser("request", help="start a blinded issuance")
-    p.add_argument("--wallet", required=True)
-    p.add_argument("--issuer-pub", required=True)
-    p.add_argument("--nonce", type=wire.nonce_from_hex, required=True)
+    p = _command(holder, "request", cmd_holder_request, "start a blinded issuance",
+                 wallet, key, nonce, seed, out)
     p.add_argument("--state", required=True, help="issuance state output file")
-    p.add_argument("--seed", type=int)
-    _add_common_output(p)
-    p.set_defaults(fn=cmd_holder_request)
 
-    p = holder.add_parser("complete", help="turn a pre-credential into a credential")
-    p.add_argument("--wallet", required=True)
-    p.add_argument("--issuer-pub", required=True)
-    p.add_argument("--in", dest="infile", required=True, help="pre-credential file")
+    p = _command(holder, "complete", cmd_holder_complete, "turn a pre-credential into a credential",
+                 wallet, key, infile)
     p.add_argument("--state", required=True)
     p.add_argument("--label")
-    p.set_defaults(fn=cmd_holder_complete)
 
-    p = holder.add_parser("list", help="list wallet credentials")
-    p.add_argument("--wallet", required=True)
-    p.set_defaults(fn=cmd_holder_list)
+    _command(holder, "list", cmd_holder_list, "list wallet credentials", wallet)
 
-    p = holder.add_parser("present", help="create a selective-disclosure presentation")
-    p.add_argument("--wallet", required=True)
-    p.add_argument("--issuer-pub", required=True)
+    p = _command(holder, "present", cmd_holder_present, "create a selective-disclosure presentation",
+                 wallet, key, show, seed, out)
     p.add_argument("--credential", required=True, help="credential id in the wallet")
     p.add_argument("--disclose", default="", help="comma-separated attribute names")
-    p.add_argument("--nonce", type=wire.nonce_from_hex, required=True)
-    p.add_argument("--context", required=True)
-    p.add_argument("--seed", type=int)
-    _add_common_output(p)
-    p.set_defaults(fn=cmd_holder_present)
 
-    verifier = sub.add_parser("verifier", help="verifier-side operations").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = verifier.add_parser("verify", help="check a presentation transcript")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--issuer-pub", required=True)
-    p.add_argument("--nonce", type=wire.nonce_from_hex, required=True)
-    p.add_argument("--context", required=True)
-    p.set_defaults(fn=cmd_verifier_verify)
+    verifier = group("verifier", "verifier-side operations")
+    _command(verifier, "verify", cmd_verifier_verify, "check a presentation transcript", infile, key, show)
 
-    policy = sub.add_parser("policy", help="policy tooling").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = policy.add_parser("lint", help="parse a .pol file and show its parts")
+    policy = group("policy", "policy tooling")
+    p = _command(policy, "lint", cmd_policy_lint, "parse a .pol file and show its parts")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_policy_lint)
 
-    gatep = sub.add_parser("gate", help="domain gate").add_subparsers(dest="cmd", required=True)
-    p = gatep.add_parser("eval", help="decide one access request")
+    gatep = group("gate", "domain gate")
+    p = _command(gatep, "eval", cmd_gate_eval, "decide one access request", nonce)
     p.add_argument("--registry", required=True)
     p.add_argument("--domain", required=True)
     p.add_argument("--action", required=True)
     p.add_argument("--rtype", required=True)
     p.add_argument("--rname", default="")
     p.add_argument("--at", required=True, help="RFC3339 UTC timestamp")
-    p.add_argument("--nonce", type=wire.nonce_from_hex, required=True)
     p.add_argument("--presentation", action="append", help="presentation file (repeatable)")
     p.add_argument("--issuer-pub", action="append", help="trusted issuer key file (repeatable)")
     p.add_argument("--policy", action="append", help=".pol file (repeatable; id = file stem)")
-    p.set_defaults(fn=cmd_gate_eval)
 
-    fixture = sub.add_parser("fixture", help="reference scenario").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = fixture.add_parser("emit", help="write the reference fixture to a directory")
+    fixture = group("fixture", "reference scenario")
+    p = _command(fixture, "emit", cmd_fixture_emit, "write the reference fixture to a directory", seed)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_fixture_emit)
 
     return parser
 

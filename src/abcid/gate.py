@@ -51,19 +51,19 @@ from .wire import STR, Codec, FormatError, message, need
 
 
 class GateError(CodedError):
-    code = "GateError"
+    """Base class of the gate's errors."""
 
 
 class DuplicateDomain(GateError):
-    code = "DuplicateDomain"
+    """Two domains share an id."""
 
 
 class UnknownDomain(GateError):
-    code = "UnknownDomain"
+    """A request names a domain the registry does not hold."""
 
 
 class KeyDigestMismatch(GateError):
-    code = "KeyDigestMismatch"
+    """An issuer key the registry does not list under that digest."""
 
 
 @dataclass(frozen=True)

@@ -113,15 +113,17 @@ def project_partial_identity(di: DigitalIdentity, domain_id: str) -> PartialIden
 
 class CodedError(Exception):
     """Base of every error the package reports by a stable, machine-readable
-    `code`; the CLI prints it as `error[<code>]`."""
+    `code`, its class name; the CLI prints it as `error[<code>]`."""
 
     code = "CodedError"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
 
 class Unsatisfiable(CodedError):
     """The wallet cannot jointly cover the required attributes."""
-
-    code = "Unsatisfiable"
 
     def __init__(self, missing: Iterable[str]):
         self.missing = frozenset(missing)

@@ -136,8 +136,6 @@ class Decision:
 # ---------------------------------------------------------------------------
 
 class ParseError(CodedError):
-    code = "ParseError"
-
     def __init__(self, message: str, line: int, col: int, expected: Iterable[str] = ()):
         self.line = line
         self.col = col

@@ -36,8 +36,6 @@ from .model import Attribute, Claim, CodedError
 class FormatError(CodedError):
     """A document does not match its schema or version."""
 
-    code = "FormatError"
-
 
 def int_to_hex(x: int) -> str:
     return ("-0x" if x < 0 else "0x") + format(abs(x), "x")

@@ -248,6 +248,28 @@ def test_complete_rejects_extra_claim(issuer512):
         present(pk, replace(cred, claims=cred.claims + extra), hs, {1}, NONCE, CTX, rng)
 
 
+def test_credential_metadata_names_the_key_issuer(issuer512):
+    """Soundness harness: metadata naming another issuer would send every
+    show to another key, and put a string the issuer chose in front of the
+    verifier. The issuer does not sign such metadata, the holder refuses
+    it, and a show names the key's issuer whatever the metadata says."""
+    pk, sk = issuer512
+    rng = random.Random(10)
+    hs = holder_keygen(rng)
+    req, state = begin_issuance(pk, hs, NONCE, rng)
+    claims = make_claims(("member", "over_18", "reader"), "lab")
+    with pytest.raises(EncodingError, match="under its own id"):
+        issue(sk, pk, req, claims, metadata("labx"), rng)
+    pre = issue(sk, pk, req, claims, metadata("lab"), rng)
+    foreign = replace(pre.metadata, issuer_id="holder_4711")
+    with pytest.raises(SignatureInvalid, match="belongs to 'lab'"):
+        complete_credential(replace(pre, metadata=foreign), state, hs)
+    cred = replace(complete_credential(pre, state, hs), metadata=foreign)
+    pres = present(pk, cred, hs, {1}, NONCE, CTX, rng)
+    assert pres.issuer_id == "lab"
+    assert verify_presentation(pk, pres, NONCE, CTX) == {claims[0]}
+
+
 # -- presentation --------------------------------------------------------------
 
 def test_present_full_and_empty_disclosure(issued512):
@@ -383,8 +405,9 @@ def test_only_claim_schema_ids_are_unauthenticated(issued512):
 def test_pre_credential_survivors_are_schema_ids_and_metadata(issuer512):
     """Soundness harness: change one leaf of a real pre-credential, or
     append or drop a claim, and complete it. The signature covers each
-    claim's name, value and issuer; what survives is the claims' schema
-    ids and the credential metadata, which nothing signs yet."""
+    claim's name, value and issuer, and the holder checks the metadata's
+    issuer against the key; what survives is the claims' schema ids and
+    the rest of the credential metadata, which nothing signs yet."""
     pk, sk = issuer512
     rng = random.Random(19)
     hs = holder_keygen(rng)
@@ -404,8 +427,26 @@ def test_pre_credential_survivors_are_schema_ids_and_metadata(issuer512):
         survivors.add(path)
     assert survivors == {
         *(("claims", i, "schema_id") for i in range(3)),
-        *(("metadata", key) for key in ("issuer_id", "schema_id", "issued_at", "expires_at", "credential_id")),
+        *(("metadata", key) for key in ("schema_id", "issued_at", "expires_at", "credential_id")),
     }
+
+
+def test_issuance_request_has_no_survivors(issuer512):
+    """Soundness harness: change one leaf of a real issuance request; the
+    request proof covers every field, the nonce included."""
+    pk, _ = issuer512
+    rng = random.Random(20)
+    req, _ = begin_issuance(pk, holder_keygen(rng), NONCE, rng)
+    mutants = dict(_leaf_mutants(wire.request_to_json(req)))
+    assert len(mutants) == 5
+    survivors = set()
+    for path, mutant in mutants.items():
+        try:
+            verify_issuance_request(pk, wire.request_from_json(mutant))
+        except (wire.FormatError, AbcError):
+            continue
+        survivors.add(path)
+    assert survivors == set()
 
 
 def test_verify_rejects_swapped_disclosed_value(issued512):

@@ -29,3 +29,26 @@ def test_tracer_target_resolves(span, module, attr):
         assert meth in vars(owner), f"{module}.{attr} is not defined on the class itself"
         attr = meth
     assert callable(getattr(owner, attr)), f"{module}.{attr}"
+
+
+def test_cli_workload_lines_parse(monkeypatch, tmp_path):
+    """Every command line the CLI workload runs parses and reaches the
+    command it names; nothing is run."""
+    from abcid.cli import build_parser
+
+    monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.CliWorkload(7, tmp_path)
+    lines = []
+
+    def record(cmd, cwd, rid, tracer):
+        lines.append(cmd.args)
+        return 0.0, []
+
+    monkeypatch.setattr(workload, "_run", record)
+    workload.setup(None)
+    workload.run_op(0, None)
+    assert len(lines) == 13
+    for args in lines:
+        ns = build_parser().parse_args(args)
+        assert ns.fn.__name__ == f"cmd_{ns.group}_{ns.cmd}", args

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import abcid
 from abcid import gate, wire
-from abcid.cli import run
+from abcid.cli import build_parser, run
 from abcid.gate import WORKED_POLICY_TEXT
 
 NONCE_A = "aa" * 16
@@ -117,6 +118,20 @@ def test_issue_rejects_mismatched_nonce(issued_dir, capsys):
     assert code == 1
     assert "error[NonceMismatch]" in err
     assert not (d / "nope.json").exists()
+
+
+def test_issue_requires_nonce(issued_dir, capsys):
+    """The issuer signs only a request bound to the nonce it handed out."""
+    d, _ = issued_dir
+    code, out, err = cli(
+        capsys,
+        "issuer", "issue", "--key", str(d / "sk.json"), "--issuer-pub", str(d / "pk.json"),
+        "--in", str(d / "request.json"), "--claims", str(d / "claims.json"),
+        "--out", str(d / "unbound.json"),
+    )
+    assert code == 2
+    assert "the following arguments are required: --nonce" in err
+    assert not (d / "unbound.json").exists()
 
 
 def test_complete_rejects_unsigned_extra_claim(issued_dir, capsys, tmp_path):
@@ -272,6 +287,113 @@ def test_usage_errors_exit_2(capsys):
     assert "Traceback" not in captured.err
 
 
+def _opt(*flags, dest=None, required=False, default=None, type=None, choices=None, append=False):
+    dest = dest or flags[0].lstrip("-").replace("-", "_")
+    return flags, dest, required, default, type, choices, append
+
+
+# Every option of every command: flags, dest, required, default, type name,
+# choices, and whether it appends. Shared declarations must not drift.
+CLI_SURFACE = {
+    ("issuer", "init"): {
+        _opt("--issuer-id", required=True),
+        _opt("--attrs", required=True, type="int"),
+        _opt("--l-n", default=2048, type="int", choices=(512, 1024, 2048)),
+        _opt("--key", required=True),
+        _opt("--issuer-pub", required=True),
+        _opt("--seed", type="int"),
+    },
+    ("issuer", "issue"): {
+        _opt("--key", required=True),
+        _opt("--issuer-pub", required=True),
+        _opt("--in", dest="infile", required=True),
+        _opt("--claims", required=True),
+        _opt("--nonce", required=True, type="nonce_from_hex"),
+        _opt("--seed", type="int"),
+        _opt("--out", required=True),
+    },
+    ("holder", "keygen"): {
+        _opt("--wallet", required=True),
+        _opt("--issuer-pub", required=True),
+        _opt("--seed", type="int"),
+    },
+    ("holder", "request"): {
+        _opt("--wallet", required=True),
+        _opt("--issuer-pub", required=True),
+        _opt("--nonce", required=True, type="nonce_from_hex"),
+        _opt("--state", required=True),
+        _opt("--seed", type="int"),
+        _opt("--out", required=True),
+    },
+    ("holder", "complete"): {
+        _opt("--wallet", required=True),
+        _opt("--issuer-pub", required=True),
+        _opt("--in", dest="infile", required=True),
+        _opt("--state", required=True),
+        _opt("--label"),
+    },
+    ("holder", "list"): {
+        _opt("--wallet", required=True),
+    },
+    ("holder", "present"): {
+        _opt("--wallet", required=True),
+        _opt("--issuer-pub", required=True),
+        _opt("--credential", required=True),
+        _opt("--disclose", default=""),
+        _opt("--nonce", required=True, type="nonce_from_hex"),
+        _opt("--context", required=True),
+        _opt("--seed", type="int"),
+        _opt("--out", required=True),
+    },
+    ("verifier", "verify"): {
+        _opt("--in", dest="infile", required=True),
+        _opt("--issuer-pub", required=True),
+        _opt("--nonce", required=True, type="nonce_from_hex"),
+        _opt("--context", required=True),
+    },
+    ("policy", "lint"): {
+        _opt("file", required=True),
+    },
+    ("gate", "eval"): {
+        _opt("--registry", required=True),
+        _opt("--domain", required=True),
+        _opt("--action", required=True),
+        _opt("--rtype", required=True),
+        _opt("--rname", default=""),
+        _opt("--at", required=True),
+        _opt("--nonce", required=True, type="nonce_from_hex"),
+        _opt("--presentation", append=True),
+        _opt("--issuer-pub", append=True),
+        _opt("--policy", append=True),
+    },
+    ("fixture", "emit"): {
+        _opt("--out-dir", required=True),
+        _opt("--seed", type="int"),
+    },
+}
+
+
+def _subcommands(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_cli_surface():
+    surface = {}
+    for group, group_parser in _subcommands(build_parser()).items():
+        for cmd, parser in _subcommands(group_parser).items():
+            surface[group, cmd] = {
+                (
+                    tuple(a.option_strings) or (a.dest,), a.dest, a.required, a.default,
+                    a.type and a.type.__name__, a.choices and tuple(a.choices),
+                    isinstance(a, argparse._AppendAction),
+                )
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+    assert surface == CLI_SURFACE
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code, out, err = cli(
         capsys, "holder", "list", "--wallet", str(tmp_path / "missing.json")
@@ -281,15 +403,16 @@ def test_missing_file_is_io_error(tmp_path, capsys):
 
 
 GATE_EVAL = "gate eval --registry {t}/registry.json --domain nowhere --rtype doc --at 2026-08-03T09:00:00Z"
-ISSUER_ISSUE = "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json --out {t}/pre.json"
+ISSUER_ISSUE = ("issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json --out {t}/pre.json"
+                " --nonce " + NONCE_A)
 HOLDER_PRESENT = ("holder present --wallet {d}/wallet.json --issuer-pub {d}/pk.json --credential c_demo"
                   " --nonce " + NONCE_B + " --context x --out {t}/pres.json")
 ERROR_CASES = [
     ("ParameterError", "issuer init --issuer-id x --attrs 0 --l-n 512 --key {t}/k.json --issuer-pub {t}/p.json"),
     ("EncodingError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
-                      " --claims {t}/one_claim.json --out {t}/pre.json"),
+                      " --claims {t}/one_claim.json --out {t}/pre.json --nonce " + NONCE_A),
     ("EncodingError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
-                      " --claims {t}/foreign_claim.json --out {t}/pre.json"),
+                      " --claims {t}/foreign_claim.json --out {t}/pre.json --nonce " + NONCE_A),
     ("UnknownDomain", GATE_EVAL + " --action read --nonce " + NONCE_A),
     ("KeyDigestMismatch", GATE_EVAL + " --action read --nonce " + NONCE_A + " --issuer-pub {d}/pk.json"),
     ("ValueError", GATE_EVAL + " --action Read! --nonce " + NONCE_A),
@@ -299,7 +422,7 @@ ERROR_CASES = [
     ("FormatError", GATE_EVAL.replace("registry.json", "bad_required_attrs.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", GATE_EVAL.replace("registry.json", "bad_trusted_issuers.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
-                    " --claims {t}/claims_not_list.json --out {t}/pre.json"),
+                    " --claims {t}/claims_not_list.json --out {t}/pre.json --nonce " + NONCE_A),
     ("FormatError", GATE_EVAL.replace("2026-08-03T09:00:00Z", "yesterday") + " --action read --nonce " + NONCE_A),
     ("FormatError", HOLDER_PRESENT.replace("{d}/wallet.json", "{t}/no_secret.json")),
     ("FormatError", HOLDER_PRESENT.replace("c_demo", "ghost")),

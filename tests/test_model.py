@@ -235,3 +235,25 @@ def test_select_cover_properties(wallet_spec, required):
     assert best is not None
     # Greedy may exceed the optimum (documented); never undershoots it.
     assert len(picked) >= len(best)
+
+
+def test_error_codes_are_class_names():
+    """The CLI prints `error[<code>]` and the gate reports a rejected
+    presentation by its code, so every code is its class name and unique."""
+    import importlib
+    import pkgutil
+
+    import abcid
+    from abcid.model import CodedError
+
+    for info in pkgutil.iter_modules(abcid.__path__):
+        if not info.name.startswith("_"):  # __main__ would run the CLI
+            importlib.import_module(f"abcid.{info.name}")
+    classes, todo = [], [CodedError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo += cls.__subclasses__()
+    assert len(classes) == 16
+    assert all(cls.code == cls.__name__ for cls in classes)
+    assert len({cls.code for cls in classes}) == len(classes)
