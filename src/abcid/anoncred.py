@@ -230,6 +230,13 @@ class Credential:
     claims: tuple[Claim, ...]
     metadata: CredentialMetadata
 
+    @cached_property
+    def _a_tables(self) -> dict[int, tuple[int, ...]]:
+        """Modulus n -> fixed-base table of A mod n, filled by `present`.
+        Held here, in memory only, and never on the key that verifiers
+        share: A links every show of this credential."""
+        return {}
+
 
 @dataclass(frozen=True)
 class PresentationProof:
@@ -544,7 +551,13 @@ def present(
     r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
     r_m = {i: rng.getrandbits(p.l_m + p.l_stat + p.l_h) for i in hidden}
 
-    T = _mexp(pk, [(a_prime, r_e), (pk.S, r_v), (pk.R[0], r_k), *((pk.R[i], r_m[i]) for i in hidden)])
+    # A'^r_e = A^r_e * S^(r_A*r_e), so T raises only fixed bases; r_v + r_A*r_e
+    # still fits S's table. Threads racing to build A's table store equal ones.
+    a_tables = cred._a_tables
+    if n not in a_tables:
+        a_tables[n] = pk._table(cred.A, p.l_e_prime + p.l_stat + p.l_h)
+    terms = [(cred.A, r_e), (pk.S, r_v + r_A * r_e), (pk.R[0], r_k), *((pk.R[i], r_m[i]) for i in hidden)]
+    T = _mexp(pk, terms, {cred.A: a_tables[n]} | pk._tables)
 
     disclosed = {i: cred.claims[i - 1] for i in sorted(disclose)}
     c = _present_challenge(pk, a_prime, T, disclosed, nonce, context)

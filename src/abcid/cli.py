@@ -14,6 +14,8 @@ proofs draw from the OS entropy pool.
 from __future__ import annotations
 
 import argparse
+import fcntl
+import os
 import random
 import sys
 from datetime import datetime
@@ -126,13 +128,21 @@ def cmd_holder_request(args) -> int:
 def cmd_holder_complete(args) -> int:
     from .wallet import wallet_save
 
-    wallet = _wallet_with_secret(args.wallet)
-    pk = _load_public_key(args.issuer_pub)
-    state = wire.holder_state_from_json(wire.load(args.state), pk)
-    pre = wire.pre_credential_from_json(wire.load(args.infile))
-    cred = anoncred.complete_credential(pre, state, wallet.holder_secret)
-    wallet.add_credential(cred, label=args.label or "")
-    wallet_save(wallet, args.wallet)
+    # Concurrent completions on one wallet each keep the other's credential:
+    # the wallet's directory stays locked from load to save. The lock makes
+    # no file and outlasts the rename that replaces the wallet.
+    lock = os.open(Path(args.wallet).parent, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        wallet = _wallet_with_secret(args.wallet)
+        pk = _load_public_key(args.issuer_pub)
+        state = wire.holder_state_from_json(wire.load(args.state), pk)
+        pre = wire.pre_credential_from_json(wire.load(args.infile))
+        cred = anoncred.complete_credential(pre, state, wallet.holder_secret)
+        wallet.add_credential(cred, label=args.label or "")
+        wallet_save(wallet, args.wallet)
+    finally:
+        os.close(lock)
     print(f"credential {cred.metadata.credential_id} added to {args.wallet}")
     return 0
 

@@ -84,8 +84,9 @@ def dumps(doc: dict) -> str:
 
 def save_text(text: str, path: str | Path) -> None:
     """Write `text` to a fresh owner-only temporary file in the same
-    directory, sync it, then rename it over `path`. A crash or a failed
-    write leaves the old file whole; the new file is always mode 0600."""
+    directory, sync it, rename it over `path` and sync the directory, so
+    that the rename also survives a crash. A crash or a failed write
+    leaves the old file whole; the new file is always mode 0600."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
@@ -98,6 +99,11 @@ def save_text(text: str, path: str | Path) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def save(doc: dict, path: str | Path) -> None:

@@ -4,7 +4,7 @@ import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date, timedelta
 from hashlib import sha256
 from threading import Barrier
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sympy import legendre_symbol
 
 import oracle
-from abcid import wire
+from abcid import anoncred, wire
 from abcid.anoncred import (
     AbcError,
     ContextMismatch,
@@ -45,6 +45,7 @@ from abcid.anoncred import (
     verify_presentation,
 )
 from abcid.model import claim_bytes
+from abcid.wallet import Wallet, wallet_save
 
 from conftest import TOY_P, TOY_PARAMS, TOY_Q, make_claims, metadata, toy_issuer
 
@@ -653,6 +654,96 @@ def test_z_inverse_table_built_by_first_verify(issued512):
     assert tables.keys() == {pow(pk.Z, -1, pk.n), *fresh._tables}
     verify_presentation(fresh, pres, NONCE, CTX)
     assert fresh._verify_tables is tables
+
+
+def _count_pow(monkeypatch):
+    """Record every `pow` call made inside abcid.anoncred from now on."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(anoncred, "pow", counting_pow, raising=False)
+    return calls
+
+
+def test_repeat_show_raises_only_fixed_bases(issued512, monkeypatch):
+    """A second show of a credential makes no variable-base exponentiation;
+    a verify on a warm key makes exactly one, A'^(s_e + c*2^(l_e-1))."""
+    pk, _, hs, cred = issued512
+    cred = replace(cred)
+    rng = random.Random(28)
+    verify_presentation(pk, present(pk, cred, hs, {1}, NONCE, CTX, rng), NONCE, CTX)
+    calls = _count_pow(monkeypatch)
+    pres = present(pk, cred, hs, {2}, NONCE, CTX, rng)
+    assert calls == []
+    verify_presentation(pk, pres, NONCE, CTX)
+    assert len(calls) == 1 and calls[0][0] == pres.a_prime
+
+
+def _a_table(pk, cred):
+    p = pk.params
+    return pk._table(cred.A, p.l_e_prime + p.l_stat + p.l_h)
+
+
+def test_credential_table_stays_in_memory(issued512, tmp_path):
+    """The first show builds a table of A on the credential alone: wallet
+    and presentation bytes do not change, the shared key collects no A,
+    and neither completing nor verifying builds a table."""
+    pk, sk, hs, cred = issued512
+    fresh = replace(pk)
+    rng = random.Random(30)
+    req, state = begin_issuance(fresh, hs, NONCE, rng)
+    pre = issue(sk, fresh, req, cred.claims, metadata(pk.issuer_id, "c_table"), rng)
+    new = complete_credential(pre, state, hs)
+    assert "_a_tables" not in vars(new)
+    wallet_save(Wallet(hs, [new]), tmp_path / "before.json")
+    shows = [wire.presentation_to_json(present(fresh, new, hs, {1}, NONCE, CTX, random.Random(31))) for _ in range(2)]
+    assert shows[0] == shows[1]
+    assert vars(new)["_a_tables"] == {pk.n: _a_table(pk, new)}
+    wallet_save(Wallet(hs, [new]), tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    verify_presentation(fresh, wire.presentation_from_json(shows[0]), NONCE, CTX)
+    assert vars(new)["_a_tables"].keys() == {pk.n}
+    assert vars(fresh).keys() - {f.name for f in fields(fresh)} == {"_tables", "_z_inv", "_verify_tables"}
+    assert new.A not in fresh._verify_tables
+
+
+def test_credential_table_per_modulus():
+    """Shown under a second key with another n, a credential gets a second
+    table; the first is never applied mod the other n."""
+    pk, _, hs, _, _, cred, rng = toy_credential()
+    other, _ = setup_issuer_from_primes(pk.L, TOY_P, 59, TOY_PARAMS, rng, pk.issuer_id)
+    warm = replace(cred)
+    present(pk, warm, hs, {1}, NONCE, CTX, rng)
+    shows = [present(other, c, hs, {1}, NONCE, CTX, random.Random(33)) for c in (warm, replace(cred))]
+    assert shows[0] == shows[1]
+    assert vars(warm)["_a_tables"] == {pk.n: _a_table(pk, cred), other.n: _a_table(other, cred)}
+
+
+def test_one_credential_shown_from_threads(issued512):
+    pk, _, hs, cred = issued512
+    fresh = replace(cred)  # the threads race to build its table
+    start = Barrier(4, timeout=60)
+
+    def rounds(seed):
+        rng = random.Random(seed)
+        start.wait()
+        return [
+            verify_presentation(pk, present(pk, fresh, hs, {1 + r % 3}, NONCE, CTX, rng), NONCE, CTX)
+            for r in range(5)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(rounds, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[frozenset({cred.claims[r % 3]}) for r in range(5)]] * 4
+    assert vars(fresh)["_a_tables"] == {pk.n: _a_table(pk, cred)}
 
 
 def test_fresh_key_shared_across_threads(issued512):

@@ -1,7 +1,9 @@
 import argparse
+import fcntl
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,9 @@ import abcid
 from abcid import gate, wire
 from abcid.cli import build_parser, run
 from abcid.gate import WORKED_POLICY_TEXT
+from abcid.wallet import Wallet, wallet_load, wallet_save
+
+from randgen import rand_credential
 
 NONCE_A = "aa" * 16
 NONCE_B = "bb" * 16
@@ -590,6 +595,35 @@ def test_written_files_are_owner_only(tmp_path, capsys):
     for path in files:
         assert path.stat().st_mode & 0o777 == 0o600, path
         assert not path.name.endswith(".tmp"), path
+
+
+def test_concurrent_complete_keeps_both_credentials(issued_dir, tmp_path):
+    """`holder complete` locks the wallet's directory from load to save. A
+    writer holding that lock adds a credential meanwhile; the command waits
+    for it and keeps both."""
+    d, _ = issued_dir
+    wallet_path = tmp_path / "wallet.json"
+    wallet_save(Wallet(wallet_load(d / "wallet.json").holder_secret), wallet_path)
+    command = [sys.executable, "-m", "abcid", "holder", "complete", "--wallet", str(wallet_path),
+               "--issuer-pub", str(d / "pk.json"), "--in", str(d / "precred.json"), "--state", str(d / "state.json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(abcid.__file__).resolve().parents[1])}
+    lock = os.open(tmp_path, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        wallet = wallet_load(wallet_path)
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:  # without the lock the command loads, adds and saves well within this
+            proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            pass
+        wallet.add_credential(rand_credential(random.Random(5), credential_id="c_mine"))
+        wallet_save(wallet, wallet_path)
+    finally:
+        os.close(lock)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert {c.metadata.credential_id for c in wallet_load(wallet_path).credentials} == {"c_mine", "c_demo"}
+    assert os.listdir(tmp_path) == ["wallet.json"]
 
 
 BAD_NONCE_COMMANDS = {

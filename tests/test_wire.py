@@ -216,6 +216,25 @@ def test_wallet_save_failure_keeps_old_wallet(tmp_path, monkeypatch, fail_at):
     assert path.stat().st_mode & 0o777 == 0o600
 
 
+def test_save_syncs_directory_after_rename(tmp_path, monkeypatch):
+    """The file is synced before the rename, its directory after it, so a
+    crash can lose neither the bytes nor the rename."""
+    path = tmp_path / "doc.json"
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        synced.append(((st.st_dev, st.st_ino), path.exists()))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    wire.save_text("x\n", path)
+    f, d = path.stat(), tmp_path.stat()
+    assert synced == [((f.st_dev, f.st_ino), False), ((d.st_dev, d.st_ino), True)]
+    assert path.read_text() == "x\n"
+
+
 def test_wallet_truncated_file(tmp_path):
     path = tmp_path / "w.json"
     wallet_save(Wallet(), path)
