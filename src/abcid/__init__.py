@@ -1,8 +1,10 @@
 """Attribute-based digital identity toolkit.
 
 Anonymous credentials with selective disclosure (CL-style strong-RSA
-signatures), partial / digital identities, a small policy DSL, and a
-domain gate that turns verified presentations into Permit/Deny decisions.
+signatures), a small policy DSL, and a domain gate that turns verified
+presentations into Permit/Deny decisions. A holder's wallet is its digital
+identity; `select_credentials` picks the credentials for a domain's partial
+identity, and `gate.access` returns the claims that the domain verified.
 """
 
 __version__ = "0.1.0"
@@ -10,22 +12,16 @@ __version__ = "0.1.0"
 from .model import (
     Attribute,
     Claim,
-    DigitalIdentity,
     PartialIdentity,
     Unsatisfiable,
-    project_partial_identity,
     select_credentials,
-    union_partial_identities,
 )
 
 __all__ = [
     "Attribute",
     "Claim",
-    "DigitalIdentity",
     "PartialIdentity",
     "Unsatisfiable",
-    "project_partial_identity",
     "select_credentials",
-    "union_partial_identities",
     "__version__",
 ]

@@ -14,8 +14,6 @@ proofs draw from the OS entropy pool.
 from __future__ import annotations
 
 import argparse
-import fcntl
-import os
 import random
 import sys
 from datetime import datetime
@@ -40,7 +38,7 @@ def build_rng(seed: int | None) -> anoncred.Rng:
 
 def _parse_at(text: str) -> datetime:
     try:
-        return datetime.fromisoformat(text.replace("Z", "+00:00"))
+        return datetime.fromisoformat(text.upper().replace("Z", "+00:00"))
     except ValueError:
         raise FormatError(f"--at must be an RFC3339 UTC timestamp, got {text!r}") from None
 
@@ -58,11 +56,12 @@ def _refuse_to_replace(path: str | Path) -> None:
 # -- issuer ------------------------------------------------------------------
 
 def cmd_issuer_init(args) -> int:
-    _refuse_to_replace(args.key)
-    rng = build_rng(args.seed)
-    pk, sk = anoncred.setup_issuer(args.attrs, args.l_n, rng, args.issuer_id)
-    wire.save(wire.secret_key_to_json(sk), args.key)
-    wire.save(wire.public_key_to_json(pk), args.issuer_pub)
+    with wire.locked(Path(args.key).parent):
+        _refuse_to_replace(args.key)
+        rng = build_rng(args.seed)
+        pk, sk = anoncred.setup_issuer(args.attrs, args.l_n, rng, args.issuer_id)
+        wire.save(wire.secret_key_to_json(sk), args.key)
+        wire.save(wire.public_key_to_json(pk), args.issuer_pub)
     print(f"issuer {args.issuer_id}: wrote secret key {args.key} and public key {args.issuer_pub}")
     return 0
 
@@ -96,11 +95,12 @@ def cmd_issuer_issue(args) -> int:
 def cmd_holder_keygen(args) -> int:
     from .wallet import Wallet, wallet_save
 
-    _refuse_to_replace(args.wallet)
-    rng = build_rng(args.seed)
-    pk = _load_public_key(args.issuer_pub)
-    wallet = Wallet(holder_secret=anoncred.holder_keygen(rng, pk.params.l_m))
-    wallet_save(wallet, args.wallet)
+    with wire.locked(Path(args.wallet).parent):
+        _refuse_to_replace(args.wallet)
+        rng = build_rng(args.seed)
+        pk = _load_public_key(args.issuer_pub)
+        wallet = Wallet(holder_secret=anoncred.holder_keygen(rng, pk.params.l_m))
+        wallet_save(wallet, args.wallet)
     print(f"new wallet with holder secret -> {args.wallet}")
     return 0
 
@@ -128,12 +128,8 @@ def cmd_holder_request(args) -> int:
 def cmd_holder_complete(args) -> int:
     from .wallet import wallet_save
 
-    # Concurrent completions on one wallet each keep the other's credential:
-    # the wallet's directory stays locked from load to save. The lock makes
-    # no file and outlasts the rename that replaces the wallet.
-    lock = os.open(Path(args.wallet).parent, os.O_RDONLY)
-    try:
-        fcntl.flock(lock, fcntl.LOCK_EX)
+    # Concurrent completions on one wallet each keep the other's credential.
+    with wire.locked(Path(args.wallet).parent):
         wallet = _wallet_with_secret(args.wallet)
         pk = _load_public_key(args.issuer_pub)
         state = wire.holder_state_from_json(wire.load(args.state), pk)
@@ -141,8 +137,6 @@ def cmd_holder_complete(args) -> int:
         cred = anoncred.complete_credential(pre, state, wallet.holder_secret)
         wallet.add_credential(cred, label=args.label or "")
         wallet_save(wallet, args.wallet)
-    finally:
-        os.close(lock)
     print(f"credential {cred.metadata.credential_id} added to {args.wallet}")
     return 0
 
@@ -253,27 +247,28 @@ def cmd_fixture_emit(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for secret in (out / "wallet.json", *out.glob("*.key.json")):
-        _refuse_to_replace(secret)
-    fx = gate.reference_fixture(seed=args.seed if args.seed is not None else 20260101)
+    with wire.locked(out):
+        for secret in (out / "wallet.json", *out.glob("*.key.json")):
+            _refuse_to_replace(secret)
+        fx = gate.reference_fixture(seed=args.seed if args.seed is not None else 20260101)
 
-    (out / "policies").mkdir(exist_ok=True)
-    for pid, text in gate.FIXTURE_POLICY_TEXTS.items():
-        wire.save_text(serialize_policy(parse_policy(text)) + "\n", out / "policies" / f"{pid}.pol")
+        (out / "policies").mkdir(exist_ok=True)
+        for pid, text in gate.FIXTURE_POLICY_TEXTS.items():
+            wire.save_text(serialize_policy(parse_policy(text)) + "\n", out / "policies" / f"{pid}.pol")
 
-    wire.save(gate.registry_to_json(fx.registry), out / "registry.json")
-    for issuer_id, (pk, sk) in sorted(fx.issuer_keys.items()):
-        wire.save(wire.public_key_to_json(pk), out / f"{issuer_id}.pub.json")
-        wire.save(wire.secret_key_to_json(sk), out / f"{issuer_id}.key.json")
-    wallet_save(fx.wallet, out / "wallet.json")
-    wire.save(
-        {
-            "attributes": {code: {"name": a.name, "value": a.value} for code, a in sorted(fx.attributes.items())},
-            "credentials": {cid: list(codes) for cid, codes in sorted(gate.CREDENTIAL_ATTRS.items())},
-            "domains": {d: list(codes) for d, codes in sorted(gate.DOMAIN_ATTRS.items())},
-        },
-        out / "attributes.json",
-    )
+        wire.save(gate.registry_to_json(fx.registry), out / "registry.json")
+        for issuer_id, (pk, sk) in sorted(fx.issuer_keys.items()):
+            wire.save(wire.public_key_to_json(pk), out / f"{issuer_id}.pub.json")
+            wire.save(wire.secret_key_to_json(sk), out / f"{issuer_id}.key.json")
+        wallet_save(fx.wallet, out / "wallet.json")
+        wire.save(
+            {
+                "attributes": {code: {"name": a.name, "value": a.value} for code, a in sorted(fx.attributes.items())},
+                "credentials": {cid: list(codes) for cid, codes in sorted(gate.CREDENTIAL_ATTRS.items())},
+                "domains": {d: list(codes) for d, codes in sorted(gate.DOMAIN_ATTRS.items())},
+            },
+            out / "attributes.json",
+        )
 
     print(f"fixture written to {out}")
     for domain_id in sorted(gate.DOMAIN_ATTRS):

@@ -1,5 +1,7 @@
-"""Identity data model: attributes, certified claims, partial and digital
-identities, and credential selection for a domain's attribute requirements.
+"""Identity data model: attributes, certified claims, and credential
+selection. A holder's wallet is its digital identity; `select_credentials`
+picks the credentials for a domain's partial identity, and `gate.access`
+returns the claims that the domain verified.
 
 Everything is a frozen dataclass and every operation is a pure function,
 so values are safe to share across threads.
@@ -77,38 +79,6 @@ class PartialIdentity:
         if not is_token(self.domain_id):
             raise ValueError(f"invalid domain id: {self.domain_id!r}")
         object.__setattr__(self, "claims", frozenset(self.claims))
-
-
-@dataclass(frozen=True)
-class DigitalIdentity:
-    """Union of an entity's partial identities. Partials may overlap."""
-
-    partials: frozenset[PartialIdentity] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "partials", frozenset(self.partials))
-
-    def claim_union(self) -> frozenset[Claim]:
-        out: set[Claim] = set()
-        for p in self.partials:
-            out |= p.claims
-        return frozenset(out)
-
-
-def union_partial_identities(partials: Iterable[PartialIdentity]) -> DigitalIdentity:
-    """Combine per-domain partial identities into one digital identity."""
-    return DigitalIdentity(frozenset(partials))
-
-
-def project_partial_identity(di: DigitalIdentity, domain_id: str) -> PartialIdentity:
-    """The view of `di` from one domain: exactly the claims registered for
-    that domain, never the cross-domain union. Unknown domains project to
-    an empty partial identity."""
-    claims: set[Claim] = set()
-    for p in di.partials:
-        if p.domain_id == domain_id:
-            claims |= p.claims
-    return PartialIdentity(domain_id, frozenset(claims))
 
 
 class CodedError(Exception):

@@ -8,13 +8,15 @@ produce identical bytes.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import date
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .anoncred import (
     NONCE_LEN,
@@ -106,6 +108,18 @@ def save_text(text: str, path: str | Path) -> None:
         os.close(dir_fd)
 
 
+@contextmanager
+def locked(directory: str | Path) -> Iterator[None]:
+    """Hold an exclusive lock on `directory`, so that one writer at a time checks and
+    replaces its files. The lock makes no file and outlasts the renames `save` makes."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
 def save(doc: dict, path: str | Path) -> None:
     save_text(dumps(doc), path)
 
@@ -113,7 +127,7 @@ def save(doc: dict, path: str | Path) -> None:
 def load(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")

@@ -52,3 +52,20 @@ def test_cli_workload_lines_parse(monkeypatch, tmp_path):
     for args in lines:
         ns = build_parser().parse_args(args)
         assert ns.fn.__name__ == f"cmd_{ns.group}_{ns.cmd}", args
+
+
+@pytest.mark.parametrize("name", ["GateWorkload", "IssueWorkload"])
+def test_in_process_workload_runs_clean(monkeypatch, tmp_path, name):
+    """Set-up and one block of operations of each in-process workload, on
+    512-bit keys, report no problem: every gate case gets its expected
+    decision and every issued credential keeps its claims."""
+    from abcid import anoncred, gate
+
+    monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
+    workloads = importlib.import_module("workloads")
+    fixture, setup_issuer = gate.reference_fixture, anoncred.setup_issuer
+    monkeypatch.setattr(gate, "reference_fixture", lambda seed, l_n: fixture(seed=seed, l_n=512))
+    monkeypatch.setattr(anoncred, "setup_issuer", lambda L, l_n, rng, issuer_id: setup_issuer(L, 512, rng, issuer_id))
+    workload = getattr(workloads, name)(7, tmp_path)
+    results = [workload.setup(None)] + [workload.run_op(i, None) for i in range(workload.block)]
+    assert [r.problems for r in results] == [[]] * len(results)

@@ -448,6 +448,7 @@ ERROR_CASES = [
     ("FormatError", ISSUER_ISSUE + " --claims {t}/claim_named_bad.json"),
     ("FormatError", "holder list --wallet {t}/label_not_string.json"),
     ("FormatError", "holder list --wallet {t}/wallet_version_true.json"),
+    ("FormatError", "holder list --wallet {t}/deep.json"),
     ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/l_stat_true.json"
                     " --nonce " + NONCE_B + " --context x"),
     ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/l_stat_one.json"
@@ -483,6 +484,7 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     for name, bad in BAD_REGISTRIES.items():
         wire.save({**registry, **bad}, tmp_path / f"{name}.json")
     (tmp_path / "top_level_array.json").write_text("[]")
+    (tmp_path / "deep.json").write_text("[" * 200_000)
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
         (tmp_path / sub / "same.pol").write_text("permit subjects with staff may read on resources in domain nowhere\n")
@@ -624,6 +626,70 @@ def test_concurrent_complete_keeps_both_credentials(issued_dir, tmp_path):
     assert proc.returncode == 0, err
     assert {c.metadata.credential_id for c in wallet_load(wallet_path).credentials} == {"c_mine", "c_demo"}
     assert os.listdir(tmp_path) == ["wallet.json"]
+
+
+SECRET_WRITERS = {
+    "holder_keygen": ("holder keygen --wallet {t}/secret.json --issuer-pub {d}/pk.json --seed 2", "secret.json"),
+    "issuer_init": ("issuer init --issuer-id clinic --attrs 1 --l-n 512 --key {t}/secret.json"
+                    " --issuer-pub {t}/pub.json --seed 1", "secret.json"),
+    "fixture_emit": ("fixture emit --out-dir {t} --seed 6", "wallet.json"),
+}
+
+
+@pytest.mark.parametrize("command, target", SECRET_WRITERS.values(), ids=SECRET_WRITERS.keys())
+def test_concurrent_secret_write_is_refused(issued_dir, tmp_path, command, target):
+    """A command that writes a secret checks for it and writes under the lock
+    on its directory. A writer holding that lock creates the file meanwhile;
+    the command waits for it, then refuses to replace it and writes nothing."""
+    d, _ = issued_dir
+    args = [sys.executable, "-m", "abcid", *(a.format(d=d, t=tmp_path) for a in command.split())]
+    env = {**os.environ, "PYTHONPATH": str(Path(abcid.__file__).resolve().parents[1])}
+    mine = b"the first secret\n"
+    lock = os.open(tmp_path, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        proc = subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:  # without the lock the command checks and writes well within this
+            proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            pass
+        (tmp_path / target).write_bytes(mine)
+    finally:
+        os.close(lock)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2, err
+    assert err.startswith("error[IoError]: ")
+    assert (tmp_path / target).read_bytes() == mine
+    assert os.listdir(tmp_path) == [target]
+
+
+def test_gate_eval_at_accepts_lowercase_t_and_z(issued_dir, tmp_path, capsys):
+    """RFC 3339 allows a lowercase `t` separator and `z` offset."""
+    d, _ = issued_dir
+    ctx = "clinic|patient_file|record_42|write"
+    pk = wire.public_key_from_json(wire.load(d / "pk.json"))
+    domain = {"domain_id": "clinic", "required_attrs": ["medical_staff"], "trusted_issuers": ["clinic"]}
+    wire.save(
+        {"version": 1, "domains": [domain], "issuer_key_digests": {"clinic": gate.key_digest(pk)}},
+        tmp_path / "registry.json",
+    )
+    (tmp_path / "medics.pol").write_text("permit subjects with medical_staff may write on resources in domain clinic\n")
+    code, out, err = cli(
+        capsys,
+        "holder", "present", "--wallet", str(d / "wallet.json"), "--issuer-pub", str(d / "pk.json"),
+        "--credential", "c_demo", "--disclose", "medical_staff", "--nonce", NONCE_B, "--context", ctx,
+        "--out", str(tmp_path / "p.json"), "--seed", "8",
+    )
+    assert code == 0, err
+    eval_args = [
+        "gate", "eval", "--registry", str(tmp_path / "registry.json"), "--domain", "clinic",
+        "--action", "write", "--rtype", "patient_file", "--rname", "record_42", "--nonce", NONCE_B,
+        "--issuer-pub", str(d / "pk.json"), "--policy", str(tmp_path / "medics.pol"),
+        "--presentation", str(tmp_path / "p.json"),
+    ]
+    upper = cli(capsys, *eval_args, "--at", "2026-08-03T09:00:00Z")
+    assert upper[0] == 0, upper
+    assert cli(capsys, *eval_args, "--at", "2026-08-03t09:00:00z") == upper
 
 
 BAD_NONCE_COMMANDS = {

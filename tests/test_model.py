@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 from abcid.model import (
     Attribute,
     Claim,
-    DigitalIdentity,
     PartialIdentity,
     Unsatisfiable,
     claim_bytes,
-    project_partial_identity,
     select_credentials,
-    union_partial_identities,
 )
 
-from conftest import attr_names, claims_st, make_claims
+from conftest import attr_names
 
 
 # -- attributes and claims -----------------------------------------------------
@@ -66,88 +63,13 @@ def test_claim_bytes_injective_on_field_boundaries():
     assert claim_bytes(c1) != claim_bytes(c2)
 
 
-# -- partial / digital identities -----------------------------------------------
+# -- partial identities ---------------------------------------------------------
 
 def test_partial_identity_deduplicates_claims():
     a6_v1 = Claim(Attribute("a6", "x"), "uni", schema_id="v1")
     a6_v2 = Claim(Attribute("a6", "x"), "uni", schema_id="v2")  # same fact
     p = PartialIdentity("d3", frozenset([a6_v1, a6_v2]))
     assert len(p.claims) == 1
-
-
-def test_union_empty():
-    di = union_partial_identities(set())
-    assert di.claim_union() == frozenset()
-
-
-def test_union_single():
-    claims = frozenset(make_claims(("a3", "a6"), "uni"))
-    p1 = PartialIdentity("d2", claims)
-    assert union_partial_identities({p1}).claim_union() == claims
-
-
-def test_union_overlap_counted_once():
-    a3, a6, a7 = make_claims(("a3", "a6", "a7"), "uni")
-    p1 = PartialIdentity("d2", frozenset({a3, a6}))
-    p2 = PartialIdentity("d3", frozenset({a6, a7}))
-    di = union_partial_identities({p1, p2})
-    expected = {a3, a6} | {a6, a7}  # independent set-union oracle
-    assert di.claim_union() == frozenset(expected)
-    assert len(di.claim_union()) == 3
-
-
-@given(
-    st.lists(
-        st.tuples(st.from_regex(r"d[0-9]", fullmatch=True), st.frozensets(claims_st, max_size=5)),
-        max_size=6,
-    )
-)
-@settings(max_examples=60)
-def test_union_property(parts):
-    partials = {PartialIdentity(d, cs) for d, cs in parts}
-    di = union_partial_identities(partials)
-    expected = set()
-    for p in partials:
-        expected |= p.claims
-    assert di.claim_union() == frozenset(expected)
-    assert di.partials == frozenset(partials)
-
-
-def test_project_hit_and_miss():
-    claims = frozenset(make_claims(("a6", "a7"), "uni"))
-    p_lib = PartialIdentity("library", claims)
-    di = DigitalIdentity(frozenset({p_lib}))
-    assert project_partial_identity(di, "library") == p_lib
-    empty = project_partial_identity(di, "unknown_domain")
-    assert empty == PartialIdentity("unknown_domain", frozenset())
-
-
-def test_project_returns_one_domain_not_the_union():
-    a3, a6, a7 = make_claims(("a3", "a6", "a7"), "uni")
-    p1 = PartialIdentity("d2", frozenset({a3, a6}))
-    p2 = PartialIdentity("d3", frozenset({a6, a7}))
-    di = union_partial_identities({p1, p2})
-    assert project_partial_identity(di, "d3") == p2
-    assert project_partial_identity(di, "d3").claims != di.claim_union()
-
-
-@given(
-    st.lists(
-        st.tuples(st.from_regex(r"d[0-9]", fullmatch=True), st.frozensets(claims_st, max_size=4)),
-        max_size=5,
-    ),
-    st.from_regex(r"d[0-9]", fullmatch=True),
-)
-@settings(max_examples=60)
-def test_project_never_leaks_other_domains(parts, target):
-    di = union_partial_identities({PartialIdentity(d, cs) for d, cs in parts})
-    projected = project_partial_identity(di, target)
-    assert projected.domain_id == target
-    allowed = set()
-    for p in di.partials:
-        if p.domain_id == target:
-            allowed |= p.claims
-    assert projected.claims == frozenset(allowed)
 
 
 # -- credential selection --------------------------------------------------------
