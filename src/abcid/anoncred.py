@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import astuple, dataclass
-from datetime import date
+from datetime import date, datetime
 from functools import cached_property
 from hashlib import sha256
 from typing import Iterable, Mapping, Sequence
@@ -211,6 +211,13 @@ class CredentialMetadata:
     issued_at: date
     expires_at: date | None = None
     credential_id: str = ""
+
+    def __post_init__(self) -> None:
+        if not all(isinstance(s, str) for s in (self.issuer_id, self.schema_id, self.credential_id)):
+            raise ValueError("issuer_id, schema_id and credential_id must be strings")
+        days = (self.issued_at,) if self.expires_at is None else (self.issued_at, self.expires_at)
+        if any(not isinstance(d, date) or isinstance(d, datetime) for d in days):
+            raise ValueError("issued_at and expires_at must be dates without a time of day")
 
 
 @dataclass(frozen=True)
@@ -485,6 +492,8 @@ def complete_credential(
         raise SignatureInvalid(f"issuer key signs exactly {pk.L} claims, got {len(pre.claims)}")
     if pre.metadata.issuer_id != pk.issuer_id:  # shows name the key's issuer, not this string
         raise SignatureInvalid(f"issuer key belongs to {pk.issuer_id!r}, not {pre.metadata.issuer_id!r}")
+    if any(c.issuer_id != pk.issuer_id for c in pre.claims):  # no show disclosing it would verify
+        raise SignatureInvalid(f"issuer key belongs to {pk.issuer_id!r}, yet a claim names another issuer")
     ms = [encode_attribute(c, p) for c in pre.claims]
     if not signature_holds(pk, pre.A, pre.e, v, hs.k, ms):
         raise SignatureInvalid("credential fails the verification equation")

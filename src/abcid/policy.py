@@ -64,40 +64,27 @@ class TimeWindow:
 
 
 @dataclass(frozen=True)
-class DaySet:
-    days: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "days", frozenset(self.days))
-        if not self.days or not self.days <= set(DAYS):
-            raise ValueError(f"bad day set {sorted(self.days)}")
-
-
-Condition = TimeWindow | DaySet
-
-
-@dataclass(frozen=True)
 class Policy:
     subject_attrs: frozenset[AttrTerm]
     action: str
     domain_id: str
     resource_type: str | None = None
     resource_name: str | None = None
-    context: tuple[Condition, ...] = ()
+    window: TimeWindow | None = None
+    days: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subject_attrs", frozenset(self.subject_attrs))
-        object.__setattr__(self, "context", tuple(self.context))
         if not self.subject_attrs:
             raise ValueError("policy needs at least one subject attribute term")
         if not is_token(self.action):
             raise ValueError(f"invalid action: {self.action!r}")
         if not is_token(self.domain_id):
             raise ValueError(f"invalid domain: {self.domain_id!r}")
-        if sum(isinstance(c, TimeWindow) for c in self.context) > 1:
-            raise ValueError("at most one time window condition")
-        if sum(isinstance(c, DaySet) for c in self.context) > 1:
-            raise ValueError("at most one day set condition")
+        if self.days is not None:
+            object.__setattr__(self, "days", frozenset(self.days))
+            if not self.days or not self.days <= set(DAYS):
+                raise ValueError(f"bad day set {sorted(self.days)}")
 
 
 @dataclass(frozen=True)
@@ -246,20 +233,20 @@ class _Parser:
             return AttrTerm(name, self.take("STRING", what="quoted string"))
         return AttrTerm(name)
 
-    def condition(self, seen: set[str]) -> Condition:
+    def condition(self, slots: dict[str, object]) -> None:
+        """Fill slots["time"] or slots["day"]; each at most once."""
         t = self.peek()
         if not (self.at("IDENT", "time") or self.at("IDENT", "day")):
             raise self.fail(["'time'", "'day'"])
-        if t.text in seen:
+        if t.text in slots:
             raise ParseError(f"duplicate {t.text} condition", t.line, t.col)
-        seen.add(t.text)
         self.take("IDENT")
         if t.text == "day":
             self.take("IDENT", "in")
             self.take("PUNCT", "[")
-            days = self.separated(self.day)
+            slots["day"] = frozenset(self.separated(self.day))
             self.take("PUNCT", "]")
-            return DaySet(frozenset(days))
+            return
         self.take("IDENT", "between")
         start_tok = self.peek()
         start = self.time()
@@ -267,7 +254,7 @@ class _Parser:
         end = self.time()
         if start >= end:
             raise ParseError("time window start must precede end", start_tok.line, start_tok.col)
-        return TimeWindow(start, end)
+        slots["time"] = TimeWindow(start, end)
 
     def day(self) -> str:
         if not self.at("IDENT") or self.peek().text not in DAYS:
@@ -291,11 +278,10 @@ class _Parser:
         if self.at("IDENT", "named"):
             self.take("IDENT", "named")
             rname = self.take("STRING", what="quoted string")
-        conds: list[Condition] = []
+        slots: dict[str, object] = {}
         if self.at("IDENT", "when"):
             self.take("IDENT", "when")
-            seen: set[str] = set()
-            conds = self.separated(lambda: self.condition(seen), "IDENT", "and")
+            self.separated(lambda: self.condition(slots), "IDENT", "and")
         self.take("IDENT", "in")
         self.take("IDENT", "domain")
         domain = self.take("IDENT", what="domain name")
@@ -307,7 +293,8 @@ class _Parser:
             domain_id=domain,
             resource_type=rtype,
             resource_name=rname,
-            context=tuple(conds),
+            window=slots.get("time"),
+            days=slots.get("day"),
         )
 
 
@@ -336,8 +323,14 @@ def _fmt_terms(terms: Iterable[AttrTerm]) -> str:
     )
 
 
-def _fmt_days(c: DaySet) -> str:
-    return ",".join(d for d in DAYS if d in c.days)
+def _conditions(p: Policy, window: str, days: str) -> list[str]:
+    """The context, time first, each part filled into its format string."""
+    conds = []
+    if p.window is not None:
+        conds.append(window.format(_fmt_minutes(p.window.start), _fmt_minutes(p.window.end)))
+    if p.days is not None:
+        conds.append(days.format(",".join(d for d in DAYS if d in p.days)))
+    return conds
 
 
 def serialize_policy(p: Policy) -> str:
@@ -347,13 +340,8 @@ def serialize_policy(p: Policy) -> str:
         parts.append(f"of type {p.resource_type}")
     if p.resource_name is not None:
         parts.append(f"named {_quote(p.resource_name)}")
-    if p.context:
-        conds = []
-        for c in p.context:
-            if isinstance(c, TimeWindow):
-                conds.append(f"time between {_fmt_minutes(c.start)} and {_fmt_minutes(c.end)}")
-            else:
-                conds.append(f"day in [{_fmt_days(c)}]")
+    conds = _conditions(p, "time between {} and {}", "day in [{}]")
+    if conds:
         parts.append("when " + " and ".join(conds))
     parts.append(f"in domain {p.domain_id}")
     return " ".join(parts)
@@ -367,12 +355,7 @@ def describe_policy(p: Policy) -> str:
         objects.append(f"those of type {p.resource_type}")
     if p.resource_name is not None:
         objects.append(f"named {_quote(p.resource_name)}")
-    conds = [
-        f"time {_fmt_minutes(c.start)}-{_fmt_minutes(c.end)}"
-        if isinstance(c, TimeWindow)
-        else f"days {_fmt_days(c)}"
-        for c in p.context
-    ]
+    conds = _conditions(p, "time {}-{}", "days {}")
     return "\n".join([
         f"subjects: {_fmt_terms(p.subject_attrs)}",
         f"objects:  {' '.join(objects) or 'all resources'}",
@@ -401,14 +384,11 @@ def _policy_failures(p: Policy, attrs: frozenset[Attribute], req: AccessRequest)
         ok = term.name in names if term.value is None else (term.name, term.value) in pairs
         if not ok:
             reasons.append(attribute_missing(term.name))
-    minutes = req.at.hour * 60 + req.at.minute
-    day = DAYS[req.at.weekday()]
-    for cond in p.context:
-        if isinstance(cond, TimeWindow):
-            if not cond.start <= minutes < cond.end:
-                reasons.append(OUTSIDE_TIME_WINDOW)
-        elif day not in cond.days:
-            reasons.append(DAY_NOT_ALLOWED)
+    w = p.window
+    if w is not None and not w.start <= req.at.hour * 60 + req.at.minute < w.end:
+        reasons.append(OUTSIDE_TIME_WINDOW)
+    if p.days is not None and DAYS[req.at.weekday()] not in p.days:
+        reasons.append(DAY_NOT_ALLOWED)
     return reasons
 
 

@@ -127,7 +127,7 @@ def save(doc: dict, path: str | Path) -> None:
 def load(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, bad UTF-8, a huge integer
         raise FormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")
@@ -174,15 +174,15 @@ def _fields(table: tuple, doc: Any) -> dict:
 
 def message(cls: Callable[..., Any], table: tuple) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
     """The (to_json, from_json) pair of one message type. from_json
-    reports a ValueError from `cls`'s own checks as a FormatError."""
+    reports a ValueError from a codec or from `cls`'s own checks as a
+    FormatError."""
 
     def to_json(obj: Any) -> dict:
         return _encode(table, obj)
 
     def from_json(doc: Any) -> Any:
-        fields = _fields(table, doc)
         try:
-            return cls(**fields)
+            return cls(**_fields(table, doc))
         except ValueError as exc:
             raise FormatError(str(exc)) from None
 

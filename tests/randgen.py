@@ -15,7 +15,7 @@ from abcid.anoncred import (
     PresentationProof,
 )
 from abcid.model import Attribute, Claim
-from abcid.policy import DAYS, AttrTerm, DaySet, Policy, TimeWindow
+from abcid.policy import DAYS, AttrTerm, Policy, TimeWindow
 from abcid.wallet import Wallet
 
 
@@ -97,19 +97,18 @@ def rand_policy(rng: random.Random) -> Policy:
         AttrTerm(rand_token(rng), rand_text(rng) if rng.random() < 0.4 else None)
         for _ in range(rng.randrange(1, 5))
     }
-    context: list = []
+    window = days = None
     if rng.random() < 0.6:
         start = rng.randrange(0, 1439)
-        context.append(TimeWindow(start, rng.randrange(start + 1, 1441)))
+        window = TimeWindow(start, rng.randrange(start + 1, 1441))
     if rng.random() < 0.6:
-        context.append(DaySet(frozenset(rng.sample(DAYS, rng.randrange(1, 8)))))
-    if len(context) == 2 and rng.random() < 0.5:
-        context.reverse()
+        days = frozenset(rng.sample(DAYS, rng.randrange(1, 8)))
     return Policy(
         subject_attrs=frozenset(terms),
         action=rand_token(rng),
         domain_id=rand_token(rng),
         resource_type=rand_token(rng) if rng.random() < 0.5 else None,
         resource_name=rand_text(rng) if rng.random() < 0.5 else None,
-        context=tuple(context),
+        window=window,
+        days=days,
     )

@@ -35,7 +35,6 @@ from abcid.model import Attribute, select_credentials
 from abcid.policy import (
     AccessRequest,
     AttrTerm,
-    DaySet,
     TimeWindow,
     attribute_missing,
     evaluate,
@@ -255,7 +254,8 @@ def test_criterion_7_decomposition(ref_fx):
     )
     assert p.resource_type == "audio"
     assert p.action == "read"
-    assert p.context == (TimeWindow(480, 1080), DaySet(frozenset({"mon", "tue", "wed", "thu", "fri"})))
+    assert p.window == TimeWindow(480, 1080)
+    assert p.days == frozenset({"mon", "tue", "wed", "thu", "fri"})
     assert p.domain_id == "library"
     report(7, "worked policy decomposes into the five components (a1,a6,a7 mapping)")
 

@@ -5,7 +5,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from hashlib import sha256
 from threading import Barrier
 
@@ -269,6 +269,45 @@ def test_credential_metadata_names_the_key_issuer(issuer512):
     pres = present(pk, cred, hs, {1}, NONCE, CTX, rng)
     assert pres.issuer_id == "lab"
     assert verify_presentation(pk, pres, NONCE, CTX) == {claims[0]}
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"issuer_id": 7},
+    {"schema_id": None},
+    {"credential_id": None},
+    {"issued_at": "2026-01-01"},
+    {"issued_at": datetime(2026, 1, 1, 12)},
+    {"expires_at": "c1"},  # CredentialMetadata(issuer, schema, issued_at, "c1"): a positional slip
+    {"expires_at": datetime(2027, 1, 1)},
+])
+def test_credential_metadata_checks_field_types(kwargs):
+    """A positional slip or a datetime fails at construction, not later on
+    the wire, where a datetime would come back as a bare date."""
+    good = metadata("lab", "c1")
+    assert replace(good, expires_at=date(2027, 1, 1)).expires_at == date(2027, 1, 1)
+    with pytest.raises(ValueError):
+        replace(good, **kwargs)
+
+
+def test_complete_rejects_claims_of_another_issuer():
+    """Soundness harness: `issue` certifies only claims under the key's own
+    id, but an issuer can sign others with its secret key directly. The
+    signature holds, yet no show that discloses such a claim verifies, so
+    the holder refuses the credential at completion."""
+    pk, sk = toy_issuer(seed=33, L=3)
+    rng = random.Random(34)
+    hs = holder_keygen(rng, pk.params.l_m)
+    req, state = begin_issuance(pk, hs, NONCE, rng)
+    foreign = make_claims(("q1", "q2", "q3"), "otherissuer")
+    with pytest.raises(EncodingError, match="only claims under its own id"):
+        issue(sk, pk, req, foreign, metadata(pk.issuer_id), rng)
+    pre = issue(sk, pk, req, make_claims(("q1", "q2", "q3"), pk.issuer_id), metadata(pk.issuer_id), rng)
+    ms = [encode_attribute(c, pk.params) for c in foreign]
+    A = oracle.issue_signature_part(pk.n, sk.p, sk.q, pk.Z, pk.S, pk.R, req.U, pre.e, pre.v_dprime, ms)
+    forged = replace(pre, A=A, claims=foreign)
+    assert signature_holds(pk, A, pre.e, state.v_prime + pre.v_dprime, hs.k, ms)
+    with pytest.raises(SignatureInvalid, match="a claim names another issuer"):
+        complete_credential(forged, state, hs)
 
 
 # -- presentation --------------------------------------------------------------

@@ -455,6 +455,8 @@ ERROR_CASES = [
                     " --nonce " + NONCE_B + " --context x"),
     ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/one_base.json"
                     " --nonce " + NONCE_B + " --context x"),
+    ("FormatError", "holder list --wallet {t}/not_utf8.json"),
+    ("FormatError", "holder list --wallet {t}/huge_int.json"),
 ]
 ADMIN_CLAIM = {"name": "admin", "value": "true", "issuer_id": "clinic", "schema_id": "staff_v1"}
 DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
@@ -485,6 +487,8 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
         wire.save({**registry, **bad}, tmp_path / f"{name}.json")
     (tmp_path / "top_level_array.json").write_text("[]")
     (tmp_path / "deep.json").write_text("[" * 200_000)
+    (tmp_path / "not_utf8.json").write_bytes(b'{"version": "\xff"}')
+    (tmp_path / "huge_int.json").write_text('{"version": ' + "1" * 5000 + "}")
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
         (tmp_path / sub / "same.pol").write_text("permit subjects with staff may read on resources in domain nowhere\n")

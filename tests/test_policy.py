@@ -9,7 +9,6 @@ from abcid.policy import (
     DAYS,
     AccessRequest,
     AttrTerm,
-    DaySet,
     Decision,
     ParseError,
     Policy,
@@ -62,7 +61,7 @@ def test_parse_worked_example():
     assert p.action == "read"
     assert p.resource_type == "audio"
     assert p.resource_name is None
-    assert p.context == (TimeWindow(480, 1080), DaySet(frozenset(DAYS[:5])))
+    assert (p.window, p.days) == (TimeWindow(480, 1080), frozenset(DAYS[:5]))
     assert p.domain_id == "library"
 
 
@@ -71,7 +70,7 @@ def test_parse_minimal_policy():
     assert p.subject_attrs == frozenset({AttrTerm("teacher")})
     assert p.action == "write"
     assert p.resource_type is None and p.resource_name is None
-    assert p.context == ()
+    assert p.window is None and p.days is None
     assert p.domain_id == "marks"
 
 
@@ -165,12 +164,30 @@ def test_parse_allows_2400_as_window_end():
     p = parse_policy(
         "permit subjects with a may read on resources when time between 22:00 and 24:00 in domain d"
     )
-    assert p.context == (TimeWindow(1320, 1440),)
+    assert (p.window, p.days) == (TimeWindow(1320, 1440), None)
 
 
 def test_round_trip_worked_example():
     p = parse_policy(WORKED)
     assert parse_policy(serialize_policy(p)) == p
+
+
+def test_condition_order_does_not_matter():
+    """Writing the day before the time gives the same policy, the same
+    canonical text, and the same Deny reasons, time first."""
+    day_first = WORKED.replace(
+        "time between 08:00 and 18:00 and day in [mon,tue,wed,thu,fri]",
+        "day in [mon,tue,wed,thu,fri] and time between 08:00 and 18:00",
+    )
+    assert day_first != WORKED
+    p, q = parse_policy(WORKED), parse_policy(day_first)
+    assert p == q
+    assert serialize_policy(q) == serialize_policy(p)
+    assert " when time between 08:00 and 18:00 and day in " in serialize_policy(q)
+    sunday_evening = datetime(2026, 8, 2, 19, 30, tzinfo=timezone.utc)
+    for policy in (p, q):
+        d = evaluate({"p0": policy}, LIBRARY_ATTRS, library_request(sunday_evening))
+        assert d.reasons == ("OutsideTimeWindow", "DayNotAllowed")
 
 
 # -- generated policies -----------------------------------------------------------
@@ -183,18 +200,9 @@ terms_st = st.builds(
 
 
 @st.composite
-def contexts_st(draw):
-    conds = []
-    if draw(st.booleans()):
-        start = draw(st.integers(min_value=0, max_value=1439))
-        end = draw(st.integers(min_value=start + 1, max_value=1440))
-        conds.append(TimeWindow(start, end))
-    if draw(st.booleans()):
-        days = draw(st.frozensets(st.sampled_from(DAYS), min_size=1))
-        conds.append(DaySet(days))
-    if len(conds) == 2 and draw(st.booleans()):
-        conds.reverse()
-    return tuple(conds)
+def windows_st(draw):
+    start = draw(st.integers(min_value=0, max_value=1439))
+    return TimeWindow(start, draw(st.integers(min_value=start + 1, max_value=1440)))
 
 
 policies_st = st.builds(
@@ -204,14 +212,17 @@ policies_st = st.builds(
     domain_id=attr_names,
     resource_type=st.one_of(st.none(), attr_names),
     resource_name=st.one_of(st.none(), st.text(max_size=8)),
-    context=contexts_st(),
+    window=st.one_of(st.none(), windows_st()),
+    days=st.one_of(st.none(), st.frozensets(st.sampled_from(DAYS), min_size=1)),
 )
 
 
 @given(policies_st)
 @settings(max_examples=100)
 def test_round_trip_generated(policy):
-    assert parse_policy(serialize_policy(policy)) == policy
+    text = serialize_policy(policy)
+    assert parse_policy(text) == policy
+    assert serialize_policy(parse_policy(text)) == text
 
 
 blanks_st = st.lists(st.sampled_from([" ", "\t", "\r", "\n", " # note\n", "#\n"]), min_size=1, max_size=3)
@@ -249,7 +260,7 @@ def test_decompose_worked_example():
     )
     assert describe_policy(p).splitlines()[1] == "objects:  those of type audio"
     assert p.action == "read"
-    assert p.context == (TimeWindow(480, 1080), DaySet(frozenset(DAYS[:5])))
+    assert (p.window, p.days) == (TimeWindow(480, 1080), frozenset(DAYS[:5]))
     assert p.domain_id == "library"
 
 
@@ -264,7 +275,7 @@ def test_bare_term_sorts_before_pinned_empty_value():
 
 def test_decompose_minimal_context_empty():
     p = parse_policy("permit subjects with teacher may write on resources in domain marks")
-    assert p.context == ()
+    assert p.window is None and p.days is None
     assert describe_policy(p).splitlines()[1] == "objects:  all resources"
 
 

@@ -60,6 +60,11 @@ def test_index_keys_are_canonical_ascii_decimals():
             decode({bad: "x"})
     with pytest.raises(wire.FormatError):
         decode({"1": "x", "01": "y"})
+    # Past 4300 digits int() itself raises ValueError; a document reports it as a FormatError.
+    doc = wire.presentation_to_json(rand_presentation(random.Random(53)))
+    claim = {"name": "a", "value": "b", "issuer_id": "i", "schema_id": "s"}
+    with pytest.raises(wire.FormatError):
+        wire.presentation_from_json({**doc, "disclosed": {"1" * 5000: claim}})
 
 
 # -- message round trips -----------------------------------------------------------
