@@ -33,7 +33,7 @@ from dataclasses import astuple, dataclass
 from datetime import date, datetime
 from functools import cached_property
 from hashlib import sha256
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .hashing import (
     TAG_ISSUE,
@@ -59,7 +59,7 @@ class AbcError(CodedError):
     """Base class of the credential scheme's errors."""
 
 
-class ParameterError(AbcError):
+class ParameterError(AbcError, ValueError):
     """Parameters, a key or a nonce the scheme cannot use."""
 
 
@@ -132,6 +132,14 @@ class IssuerPublicKey:
     params: SystemParams
     issuer_id: str
 
+    def __post_init__(self) -> None:
+        _check_issuer(self.L, self.issuer_id)
+        if self.n.bit_length() != self.params.l_n:
+            raise ParameterError(f"modulus has {self.n.bit_length()} bits, profile wants {self.params.l_n}")
+        bases = (self.S, self.Z, *self.R)
+        if not all(2 <= b <= self.n - 2 for b in bases) or math.gcd(math.prod(bases), self.n) != 1:
+            raise ParameterError("every base must lie in [2, n-2] and be a unit mod n")
+
     @property
     def L(self) -> int:
         return len(self.R) - 1
@@ -148,27 +156,19 @@ class IssuerPublicKey:
         return tuple(row)
 
     @cached_property
-    def _tables(self) -> dict[int, tuple[int, ...]]:
-        """base -> fixed-base table for S and R_0..R_L, each as long as the
-        largest exponent its base is raised to (the s_v and s_k/s_m bounds).
-        Immutable, so threads can share them."""
-        p = self.params
-        tables = {r: self._table(r, p.l_m + p.l_stat + p.l_h + 1) for r in self.R}
-        # S last: should it equal some R_i, its longer table serves both.
-        tables[self.S] = self._table(self.S, p.l_v + p.l_stat + p.l_h + 1)
-        return tables
-
-    @cached_property
     def _z_inv(self) -> int:
-        """Z^-1 mod n; ValueError, and nothing cached, when Z is not a unit."""
         return pow(self.Z, -1, self.n)
 
     @cached_property
-    def _verify_tables(self) -> dict[int, tuple[int, ...]]:
-        """_tables plus one for Z^-1, which only verify raises (to the
-        challenge); built by the first verify. A longer R_i or S table
-        replaces the Z^-1 one should the bases be equal."""
-        return {self._z_inv: self._table(self._z_inv, self.params.l_h)} | self._tables
+    def _tables(self) -> dict[int, tuple[int, ...]]:
+        """base -> fixed-base table for Z^-1, S and R_0..R_L, each as long as
+        the largest exponent its base is raised to (the c, s_v and s_k/s_m
+        bounds). Immutable, so threads can share them."""
+        p = self.params
+        bits = {self._z_inv: p.l_h} | dict.fromkeys(self.R, p.l_m + p.l_stat + p.l_h + 1)
+        # S last: should it equal Z^-1 or some R_i, its longer table serves both.
+        bits[self.S] = p.l_v + p.l_stat + p.l_h + 1
+        return {base: self._table(base, b) for base, b in bits.items()}
 
 
 @dataclass(frozen=True)
@@ -311,19 +311,12 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
     return acc
 
 
-def _random_qr(n: int, rng: Rng) -> int:
+def _unit_base(n: int, draw: Callable[[], int]) -> int:
+    """The first draw in [2, n-2] that is a unit mod n, as every key base must be."""
     while True:
-        x = rng.randrange(2, n - 1)
-        s = x * x % n
-        if 2 <= s <= n - 2:
-            return s
-
-
-def _qr_power(base: int, n: int, order: int, rng: Rng) -> int:
-    while True:
-        y = pow(base, rng.randrange(2, order), n)
-        if 2 <= y <= n - 2:
-            return y
+        b = draw()
+        if 2 <= b <= n - 2 and math.gcd(b, n) == 1:
+            return b
 
 
 def _check_issuer(L: int, issuer_id: str) -> None:
@@ -349,16 +342,11 @@ def setup_issuer_from_primes(
     if p % 4 != 3 or q % 4 != 3:
         raise ParameterError("p and q must be = 3 (mod 4)")
     n = p * q
-    if n.bit_length() != params.l_n:
-        raise ParameterError(
-            f"modulus has {n.bit_length()} bits, profile wants {params.l_n}"
-        )
     order = ((p - 1) // 2) * ((q - 1) // 2)
-    S = _random_qr(n, rng)
-    Z = _qr_power(S, n, order, rng)
-    R = tuple(_qr_power(S, n, order, rng) for _ in range(L + 1))
+    S = _unit_base(n, lambda: pow(rng.randrange(2, n - 1), 2, n))  # a square, so in QR_n
+    Z, *R = (_unit_base(n, lambda: pow(S, rng.randrange(2, order), n)) for _ in range(L + 2))
     return (
-        IssuerPublicKey(n=n, S=S, Z=Z, R=R, params=params, issuer_id=issuer_id),
+        IssuerPublicKey(n=n, S=S, Z=Z, R=tuple(R), params=params, issuer_id=issuer_id),
         IssuerSecretKey(p=p, q=q),
     )
 
@@ -638,8 +626,8 @@ def verify_presentation(
     terms += [(pk.R[i], s) for i, s in proof.s_m.items()]
     terms += [(pk.R[i], proof.c * encode_attribute(c, p)) for i, c in pres.disclosed.items()]
     try:
-        T_hat = _mexp(pk, [*terms, (pk._z_inv, proof.c)], pk._verify_tables)
-    except ValueError:  # some transcript value, or Z, is not invertible mod n
+        T_hat = _mexp(pk, [*terms, (pk._z_inv, proof.c)])
+    except ValueError:  # A' is not invertible mod n
         raise ProofInvalid("degenerate transcript value") from None
 
     if _present_challenge(pk, pres.a_prime, T_hat, pres.disclosed, pres.nonce, pres.context) != proof.c:

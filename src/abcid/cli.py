@@ -200,7 +200,7 @@ def cmd_verifier_verify(args) -> int:
 def cmd_policy_lint(args) -> int:
     from .policy import describe_policy, parse_policy
 
-    print(describe_policy(parse_policy(Path(args.file).read_text(encoding="utf-8"))))
+    print(describe_policy(parse_policy(wire.load_text(args.file))))
     return 0
 
 
@@ -216,7 +216,7 @@ def cmd_gate_eval(args) -> int:
     for path in map(Path, args.policy or []):
         if path.stem in registry.policies:
             raise FormatError(f"two --policy files share the id {path.stem!r}")
-        registry.policies[path.stem] = parse_policy(path.read_text(encoding="utf-8"))
+        registry.policies[path.stem] = parse_policy(wire.load_text(path))
     presentations = [wire.presentation_from_json(wire.load(p)) for p in args.presentation or []]
     req = AccessRequest(
         action=args.action,

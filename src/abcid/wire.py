@@ -124,10 +124,17 @@ def save(doc: dict, path: str | Path) -> None:
     save_text(dumps(doc), path)
 
 
+def load_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from None
+
+
 def load(path: str | Path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, bad UTF-8, a huge integer
+        doc = json.loads(load_text(path))
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, a huge integer
         raise FormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")
@@ -211,12 +218,6 @@ def _index_map(encode: Callable[[Any], Any], decode: Callable[[Any], Any]) -> Co
     )
 
 
-def _r_bases(doc: list) -> tuple[int, ...]:
-    if len(doc) < 2:
-        raise FormatError("public key needs the holder base plus one attribute base")
-    return tuple(hex_to_int(x) for x in doc)
-
-
 STR = Codec(str)
 HEX = Codec(str, int_to_hex, hex_to_int)
 NONCE = Codec(str, nonce_to_hex, nonce_from_hex)
@@ -281,7 +282,7 @@ PUBLIC_KEY_FIELDS = (
     ("n", "n", HEX),
     ("s", "S", HEX),
     ("z", "Z", HEX),
-    ("r", "R", Codec(list, lambda rs: [int_to_hex(r) for r in rs], _r_bases)),
+    ("r", "R", Codec(list, lambda rs: [int_to_hex(r) for r in rs], lambda doc: tuple(map(hex_to_int, doc)))),
     ("params", "params", Codec(dict, lambda params: {"l_n": params.l_n}, _profile_params)),
     ("issuer_id", "issuer_id", STR),
 )

@@ -603,7 +603,7 @@ def _exponents(bits):
 def test_mexp_matches_pow(issuer512, data):
     pk, _ = issuer512
     n = pk.n
-    tables = pk._verify_tables
+    tables = pk._tables
     table_bits = {base: _WINDOW * len(table) for base, table in tables.items()}
     other = data.draw(st.integers(2, n - 2), label="non-key base")
     # int(str(S)) is a separate object equal to S; S + n is congruent to S
@@ -618,34 +618,44 @@ def test_mexp_matches_pow(issuer512, data):
         ),
         label="terms",
     )
-    assert _mexp(pk, terms) == _mexp(pk, terms, tables) == math.prod(pow(b, e, n) for b, e in terms) % n
+    assert _mexp(pk, terms) == _mexp(pk, terms, {}) == math.prod(pow(b, e, n) for b, e in terms) % n
 
 
 def test_mexp_table_boundary_and_errors(issuer512):
     pk, sk = issuer512
     n = pk.n
     assert _mexp(pk, []) == 1
-    for base, table in pk._verify_tables.items():
+    assert pk._tables.keys() == {pk._z_inv, pk.S, *pk.R}
+    for base, table in pk._tables.items():
         bits = _WINDOW * len(table)
         for exp in (0, 1, (1 << bits) - 1, 1 << bits, -1, -(1 << bits)):
-            assert _mexp(pk, [(base, exp)], pk._verify_tables) == pow(base, exp, n)
+            assert _mexp(pk, [(base, exp)]) == pow(base, exp, n)
     for bad in (0, sk.p, sk.q * 5):
         with pytest.raises(ValueError):
             _mexp(pk, [(pk.S, 3), (bad, -1)])
 
 
-def test_key_with_non_unit_z(issued512):
-    """Z^-1 gets a table only when Z is a unit: a malformed key still
-    presents and begins issuance, and its shows are ProofInvalid."""
-    pk, sk, hs, cred = issued512
-    bad = replace(pk, Z=sk.p)
-    assert pow(pk.Z, -1, pk.n) in pk._verify_tables
-    with pytest.raises(ValueError):
-        bad._verify_tables
-    begin_issuance(bad, hs, NONCE, random.Random(23))
-    pres = present(bad, cred, hs, {1}, NONCE, CTX, random.Random(24))
-    with pytest.raises(ProofInvalid, match="degenerate transcript value"):
-        verify_presentation(bad, pres, NONCE, CTX)
+def test_key_with_bad_base_is_refused(issuer512):
+    """A base that is not a unit, or lies outside [2, n-2], is refused when
+    the key is built, and a key document holding one does not load."""
+    pk, sk = issuer512
+    bad_bases = [("Z", "z", sk.p), ("S", "s", 1), ("R", "r", (pk.n - 1, *pk.R[1:]))]
+    for attr, key, value in bad_bases:
+        with pytest.raises(ParameterError, match="unit mod n"):
+            replace(pk, **{attr: value})
+        doc = wire.public_key_to_json(pk)
+        doc[key] = [wire.int_to_hex(r) for r in value] if key == "r" else wire.int_to_hex(value)
+        with pytest.raises(wire.FormatError, match="unit mod n"):
+            wire.public_key_from_json(doc)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_toy_keys_have_unit_bases(L):
+    """Key generation redraws a base that is not a unit, even at toy size,
+    where about one key in fourteen would otherwise draw one."""
+    for seed in range(1, 200):
+        pk, _ = toy_issuer(seed=seed, L=L)
+        assert all(math.gcd(b, pk.n) == 1 for b in (pk.S, pk.Z, *pk.R))
 
 
 def _non_residue_request(pk, hs, nonce, rng):
@@ -677,22 +687,6 @@ def test_crt_signature_on_non_residue_commitment(issuer512, size):
     assert pre.A == oracle.issue_signature_part(
         pk.n, sk.p, sk.q, pk.Z, pk.S, pk.R, req.U, pre.e, pre.v_dprime, ms
     )
-
-
-def test_z_inverse_table_built_by_first_verify(issued512):
-    """Issuing and presenting never build the Z^-1 table; the first verify
-    builds it once, and later verifies reuse it."""
-    pk, sk, hs, cred = issued512
-    fresh = replace(pk)
-    req, _ = begin_issuance(fresh, hs, NONCE, random.Random(25))
-    issue(sk, fresh, req, cred.claims, cred.metadata, random.Random(26))
-    pres = present(fresh, cred, hs, {1}, NONCE, CTX, random.Random(27))
-    assert "_tables" in vars(fresh) and "_verify_tables" not in vars(fresh)
-    verify_presentation(fresh, pres, NONCE, CTX)
-    tables = vars(fresh)["_verify_tables"]
-    assert tables.keys() == {pow(pk.Z, -1, pk.n), *fresh._tables}
-    verify_presentation(fresh, pres, NONCE, CTX)
-    assert fresh._verify_tables is tables
 
 
 def _count_pow(monkeypatch):
@@ -745,8 +739,8 @@ def test_credential_table_stays_in_memory(issued512, tmp_path):
     assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
     verify_presentation(fresh, wire.presentation_from_json(shows[0]), NONCE, CTX)
     assert vars(new)["_a_tables"].keys() == {pk.n}
-    assert vars(fresh).keys() - {f.name for f in fields(fresh)} == {"_tables", "_z_inv", "_verify_tables"}
-    assert new.A not in fresh._verify_tables
+    assert vars(fresh).keys() - {f.name for f in fields(fresh)} == {"_tables", "_z_inv"}
+    assert new.A not in fresh._tables
 
 
 def test_credential_table_per_modulus():

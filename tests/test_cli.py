@@ -457,6 +457,14 @@ ERROR_CASES = [
                     " --nonce " + NONCE_B + " --context x"),
     ("FormatError", "holder list --wallet {t}/not_utf8.json"),
     ("FormatError", "holder list --wallet {t}/huge_int.json"),
+    ("FormatError", "policy lint {t}/not_utf8.pol"),
+    ("FormatError", GATE_EVAL + " --action read --nonce " + NONCE_A + " --policy {t}/not_utf8.pol"),
+    ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/z_one.json"
+                    " --nonce " + NONCE_B + " --context x"),
+    ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/relabelled.json"
+                    " --nonce " + NONCE_B + " --context x"),
+    ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/bad_id.json"
+                    " --nonce " + NONCE_B + " --context x"),
 ]
 ADMIN_CLAIM = {"name": "admin", "value": "true", "issuer_id": "clinic", "schema_id": "staff_v1"}
 DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
@@ -493,6 +501,7 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
         (tmp_path / sub).mkdir()
         (tmp_path / sub / "same.pol").write_text("permit subjects with staff may read on resources in domain nowhere\n")
     (tmp_path / "truncated.pol").write_text("permit subjects with staff may read on\n")
+    (tmp_path / "not_utf8.pol").write_bytes(b"permit subjects with \xff may read on resources in domain nowhere\n")
     for name, doc in BAD_CLAIMS_FILES.items():
         wire.save(doc, tmp_path / f"{name}.json")
     wire.save(
@@ -516,6 +525,9 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     wire.save({**pk, "params": {**pk["params"], "l_stat": True}}, tmp_path / "l_stat_true.json")
     wire.save({**pk, "params": {**pk["params"], "l_stat": 1}}, tmp_path / "l_stat_one.json")
     wire.save({**pk, "r": pk["r"][:1]}, tmp_path / "one_base.json")
+    wire.save({**pk, "z": "0x1"}, tmp_path / "z_one.json")
+    wire.save({**pk, "params": {"l_n": 1024}}, tmp_path / "relabelled.json")
+    wire.save({**pk, "issuer_id": "Bad Id"}, tmp_path / "bad_id.json")
     args = [a.format(d=d, t=tmp_path) for a in command.split()]
     code, out, err = cli(capsys, *args)
     assert code == 2
