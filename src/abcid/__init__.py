@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .model import (
     Attribute,
     Claim,
-    PartialIdentity,
     Unsatisfiable,
     select_credentials,
 )
@@ -20,7 +19,6 @@ from .model import (
 __all__ = [
     "Attribute",
     "Claim",
-    "PartialIdentity",
     "Unsatisfiable",
     "select_credentials",
     "__version__",

@@ -47,7 +47,7 @@ from .anoncred import (
 from .model import Attribute, Claim, CodedError, is_token
 from .policy import PRESENTATION_REJECTED, AccessRequest, Decision, Policy, evaluate, parse_policy
 from .wallet import Wallet
-from .wire import STR, Codec, FormatError, message, need
+from .wire import FormatError, message, need
 
 
 class GateError(CodedError):
@@ -64,6 +64,14 @@ class UnknownDomain(GateError):
 
 class KeyDigestMismatch(GateError):
     """An issuer key the registry does not list under that digest."""
+
+
+class UntrustedIssuer(GateError):
+    """A presentation names an issuer the domain does not trust."""
+
+
+class UnknownIssuerKey(GateError):
+    """A trusted issuer whose key the registry does not hold."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,15 @@ def context_string(domain_id: str, resource_type: str, resource_name: str, actio
     return "|".join(quote(f, safe="") for f in (domain_id, resource_type, resource_name, action))
 
 
+def _trusted_key(registry: Registry, spec: DomainSpec, issuer_id: str) -> IssuerPublicKey:
+    if issuer_id not in spec.trusted_issuers:
+        raise UntrustedIssuer(f"domain {spec.domain_id!r} does not trust issuer {issuer_id!r}")
+    pk = registry.issuer_keys.get(issuer_id)
+    if pk is None:
+        raise UnknownIssuerKey(f"no key for issuer {issuer_id!r}")
+    return pk
+
+
 def access(
     registry: Registry,
     domain_id: str,
@@ -141,16 +158,9 @@ def access(
     verified: set[Claim] = set()
     errors: list[tuple[int, str]] = []
     for idx, pres in enumerate(presentations):
-        if pres.issuer_id not in spec.trusted_issuers:
-            errors.append((idx, "UntrustedIssuer"))
-            continue
-        pk = registry.issuer_keys.get(pres.issuer_id)
-        if pk is None:
-            errors.append((idx, "UnknownIssuerKey"))
-            continue
         try:
-            verified |= verify_presentation(pk, pres, nonce, ctx)
-        except AbcError as exc:
+            verified |= verify_presentation(_trusted_key(registry, spec, pres.issuer_id), pres, nonce, ctx)
+        except (AbcError, GateError) as exc:
             errors.append((idx, exc.code))
 
     decision = evaluate(registry.policies, {c.attribute for c in verified}, req)
@@ -173,19 +183,7 @@ def key_digest(pk: IssuerPublicKey) -> str:
     return pk.digest().hex()
 
 
-def _strings(items: list) -> list[str]:
-    if not all(isinstance(item, str) for item in items):
-        raise FormatError("expected a list of strings")
-    return items
-
-
-STRING_SET = Codec(list, sorted, _strings)
-DOMAIN_FIELDS = (
-    ("domain_id", "domain_id", STR),
-    ("required_attrs", "required_attrs", STRING_SET),
-    ("trusted_issuers", "trusted_issuers", STRING_SET),
-)
-domain_to_json, domain_from_json = message(DomainSpec, DOMAIN_FIELDS)
+domain_to_json, domain_from_json = message(DomainSpec)
 
 
 def registry_to_json(registry: Registry) -> dict:
@@ -365,6 +363,8 @@ __all__ = [
     "ReferenceFixture",
     "Registry",
     "UnknownDomain",
+    "UnknownIssuerKey",
+    "UntrustedIssuer",
     "access",
     "attach_trusted_key",
     "context_string",

@@ -68,19 +68,6 @@ def claim_bytes(claim: Claim) -> bytes:
     return _FIELD_SEP.join(parts)
 
 
-@dataclass(frozen=True)
-class PartialIdentity:
-    """The subset of an entity's claims visible to one domain."""
-
-    domain_id: str
-    claims: frozenset[Claim] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not is_token(self.domain_id):
-            raise ValueError(f"invalid domain id: {self.domain_id!r}")
-        object.__setattr__(self, "claims", frozenset(self.claims))
-
-
 class CodedError(Exception):
     """Base of every error the package reports by a stable, machine-readable
     `code`, its class name; the CLI prints it as `error[<code>]`."""

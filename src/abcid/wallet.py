@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .anoncred import Credential, HolderSecret
-from .wire import HEX, Codec, FormatError, credential_from_json, credential_to_json, load, message, need, save
+from .wire import CODECS, Codec, FormatError, credential_from_json, credential_to_json, load, message, need, save
 
 WALLET_VERSION = 1
 
@@ -20,6 +20,16 @@ class Wallet:
     holder_secret: HolderSecret | None = None
     credentials: list[Credential] = field(default_factory=list)
     labels: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for c in self.credentials:
+            cid = c.metadata.credential_id
+            if cid in seen:
+                raise ValueError(f"credential id {cid!r} already in wallet")
+            seen.add(cid)
+        if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.labels.items()):
+            raise ValueError("labels must map strings to strings")
 
     def add_credential(self, cred: Credential, label: str = "") -> None:
         cid = cred.metadata.credential_id
@@ -43,22 +53,12 @@ class Wallet:
         }
 
 
-def _wallet(holder_secret: HolderSecret | None, credentials: list, labels: dict) -> Wallet:
-    """The decoded wallet; each credential goes through `add_credential`."""
-    if not all(isinstance(label, str) for label in labels.values()):
-        raise FormatError("labels must map strings to strings")
-    wallet = Wallet(holder_secret, labels=labels)
-    for doc in credentials:
-        wallet.add_credential(credential_from_json(doc))
-    return wallet
-
-
-WALLET_FIELDS = (
-    ("holder_secret", "holder_secret", Codec(dict, *message(HolderSecret, (("k", "k", HEX),)), optional=True)),
-    ("credentials", "credentials", Codec(list, lambda creds: [credential_to_json(c) for c in creds])),
-    ("labels", "labels", Codec(dict)),
+# The wallet is the one message that lists credentials, so that codec sits
+# beside it.
+CODECS["list[Credential]"] = Codec(
+    list, lambda creds: [credential_to_json(c) for c in creds], lambda doc: list(map(credential_from_json, doc))
 )
-wallet_to_json, wallet_from_json = message(_wallet, WALLET_FIELDS)
+wallet_to_json, wallet_from_json = message(Wallet)
 
 
 def wallet_save(wallet: Wallet, path: str | Path) -> None:

@@ -13,7 +13,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
@@ -24,6 +24,7 @@ from .anoncred import (
     Credential,
     CredentialMetadata,
     HolderIssuanceState,
+    HolderSecret,
     IssuanceRequest,
     IssuerPublicKey,
     IssuerSecretKey,
@@ -141,11 +142,14 @@ def load(path: str | Path) -> dict:
     return doc
 
 
-# -- field tables --------------------------------------------------------------
+# -- message tables ------------------------------------------------------------
 #
-# Each message type is a table of (JSON key, dataclass field, codec) rows in
-# document order, walked by `_encode` and `_fields`. A codec names the JSON
-# type the value must have and converts the field to and from it.
+# A message type is a dataclass, and `message` derives its table from the
+# dataclass's fields in order: each JSON key is the field name in lowercase,
+# and each codec is the `CODECS` entry for the field's annotation. A codec
+# names the JSON type the value must have and converts the field to and from
+# it. A field annotated `X | None` uses X's codec, and null or a missing key
+# stands for None.
 
 
 def _same(value: Any) -> Any:
@@ -156,40 +160,35 @@ class Codec(NamedTuple):
     kind: type
     encode: Callable[[Any], Any] = _same
     decode: Callable[[Any], Any] = _same
-    optional: bool = False  # null or a missing key stands for None
 
 
-def _encode(table: tuple, obj: Any) -> dict:
-    doc = {}
-    for key, attr, codec in table:
-        value = getattr(obj, attr)
-        doc[key] = None if value is None and codec.optional else codec.encode(value)
-    return doc
-
-
-def _fields(table: tuple, doc: Any) -> dict:
-    if not isinstance(doc, dict):
-        raise FormatError(f"expected object, got {type(doc).__name__}")
-    fields = {}
-    for key, attr, codec in table:
-        if codec.optional and doc.get(key) is None:
-            fields[attr] = None
-        else:
-            fields[attr] = codec.decode(need(doc, key, codec.kind))
-    return fields
-
-
-def message(cls: Callable[..., Any], table: tuple) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
-    """The (to_json, from_json) pair of one message type. from_json
+def message(cls: type) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
+    """The (to_json, from_json) pair of the dataclass `cls`. from_json
     reports a ValueError from a codec or from `cls`'s own checks as a
-    FormatError."""
+    FormatError. An annotation with no codec raises KeyError here."""
+    table = []
+    for f in fields(cls):
+        annotation = f.type.removesuffix(" | None")
+        table.append((f.name.lower(), f.name, CODECS[annotation], annotation != f.type))
 
     def to_json(obj: Any) -> dict:
-        return _encode(table, obj)
+        doc = {}
+        for key, attr, codec, optional in table:
+            value = getattr(obj, attr)
+            doc[key] = None if value is None and optional else codec.encode(value)
+        return doc
 
     def from_json(doc: Any) -> Any:
+        if not isinstance(doc, dict):
+            raise FormatError(f"expected object, got {type(doc).__name__}")
+        values = {}
         try:
-            return cls(**_fields(table, doc))
+            for key, attr, codec, optional in table:
+                if optional and doc.get(key) is None:
+                    values[attr] = None
+                else:
+                    values[attr] = codec.decode(need(doc, key, codec.kind))
+            return cls(**values)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
 
@@ -218,13 +217,11 @@ def _index_map(encode: Callable[[Any], Any], decode: Callable[[Any], Any]) -> Co
     )
 
 
-STR = Codec(str)
-HEX = Codec(str, int_to_hex, hex_to_int)
-NONCE = Codec(str, nonce_to_hex, nonce_from_hex)
-DATE = Codec(str, date.isoformat, _parse_date)
+def _strings(items: list) -> frozenset[str]:
+    if not all(isinstance(item, str) for item in items):
+        raise FormatError("expected a list of strings")
+    return frozenset(items)
 
-
-# -- claims and metadata ----------------------------------------------------
 
 def claim_to_json(c: Claim) -> dict:
     return {
@@ -246,25 +243,6 @@ def claim_from_json(doc: Any) -> Claim:
         raise FormatError(f"bad claim: {exc}") from None
 
 
-CLAIMS = Codec(
-    list,
-    lambda claims: [claim_to_json(c) for c in claims],
-    lambda doc: tuple(claim_from_json(c) for c in doc),
-)
-
-METADATA_FIELDS = (
-    ("issuer_id", "issuer_id", STR),
-    ("schema_id", "schema_id", STR),
-    ("issued_at", "issued_at", DATE),
-    ("expires_at", "expires_at", DATE._replace(optional=True)),
-    ("credential_id", "credential_id", STR),
-)
-metadata_to_json, metadata_from_json = message(CredentialMetadata, METADATA_FIELDS)
-METADATA = Codec(dict, metadata_to_json, metadata_from_json)
-
-
-# -- key material -----------------------------------------------------------
-
 def _profile_params(doc: dict) -> SystemParams:
     """A key names its profile by l_n alone: any other choice, such as a
     1-bit l_stat, weakens every proof made under it. A field beside l_n
@@ -278,33 +256,41 @@ def _profile_params(doc: dict) -> SystemParams:
     return params
 
 
-PUBLIC_KEY_FIELDS = (
-    ("n", "n", HEX),
-    ("s", "S", HEX),
-    ("z", "Z", HEX),
-    ("r", "R", Codec(list, lambda rs: [int_to_hex(r) for r in rs], lambda doc: tuple(map(hex_to_int, doc)))),
-    ("params", "params", Codec(dict, lambda params: {"l_n": params.l_n}, _profile_params)),
-    ("issuer_id", "issuer_id", STR),
-)
-public_key_to_json, public_key_from_json = message(IssuerPublicKey, PUBLIC_KEY_FIELDS)
+# One codec per field annotation; an entry for a message type follows the
+# `message` call that makes it.
+CODECS: dict[str, Codec] = {
+    "int": Codec(str, int_to_hex, hex_to_int),
+    "str": Codec(str),
+    "bytes": Codec(str, nonce_to_hex, nonce_from_hex),
+    "date": Codec(str, date.isoformat, _parse_date),
+    "tuple[int, ...]": Codec(list, lambda xs: [int_to_hex(x) for x in xs], lambda doc: tuple(map(hex_to_int, doc))),
+    "SystemParams": Codec(dict, lambda params: {"l_n": params.l_n}, _profile_params),
+    "tuple[Claim, ...]": Codec(
+        list, lambda claims: [claim_to_json(c) for c in claims], lambda doc: tuple(map(claim_from_json, doc))
+    ),
+    "Mapping[int, int]": _index_map(int_to_hex, hex_to_int),
+    "Mapping[int, Claim]": _index_map(claim_to_json, claim_from_json),
+    "frozenset[str]": Codec(list, sorted, _strings),
+    "dict[str, str]": Codec(dict),
+}
 
-SECRET_KEY_FIELDS = (
-    ("p", "p", HEX),
-    ("q", "q", HEX),
-)
-secret_key_to_json, secret_key_from_json = message(IssuerSecretKey, SECRET_KEY_FIELDS)
+
+# -- credential metadata ---------------------------------------------------
+
+metadata_to_json, metadata_from_json = message(CredentialMetadata)
+CODECS["CredentialMetadata"] = Codec(dict, metadata_to_json, metadata_from_json)
+
+
+# -- key material -----------------------------------------------------------
+
+public_key_to_json, public_key_from_json = message(IssuerPublicKey)
+secret_key_to_json, secret_key_from_json = message(IssuerSecretKey)
+CODECS["HolderSecret"] = Codec(dict, *message(HolderSecret))
 
 
 # -- issuance messages ------------------------------------------------------
 
-REQUEST_FIELDS = (
-    ("u", "U", HEX),
-    ("c", "c", HEX),
-    ("s_v", "s_v", HEX),
-    ("s_k", "s_k", HEX),
-    ("nonce", "nonce", NONCE),
-)
-request_to_json, request_from_json = message(IssuanceRequest, REQUEST_FIELDS)
+request_to_json, request_from_json = message(IssuanceRequest)
 
 
 def holder_state_to_json(state: HolderIssuanceState) -> dict:
@@ -321,42 +307,12 @@ def holder_state_from_json(doc: Any, pk: IssuerPublicKey) -> HolderIssuanceState
     return HolderIssuanceState(v_prime=hex_to_int(need(doc, "v_prime", str)), pk=pk)
 
 
-PRE_CREDENTIAL_FIELDS = (
-    ("a", "A", HEX),
-    ("e", "e", HEX),
-    ("v_dprime", "v_dprime", HEX),
-    ("claims", "claims", CLAIMS),
-    ("metadata", "metadata", METADATA),
-)
-pre_credential_to_json, pre_credential_from_json = message(PreCredential, PRE_CREDENTIAL_FIELDS)
+pre_credential_to_json, pre_credential_from_json = message(PreCredential)
 
 
 # -- credentials and presentations ------------------------------------------
 
-CREDENTIAL_FIELDS = (
-    ("a", "A", HEX),
-    ("e", "e", HEX),
-    ("v", "v", HEX),
-    ("claims", "claims", CLAIMS),
-    ("metadata", "metadata", METADATA),
-)
-credential_to_json, credential_from_json = message(Credential, CREDENTIAL_FIELDS)
+credential_to_json, credential_from_json = message(Credential)
 
-PRESENTATION_PROOF_FIELDS = (
-    ("c", "c", HEX),
-    ("s_e", "s_e", HEX),
-    ("s_v", "s_v", HEX),
-    ("s_k", "s_k", HEX),
-    ("s_m", "s_m", _index_map(int_to_hex, hex_to_int)),
-)
-
-PRESENTATION_FIELDS = (
-    ("a_prime", "a_prime", HEX),
-    ("disclosed", "disclosed", _index_map(claim_to_json, claim_from_json)),
-    ("proof", "proof", Codec(dict, *message(PresentationProof, PRESENTATION_PROOF_FIELDS))),
-    ("nonce", "nonce", NONCE),
-    ("context", "context", STR),
-    ("issuer_id", "issuer_id", STR),
-)
-presentation_to_json, presentation_from_json = message(Presentation, PRESENTATION_FIELDS)
-
+CODECS["PresentationProof"] = Codec(dict, *message(PresentationProof))
+presentation_to_json, presentation_from_json = message(Presentation)

@@ -811,3 +811,45 @@ def test_e2e_demo_script(tmp_path):
         digest.update(hashlib.sha256(path.read_bytes()).digest())
     assert len(files) == E2E_SEED_42_FILES
     assert digest.hexdigest() == E2E_SEED_42_SHA256
+
+    def keys(name: str, *path: str | int) -> list[str]:
+        doc = json.loads((work / name).read_text())
+        for step in path:
+            doc = doc[step]
+        return list(doc)
+
+    # The JSON keys of every message type, in document order: a renamed or
+    # reordered field shows here as a list diff, not only as a new digest.
+    assert {
+        "public key": keys("pk.json"),
+        "params": keys("pk.json", "params"),
+        "secret key": keys("sk.json"),
+        "request": keys("request.json"),
+        "holder state": keys("state.json"),
+        "pre-credential": keys("precred.json"),
+        "claim": keys("precred.json", "claims", 0),
+        "metadata": keys("precred.json", "metadata"),
+        "wallet": keys("wallet.json"),
+        "holder secret": keys("wallet.json", "holder_secret"),
+        "credential": keys("wallet.json", "credentials", 0),
+        "presentation": keys("presentation.json"),
+        "proof": keys("presentation.json", "proof"),
+        "registry": keys("fixture/registry.json"),
+        "domain": keys("fixture/registry.json", "domains", 0),
+    } == {
+        "public key": ["n", "s", "z", "r", "params", "issuer_id"],
+        "params": ["l_n"],
+        "secret key": ["p", "q"],
+        "request": ["u", "c", "s_v", "s_k", "nonce"],
+        "holder state": ["v_prime", "issuer_key_digest"],
+        "pre-credential": ["a", "e", "v_dprime", "claims", "metadata"],
+        "claim": ["name", "value", "issuer_id", "schema_id"],
+        "metadata": ["issuer_id", "schema_id", "issued_at", "expires_at", "credential_id"],
+        "wallet": ["version", "holder_secret", "credentials", "labels"],
+        "holder secret": ["k"],
+        "credential": ["a", "e", "v", "claims", "metadata"],
+        "presentation": ["a_prime", "disclosed", "proof", "nonce", "context", "issuer_id"],
+        "proof": ["c", "s_e", "s_v", "s_k", "s_m"],
+        "registry": ["version", "domains", "issuer_key_digests"],
+        "domain": ["domain_id", "required_attrs", "trusted_issuers"],
+    }

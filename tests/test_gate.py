@@ -186,6 +186,20 @@ def test_access_untrusted_issuer(ref_fx):
     assert out.decision.outcome == "Deny"
 
 
+def test_untrusted_presentation_is_never_verified(ref_fx, monkeypatch):
+    """The trust check comes first: a domain spends no verify on an issuer
+    it does not trust, or on one whose key it does not hold."""
+    monkeypatch.setattr("abcid.gate.verify_presentation", lambda *args: pytest.fail("verify was called"))
+    ctx = context_string("students_marks", "marks", "math", "read")
+    req = request_for("students_marks", "read", "marks", "math")
+    # The registry holds registry_office's key, but students_marks does not trust it.
+    out = access(ref_fx.registry, "students_marks", req, [show(ref_fx, "c2", NONCE, ctx, 8)], NONCE)
+    assert out.presentation_errors == ((0, "UntrustedIssuer"),)
+    keyless = replace(ref_fx.registry, issuer_keys={})
+    out = access(keyless, "students_marks", req, [show(ref_fx, "c3", NONCE, ctx, 8)], NONCE)
+    assert out.presentation_errors == ((0, "UnknownIssuerKey"),)
+
+
 def test_access_empty_presentations_denies_every_domain(ref_fx):
     cases = {
         "medical_files": ("write", "patient_file"),

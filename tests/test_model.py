@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from abcid.model import (
     Attribute,
     Claim,
-    PartialIdentity,
     Unsatisfiable,
     claim_bytes,
     select_credentials,
@@ -45,6 +44,7 @@ def test_claim_identity_ignores_schema():
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
+    assert len({a, b}) == 1
     assert len({a, b, c}) == 2
 
 
@@ -61,15 +61,6 @@ def test_claim_bytes_injective_on_field_boundaries():
     c1 = Claim(Attribute("ab", "c"), "i")
     c2 = Claim(Attribute("a", "bc"), "i")
     assert claim_bytes(c1) != claim_bytes(c2)
-
-
-# -- partial identities ---------------------------------------------------------
-
-def test_partial_identity_deduplicates_claims():
-    a6_v1 = Claim(Attribute("a6", "x"), "uni", schema_id="v1")
-    a6_v2 = Claim(Attribute("a6", "x"), "uni", schema_id="v2")  # same fact
-    p = PartialIdentity("d3", frozenset([a6_v1, a6_v2]))
-    assert len(p.claims) == 1
 
 
 # -- credential selection --------------------------------------------------------
@@ -176,6 +167,6 @@ def test_error_codes_are_class_names():
         cls = todo.pop()
         classes.append(cls)
         todo += cls.__subclasses__()
-    assert len(classes) == 16
+    assert len(classes) == 18
     assert all(cls.code == cls.__name__ for cls in classes)
     assert len({cls.code for cls in classes}) == len(classes)

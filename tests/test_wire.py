@@ -260,10 +260,22 @@ def test_wallet_version_mismatch(tmp_path):
 
 def test_wallet_duplicate_ids_rejected(tmp_path):
     rng = random.Random(12)
-    cred = rand_credential(rng, credential_id="dup")
-    wallet_save(Wallet(credentials=[cred, cred]), tmp_path / "w.json")
-    with pytest.raises(wire.FormatError):
+    wallet_save(Wallet(credentials=[rand_credential(rng, credential_id="dup")]), tmp_path / "w.json")
+    doc = wire.load(tmp_path / "w.json")
+    doc["credentials"] *= 2
+    wire.save(doc, tmp_path / "w.json")
+    with pytest.raises(wire.FormatError, match="'dup'"):
         wallet_load(tmp_path / "w.json")
+
+
+def test_wallet_checks_itself_when_built():
+    """A wallet built in memory obeys the rules a loaded one does: one
+    credential per id, and string labels."""
+    cred = rand_credential(random.Random(17), credential_id="dup")
+    with pytest.raises(ValueError, match="'dup'"):
+        Wallet(credentials=[cred, cred])
+    with pytest.raises(ValueError, match="labels"):
+        Wallet(labels={"c": 5})
 
 
 def test_add_credential_rejects_duplicate_id():
