@@ -107,6 +107,8 @@ class SystemParams:
             raise ParameterError("l_v too small for statistical hiding")
         if self.l_m > 257:
             raise ParameterError("attribute encoding supports l_m <= 257")
+        if self.l_h > 256:
+            raise ParameterError("a challenge is cut from a SHA-256 digest: l_h <= 256")
 
     @property
     def e_interval(self) -> tuple[int, int]:
@@ -136,8 +138,7 @@ class IssuerPublicKey:
         _check_issuer(self.L, self.issuer_id)
         if self.n.bit_length() != self.params.l_n:
             raise ParameterError(f"modulus has {self.n.bit_length()} bits, profile wants {self.params.l_n}")
-        bases = (self.S, self.Z, *self.R)
-        if not all(2 <= b <= self.n - 2 for b in bases) or math.gcd(math.prod(bases), self.n) != 1:
+        if not all(_in_group(b, self.n) for b in (self.S, self.Z, *self.R)):
             raise ParameterError("every base must lie in [2, n-2] and be a unit mod n")
 
     @property
@@ -311,11 +312,17 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
     return acc
 
 
+def _in_group(x: int, n: int) -> bool:
+    """The rule for every group element the scheme takes in: key bases,
+    U and A'. Checked before any exponentiation, it leaves none to fail."""
+    return 2 <= x <= n - 2 and math.gcd(x, n) == 1
+
+
 def _unit_base(n: int, draw: Callable[[], int]) -> int:
-    """The first draw in [2, n-2] that is a unit mod n, as every key base must be."""
+    """The first draw that is a group element, as every key base must be."""
     while True:
         b = draw()
-        if 2 <= b <= n - 2 and math.gcd(b, n) == 1:
+        if _in_group(b, n):
             return b
 
 
@@ -402,17 +409,15 @@ def begin_issuance(
 def verify_issuance_request(pk: IssuerPublicKey, req: IssuanceRequest) -> None:
     """Issuer-side check of the request proof; raises ProofInvalid."""
     p = pk.params
-    n = pk.n
-    if not 2 <= req.U <= n - 2:
-        raise ProofInvalid("U out of range")
+    if not _in_group(req.U, pk.n):
+        raise ProofInvalid("U is not a unit in [2, n-2]")
+    if not 0 <= req.c < (1 << p.l_h):
+        raise ProofInvalid("challenge out of range")
     if req.s_v < 0 or req.s_v.bit_length() > p.l_n + 2 * p.l_stat + p.l_h + 1:
         raise ProofInvalid("response s_v fails its length bound")
     if req.s_k < 0 or req.s_k.bit_length() > p.l_m + p.l_stat + p.l_h + 1:
         raise ProofInvalid("response s_k fails its length bound")
-    try:
-        T_hat = _mexp(pk, [(pk.S, req.s_v), (pk.R[0], req.s_k), (req.U, -req.c)])
-    except ValueError:  # U not invertible mod n
-        raise ProofInvalid("degenerate commitment") from None
+    T_hat = _mexp(pk, [(pk.S, req.s_v), (pk.R[0], req.s_k), (req.U, -req.c)])
     if _issue_challenge(pk, req.U, T_hat, req.nonce) != req.c:
         raise ProofInvalid("issuance request proof does not verify")
 
@@ -437,18 +442,13 @@ def issue(
     if metadata.issuer_id != pk.issuer_id:
         raise EncodingError(f"issuer {pk.issuer_id!r} issues only credentials under its own id")
 
-    lo, hi = p.e_interval
-    while True:
-        e = random_prime_in_interval(lo, hi, rng)
-        if math.gcd(e, sk.group_order) == 1:
-            break
+    # e, p' and q' are primes, and e has l_e bits where p' and q' have l_n/2 - 1,
+    # so at every profile gcd(e, p'q') = 1; were it not, pow(e, -1, .) would raise.
+    e = random_prime_in_interval(*p.e_interval, rng)
     v_dprime = rng.getrandbits(p.l_v)
 
     denom = req.U * _mexp(pk, [(pk.S, v_dprime), *zip(pk.R[1:], ms)]) % n
-    try:
-        Q = pk.Z * pow(denom, -1, n) % n
-    except ValueError:
-        raise ProofInvalid("degenerate commitment") from None
+    Q = pk.Z * pow(denom, -1, n) % n  # U and every base are units, so denom is one
     # A = Q^d with d = 1/e mod p'q'. Q is a unit mod n, so by Fermat
     # Q^d = Q^(d mod (p-1)) (mod p), and likewise mod q; CRT recombines.
     d = pow(e, -1, sk.group_order)
@@ -598,15 +598,14 @@ def verify_presentation(
         raise ContextMismatch("presentation bound to a different context")
 
     p = pk.params
-    n = pk.n
     proof = pres.proof
 
     if pres.issuer_id != pk.issuer_id:
         raise ProofInvalid("presentation names a different issuer")
     if any(c.issuer_id != pk.issuer_id for c in pres.disclosed.values()):
         raise ProofInvalid("a disclosed claim names a different issuer")
-    if not 1 <= pres.a_prime <= n - 1:
-        raise ProofInvalid("A' out of range")
+    if not _in_group(pres.a_prime, pk.n):
+        raise ProofInvalid("A' is not a unit in [2, n-2]")
     # Each of 1..L disclosed or hidden once; never 0, the holder secret.
     if sorted([*pres.disclosed, *proof.s_m]) != list(range(1, pk.L + 1)):
         raise ProofInvalid("attribute indices do not form a credential layout")
@@ -625,11 +624,7 @@ def verify_presentation(
     terms = [(pres.a_prime, a_exp), (pk.S, proof.s_v), (pk.R[0], proof.s_k)]
     terms += [(pk.R[i], s) for i, s in proof.s_m.items()]
     terms += [(pk.R[i], proof.c * encode_attribute(c, p)) for i, c in pres.disclosed.items()]
-    try:
-        T_hat = _mexp(pk, [*terms, (pk._z_inv, proof.c)])
-    except ValueError:  # A' is not invertible mod n
-        raise ProofInvalid("degenerate transcript value") from None
-
+    T_hat = _mexp(pk, [*terms, (pk._z_inv, proof.c)])
     if _present_challenge(pk, pres.a_prime, T_hat, pres.disclosed, pres.nonce, pres.context) != proof.c:
         raise ProofInvalid("transcript equation does not verify")
     return frozenset(pres.disclosed.values())

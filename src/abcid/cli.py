@@ -67,7 +67,7 @@ def cmd_issuer_init(args) -> int:
 
 
 def _claims_from_file(path: str, issuer_id: str) -> tuple[tuple[Claim, ...], CredentialMetadata]:
-    doc = {"schema_id": "", "claims": [], **wire.load(path), "issuer_id": issuer_id}
+    doc = {"schema_id": "", "claims": [], "issuer_id": issuer_id, **wire.load(path)}
     md = wire.metadata_from_json(doc)
     if not md.credential_id:
         raise FormatError("claims file needs a credential_id")

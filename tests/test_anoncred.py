@@ -44,6 +44,7 @@ from abcid.anoncred import (
     verify_issuance_request,
     verify_presentation,
 )
+from abcid.hashing import challenge_from_digest
 from abcid.model import claim_bytes
 from abcid.wallet import Wallet, wallet_save
 
@@ -112,6 +113,18 @@ def test_params_relations_enforced():
         SystemParams(l_n=11, l_m=10, l_e=11, l_e_prime=5, l_v=55, l_stat=8, l_h=16)
     with pytest.raises(ParameterError):
         SystemParams(l_n=512, l_m=256, l_e=597, l_e_prime=120, l_v=300, l_stat=80, l_h=256)
+    with pytest.raises(ParameterError, match="l_m <= 257"):
+        SystemParams(l_n=11, l_m=258, l_e=400, l_e_prime=5, l_v=300, l_stat=8, l_h=16)
+    with pytest.raises(ParameterError, match="l_h <= 256"):  # longer than the SHA-256 digest it is cut from
+        SystemParams(l_n=11, l_m=10, l_e=400, l_e_prime=5, l_v=55, l_stat=8, l_h=300)
+
+
+def test_challenge_is_cut_from_the_digest():
+    d = sha256(b"transcript").digest()
+    assert challenge_from_digest(d, 256) == int.from_bytes(d, "big")
+    assert challenge_from_digest(d, 16) == int.from_bytes(d[:2], "big")
+    with pytest.raises(ValueError, match="challenge longer than digest"):
+        challenge_from_digest(d, 257)
 
 
 # -- holder keys and attribute encoding ------------------------------------------
@@ -133,6 +146,8 @@ def test_encode_attribute_is_truncated_hash():
     assert m < 1 << (TOY_PARAMS.l_m - 1)
     (other,) = make_claims(("over_21",), "gov")
     assert encode_attribute(other, TOY_PARAMS) != m
+    with pytest.raises(EncodingError, match="not a claim"):
+        encode_attribute(claim.attribute, TOY_PARAMS)
 
 
 # -- issuance against the straight-line oracle ------------------------------------
@@ -382,6 +397,36 @@ def test_verify_rejects_single_field_perturbations(issued512):
     for mutant in mutants:
         with pytest.raises(ProofInvalid):
             verify_presentation(pk, mutant, NONCE, CTX)
+
+
+def test_bad_values_refused_before_any_exponentiation(issued512, monkeypatch):
+    """Each verifier checks U, the request's challenge and A' against their
+    ranges before its one exponentiation: a group element must be a unit in
+    [2, n-2], so none of these reaches `_mexp`."""
+    pk, sk, hs, cred = issued512
+    rng = random.Random(40)
+    req, _ = begin_issuance(pk, hs, NONCE, rng)
+    pres = present(pk, cred, hs, {1}, NONCE, CTX, rng)
+
+    def no_exponentiation(*args):
+        raise AssertionError("exponentiation reached")
+
+    monkeypatch.setattr(anoncred, "_mexp", no_exponentiation)
+    for mutant in (replace(req, U=sk.p), replace(req, c=1 << pk.params.l_h)):
+        with pytest.raises(ProofInvalid):
+            verify_issuance_request(pk, mutant)
+    for mutant in (replace(pres, a_prime=sk.p), replace(pres, a_prime=pk.n - 1)):
+        with pytest.raises(ProofInvalid):
+            verify_presentation(pk, mutant, NONCE, CTX)
+
+
+def test_short_nonce_refused(issued512):
+    pk, _, hs, cred = issued512
+    rng = random.Random(41)
+    with pytest.raises(ParameterError, match="nonce must be 16 bytes"):
+        begin_issuance(pk, hs, NONCE[:15], rng)
+    with pytest.raises(ParameterError, match="nonce must be 16 bytes"):
+        present(pk, cred, hs, {1}, NONCE[:15], CTX, rng)
 
 
 def _leaf_paths(doc, path=()):

@@ -465,6 +465,9 @@ ERROR_CASES = [
                     " --nonce " + NONCE_B + " --context x"),
     ("FormatError", "verifier verify --in {d}/presentation.json --issuer-pub {t}/bad_id.json"
                     " --nonce " + NONCE_B + " --context x"),
+    ("EncodingError", ISSUER_ISSUE + " --claims {t}/renamed_issuer.json"),
+    ("FormatError", ISSUER_ISSUE + " --claims {t}/empty_credential_id.json"),
+    ("FormatError", ISSUER_ISSUE + " --claims {t}/claim_not_object.json"),
 ]
 ADMIN_CLAIM = {"name": "admin", "value": "true", "issuer_id": "clinic", "schema_id": "staff_v1"}
 DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
@@ -483,6 +486,9 @@ BAD_CLAIMS_FILES = {
     "no_issued_at": {"credential_id": "c_six", "claims": CLAIMS},
     "slashed_date": {"credential_id": "c_six", "issued_at": "02/02/2026", "claims": CLAIMS},
     "claim_named_bad": {"credential_id": "c_six", "issued_at": "2026-01-05", "claims": [{"name": "Bad", "value": "true"}]},
+    "renamed_issuer": {"credential_id": "c_six", "issued_at": "2026-01-05", "issuer_id": "lab", "claims": CLAIMS},
+    "empty_credential_id": {"credential_id": "", "issued_at": "2026-01-05", "claims": CLAIMS},
+    "claim_not_object": {"credential_id": "c_six", "issued_at": "2026-01-05", "claims": [5]},
 }
 
 

@@ -23,6 +23,7 @@ from abcid.anoncred import (
 )
 from abcid.gate import (
     CREDENTIAL_ATTRS,
+    AccessOutcome,
     DOMAIN_ATTRS,
     REFERENCE_CREDENTIAL_SETS,
     DomainSpec,
@@ -38,7 +39,7 @@ from abcid.gate import (
     registry_to_json,
 )
 from abcid.model import Attribute, Claim, select_credentials
-from abcid.policy import AccessRequest, attribute_missing, parse_policy
+from abcid.policy import AccessRequest, Decision, attribute_missing, parse_policy
 from abcid.primes import random_prime_in_interval
 
 MONDAY_9 = datetime(2026, 8, 3, 9, 0, tzinfo=timezone.utc)
@@ -161,6 +162,13 @@ def test_access_even_sufficient_claims_cannot_override_failures(ref_fx):
     assert out.decision.reasons == ("PresentationRejected",)
     assert (2, "ProofInvalid") in out.presentation_errors
     assert {c.attribute.name for c in out.verified} == {"medical_staff", "school_member"}
+
+
+def test_permit_cannot_carry_presentation_errors():
+    permit = Decision("Permit", "p0", ("Permitted",))
+    assert AccessOutcome(permit, frozenset(), ()).decision == permit
+    with pytest.raises(ValueError, match="Permit cannot coexist with presentation errors"):
+        AccessOutcome(permit, frozenset(), ((0, "ProofInvalid"),))
 
 
 def test_access_wrong_nonce_is_replay(ref_fx):

@@ -37,6 +37,13 @@ def test_claim_requires_issuer():
         Claim(Attribute("a"), issuer_id="")
 
 
+def test_attribute_value_and_schema_id_rules():
+    with pytest.raises(ValueError, match="attribute value must be a string"):
+        Attribute("a", 5)
+    with pytest.raises(ValueError, match="invalid schema id"):
+        Claim(Attribute("a"), issuer_id="gov", schema_id="Bad Id")
+
+
 def test_claim_identity_ignores_schema():
     a = Claim(Attribute("role", "teacher"), "ministry", schema_id="v1")
     b = Claim(Attribute("role", "teacher"), "ministry", schema_id="v2")

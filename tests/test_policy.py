@@ -365,6 +365,26 @@ def test_decision_invariant_enforced():
         Decision("Deny", None, ("Permitted",))
 
 
+TERM = frozenset({AttrTerm("staff")})
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: AttrTerm("Bad Name"), "invalid attribute term name"),
+    (lambda: TimeWindow(600, 600), "bad time window"),
+    (lambda: TimeWindow(0, 1441), "bad time window"),
+    (lambda: Policy(frozenset(), "read", "vault"), "at least one subject attribute term"),
+    (lambda: Policy(TERM, "Read!", "vault"), "invalid action"),
+    (lambda: Policy(TERM, "read", "No where"), "invalid domain"),
+    (lambda: Policy(TERM, "read", "vault", days=frozenset()), "bad day set"),
+    (lambda: Policy(TERM, "read", "vault", days={"someday"}), "bad day set"),
+], ids=["term_name", "empty_window", "window_past_midnight", "no_terms", "action", "domain", "no_days",
+        "unknown_day"])
+def test_policy_parts_check_themselves(build, match):
+    """A policy built in code, not parsed, meets the parser's rules."""
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_naive_datetimes_treated_as_utc():
     policy = parse_policy(WORKED)
     d = evaluate({"p0": policy}, LIBRARY_ATTRS, library_request(datetime(2026, 8, 3, 9, 0)))

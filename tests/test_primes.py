@@ -65,6 +65,13 @@ def test_prime_in_interval_terminates(lo, hi, allowed):
         assert random_prime_in_interval(lo, hi, random.Random(11)) in allowed
 
 
+def test_size_and_interval_preconditions():
+    with pytest.raises(ValueError, match="at least 8 bits"):
+        safe_prime(7, random.Random(1))
+    with pytest.raises(ValueError, match="empty interval"):
+        random_prime_in_interval(5, 4, random.Random(1))
+
+
 def test_prime_in_interval_uniform_from_odd_lo():
     """An odd `lo` is drawn as often as every other odd value."""
     rng = random.Random(5)

@@ -118,6 +118,11 @@ def test_request_is_flat():
         wire.request_from_json(nested)
 
 
+def test_message_must_be_an_object():
+    with pytest.raises(wire.FormatError, match="expected object, got list"):
+        wire.request_from_json([])
+
+
 def test_state_rejects_wrong_key():
     pk, _ = toy_issuer()
     other_pk, _ = toy_issuer(seed=99, issuer_id="other")
