@@ -366,12 +366,11 @@ def setup_issuer(
     params = PROFILES.get(l_n)
     if params is None:
         raise ParameterError(f"unsupported modulus size {l_n}, pick one of {sorted(PROFILES)}")
-    half = l_n // 2
-    while True:
-        p = safe_prime(half, rng)
-        q = safe_prime(half, rng)
-        if p != q and (p * q).bit_length() == l_n:
-            return setup_issuer_from_primes(L, p, q, params, rng, issuer_id)
+    # safe_prime sets the top two bits, so p*q has exactly l_n bits, and
+    # setup_issuer_from_primes refuses p == q: no draw needs a retry.
+    p = safe_prime(l_n // 2, rng)
+    q = safe_prime(l_n // 2, rng)
+    return setup_issuer_from_primes(L, p, q, params, rng, issuer_id)
 
 
 def holder_keygen(rng: Rng, l_m: int = DEFAULT_L_M) -> HolderSecret:
@@ -393,8 +392,11 @@ def begin_issuance(
     knowledge of the blinding and the key."""
     _check_nonce(issuer_nonce)
     p = pk.params
-    v_prime = rng.getrandbits(p.l_n + p.l_stat)
-    U = _mexp(pk, [(pk.S, v_prime), (pk.R[0], hs.k)])
+    while True:  # U is a unit, so only U = ±1 breaks `_in_group`; at toy sizes it happens
+        v_prime = rng.getrandbits(p.l_n + p.l_stat)
+        U = _mexp(pk, [(pk.S, v_prime), (pk.R[0], hs.k)])
+        if U not in (1, pk.n - 1):
+            break
 
     r_v = rng.getrandbits(p.l_n + 2 * p.l_stat + p.l_h)
     r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
@@ -536,8 +538,11 @@ def present(
     p = pk.params
     n = pk.n
 
-    r_A = rng.getrandbits(p.l_n + p.l_stat)
-    a_prime = cred.A * _mexp(pk, [(pk.S, r_A)]) % n
+    while True:  # as U in begin_issuance; a non-unit A (a hand-edited wallet) never verifies
+        r_A = rng.getrandbits(p.l_n + p.l_stat)
+        a_prime = cred.A * _mexp(pk, [(pk.S, r_A)]) % n
+        if a_prime not in (1, n - 1):
+            break
     v_bar = cred.v - cred.e * r_A
 
     ms = {i: encode_attribute(c, p) for i, c in enumerate(cred.claims, start=1)}

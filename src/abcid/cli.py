@@ -18,7 +18,6 @@ import random
 import sys
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 # The parser and the error handler need only these; each command imports
 # the rest, so an issuer, holder or verifier step never loads the policy
@@ -27,9 +26,6 @@ from . import anoncred, wire
 from .anoncred import AbcError, CredentialMetadata, EncodingError, ParameterError
 from .model import Claim, CodedError, Unsatisfiable, select_credentials
 from .wire import FormatError
-
-if TYPE_CHECKING:
-    from .wallet import Wallet
 
 
 def build_rng(seed: int | None) -> anoncred.Rng:
@@ -105,18 +101,11 @@ def cmd_holder_keygen(args) -> int:
     return 0
 
 
-def _wallet_with_secret(path: str) -> Wallet:
+def cmd_holder_request(args) -> int:
     from .wallet import wallet_load
 
-    wallet = wallet_load(path)
-    if wallet.holder_secret is None:
-        raise FormatError("wallet has no holder secret; run `holder keygen` first")
-    return wallet
-
-
-def cmd_holder_request(args) -> int:
     rng = build_rng(args.seed)
-    wallet = _wallet_with_secret(args.wallet)
+    wallet = wallet_load(args.wallet)
     pk = _load_public_key(args.issuer_pub)
     req, state = anoncred.begin_issuance(pk, wallet.holder_secret, args.nonce, rng)
     wire.save(wire.request_to_json(req), args.out)
@@ -126,11 +115,11 @@ def cmd_holder_request(args) -> int:
 
 
 def cmd_holder_complete(args) -> int:
-    from .wallet import wallet_save
+    from .wallet import wallet_load, wallet_save
 
     # Concurrent completions on one wallet each keep the other's credential.
     with wire.locked(Path(args.wallet).parent):
-        wallet = _wallet_with_secret(args.wallet)
+        wallet = wallet_load(args.wallet)
         pk = _load_public_key(args.issuer_pub)
         state = wire.holder_state_from_json(wire.load(args.state), pk)
         pre = wire.pre_credential_from_json(wire.load(args.infile))
@@ -161,8 +150,10 @@ def cmd_holder_list(args) -> int:
 
 
 def cmd_holder_present(args) -> int:
+    from .wallet import wallet_load
+
     rng = build_rng(args.seed)
-    wallet = _wallet_with_secret(args.wallet)
+    wallet = wallet_load(args.wallet)
     pk = _load_public_key(args.issuer_pub)
     try:
         cred = wallet.find(args.credential)
@@ -210,9 +201,8 @@ def cmd_gate_eval(args) -> int:
     from . import gate
     from .policy import AccessRequest, parse_policy
 
-    registry, digests = gate.registry_from_json(wire.load(args.registry))
-    for path in args.issuer_pub or []:
-        gate.attach_trusted_key(registry, _load_public_key(path), digests)
+    keys = map(_load_public_key, args.issuer_pub or [])
+    registry = gate.registry_from_json(wire.load(args.registry), keys)
     for path in map(Path, args.policy or []):
         if path.stem in registry.policies:
             raise FormatError(f"two --policy files share the id {path.stem!r}")

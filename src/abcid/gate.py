@@ -28,6 +28,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from typing import Iterable
 from urllib.parse import quote
 
 from .anoncred import (
@@ -197,9 +198,10 @@ def registry_to_json(registry: Registry) -> dict:
     }
 
 
-def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str]]:
-    """Rebuild the domain table; keys and policies are attached separately,
-    keys checked against the persisted digests."""
+def registry_from_json(doc: dict, keys: Iterable[IssuerPublicKey]) -> Registry:
+    """Rebuild the domain table and attach each trusted key in `keys`, which
+    must match the digest the document lists for its issuer. Policies are
+    attached separately."""
     if need(doc, "version", int) != REGISTRY_VERSION:
         raise FormatError("unsupported registry version")
     registry = Registry()
@@ -208,16 +210,11 @@ def registry_from_json(doc: dict) -> tuple[Registry, dict[str, str]]:
     digests = need(doc, "issuer_key_digests", dict)
     if not all(isinstance(d, str) and re.fullmatch("[0-9a-f]{64}", d) for d in digests.values()):
         raise FormatError("an issuer key digest is not 64 lowercase hex digits")
-    return registry, dict(digests)
-
-
-def attach_trusted_key(registry: Registry, pk: IssuerPublicKey, digests: dict[str, str]) -> None:
-    expected = digests.get(pk.issuer_id)
-    if expected is None:
-        raise KeyDigestMismatch(f"registry does not list issuer {pk.issuer_id!r}")
-    if expected != key_digest(pk):
-        raise KeyDigestMismatch(f"key digest mismatch for issuer {pk.issuer_id!r}")
-    registry.issuer_keys[pk.issuer_id] = pk
+    for pk in keys:
+        if digests.get(pk.issuer_id) != key_digest(pk):
+            raise KeyDigestMismatch(f"registry does not list this key for issuer {pk.issuer_id!r}")
+        registry.issuer_keys[pk.issuer_id] = pk
+    return registry
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +363,6 @@ __all__ = [
     "UnknownIssuerKey",
     "UntrustedIssuer",
     "access",
-    "attach_trusted_key",
     "context_string",
     "key_digest",
     "reference_fixture",

@@ -17,11 +17,13 @@ WALLET_VERSION = 1
 
 @dataclass
 class Wallet:
-    holder_secret: HolderSecret | None = None
+    holder_secret: HolderSecret
     credentials: list[Credential] = field(default_factory=list)
     labels: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.holder_secret, HolderSecret):
+            raise ValueError("a wallet needs a holder secret")
         seen: set[str] = set()
         for c in self.credentials:
             cid = c.metadata.credential_id

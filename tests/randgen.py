@@ -86,7 +86,7 @@ def rand_wallet(rng: random.Random) -> Wallet:
     creds = [rand_credential(rng, credential_id=f"c{i}") for i in range(rng.randrange(0, 6))]
     labels = {c.metadata.credential_id: rand_text(rng) for c in creds if rng.random() < 0.5}
     return Wallet(
-        holder_secret=HolderSecret(rng.getrandbits(256)) if rng.random() < 0.9 else None,
+        holder_secret=HolderSecret(rng.getrandbits(256)),
         credentials=creds,
         labels=labels,
     )

@@ -468,6 +468,7 @@ ERROR_CASES = [
     ("EncodingError", ISSUER_ISSUE + " --claims {t}/renamed_issuer.json"),
     ("FormatError", ISSUER_ISSUE + " --claims {t}/empty_credential_id.json"),
     ("FormatError", ISSUER_ISSUE + " --claims {t}/claim_not_object.json"),
+    ("FormatError", "holder list --wallet {t}/no_secret.json"),
 ]
 ADMIN_CLAIM = {"name": "admin", "value": "true", "issuer_id": "clinic", "schema_id": "staff_v1"}
 DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}

@@ -32,7 +32,6 @@ from abcid.gate import (
     Registry,
     UnknownDomain,
     access,
-    attach_trusted_key,
     context_string,
     register_domain,
     registry_from_json,
@@ -92,16 +91,21 @@ def test_context_string_escapes_separator():
 
 def test_registry_persistence_round_trip(ref_fx):
     doc = registry_to_json(ref_fx.registry)
-    reg2, digests = registry_from_json(doc)
+    pk = ref_fx.public_key("campus_office")
+    reg2 = registry_from_json(doc, [pk])
     assert set(reg2.domains) == set(ref_fx.registry.domains)
     assert reg2.domains["library"] == ref_fx.registry.domains["library"]
-    pk = ref_fx.public_key("campus_office")
-    attach_trusted_key(reg2, pk, digests)
-    assert reg2.issuer_keys["campus_office"] == pk
-    with pytest.raises(KeyDigestMismatch):
-        attach_trusted_key(reg2, replace(pk, issuer_id="stranger"), digests)
-    with pytest.raises(KeyDigestMismatch):
-        attach_trusted_key(reg2, replace(pk, Z=pk.Z + 1), digests)
+    assert reg2.issuer_keys == {"campus_office": pk}
+    with pytest.raises(KeyDigestMismatch, match="'stranger'"):
+        registry_from_json(doc, [replace(pk, issuer_id="stranger")])
+    with pytest.raises(KeyDigestMismatch, match="'campus_office'"):
+        registry_from_json(doc, [replace(pk, Z=pk.Z + 1)])
+
+
+def test_registry_loads_with_every_listed_key(ref_fx):
+    doc = registry_to_json(ref_fx.registry)
+    keys = [ref_fx.public_key(issuer_id) for issuer_id in doc["issuer_key_digests"]]
+    assert registry_to_json(registry_from_json(doc, keys)) == doc
 
 
 def test_documents_with_removed_fields_still_load(ref_fx):
@@ -110,7 +114,7 @@ def test_documents_with_removed_fields_still_load(ref_fx):
     load; the keys are ignored."""
     doc = {**registry_to_json(ref_fx.registry), "policy_files": {"library_audio_read": "policies/library.pol"}}
     doc["domains"] = [{**d, "policy_ids": ["ghost"]} for d in doc["domains"]]
-    reg2, _ = registry_from_json(doc)
+    reg2 = registry_from_json(doc, [])
     assert reg2.domains == ref_fx.registry.domains
     pres = show(ref_fx, "c1", NONCE, context_string("medical_files", "patient_file", "r1", "write"), 12)
     old = {**wire.presentation_to_json(pres), "schema_id": "fixture_v1"}

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from abcid import wire
-from abcid.anoncred import PROFILES, begin_issuance, holder_keygen
+from abcid.anoncred import PROFILES, HolderSecret, begin_issuance, holder_keygen
 from abcid.wallet import Wallet, wallet_load, wallet_save
 
 from conftest import toy_issuer, TOY_PARAMS
@@ -165,9 +165,9 @@ def test_presentation_field_order():
 
 def test_wallet_round_trip_empty(tmp_path):
     path = tmp_path / "w.json"
-    wallet_save(Wallet(), path)
+    wallet_save(Wallet(HolderSecret(1)), path)
     loaded = wallet_load(path)
-    assert loaded.holder_secret is None
+    assert loaded.holder_secret == HolderSecret(1)
     assert loaded.credentials == [] and loaded.labels == {}
     # bit-for-bit stable on re-save
     first = path.read_bytes()
@@ -192,7 +192,7 @@ def test_wallet_round_trip_random(tmp_path):
 
 def test_wallet_file_permissions(tmp_path):
     path = tmp_path / "w.json"
-    wallet_save(Wallet(), path)
+    wallet_save(Wallet(HolderSecret(1)), path)
     assert path.stat().st_mode & 0o777 == 0o600
 
 
@@ -220,7 +220,7 @@ def test_wallet_save_failure_keeps_old_wallet(tmp_path, monkeypatch, fail_at):
     else:
         monkeypatch.setattr(os, "fsync", fail_fsync)
     with pytest.raises(OSError):
-        wallet_save(Wallet(credentials=creds), path)
+        wallet_save(Wallet(HolderSecret(1), credentials=creds), path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["w.json"]
     assert path.stat().st_mode & 0o777 == 0o600
@@ -247,7 +247,7 @@ def test_save_syncs_directory_after_rename(tmp_path, monkeypatch):
 
 def test_wallet_truncated_file(tmp_path):
     path = tmp_path / "w.json"
-    wallet_save(Wallet(), path)
+    wallet_save(Wallet(HolderSecret(1)), path)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
     with pytest.raises(wire.FormatError):
         wallet_load(path)
@@ -255,7 +255,7 @@ def test_wallet_truncated_file(tmp_path):
 
 def test_wallet_version_mismatch(tmp_path):
     path = tmp_path / "w.json"
-    wallet_save(Wallet(), path)
+    wallet_save(Wallet(HolderSecret(1)), path)
     doc = wire.load(path)
     doc["version"] = 99
     wire.save(doc, path)
@@ -265,7 +265,7 @@ def test_wallet_version_mismatch(tmp_path):
 
 def test_wallet_duplicate_ids_rejected(tmp_path):
     rng = random.Random(12)
-    wallet_save(Wallet(credentials=[rand_credential(rng, credential_id="dup")]), tmp_path / "w.json")
+    wallet_save(Wallet(HolderSecret(1), credentials=[rand_credential(rng, credential_id="dup")]), tmp_path / "w.json")
     doc = wire.load(tmp_path / "w.json")
     doc["credentials"] *= 2
     wire.save(doc, tmp_path / "w.json")
@@ -274,19 +274,21 @@ def test_wallet_duplicate_ids_rejected(tmp_path):
 
 
 def test_wallet_checks_itself_when_built():
-    """A wallet built in memory obeys the rules a loaded one does: one
-    credential per id, and string labels."""
+    """A wallet built in memory obeys the rules a loaded one does: a holder
+    secret, one credential per id, and string labels."""
     cred = rand_credential(random.Random(17), credential_id="dup")
     with pytest.raises(ValueError, match="'dup'"):
-        Wallet(credentials=[cred, cred])
+        Wallet(HolderSecret(1), credentials=[cred, cred])
     with pytest.raises(ValueError, match="labels"):
-        Wallet(labels={"c": 5})
+        Wallet(HolderSecret(1), labels={"c": 5})
+    with pytest.raises(ValueError, match="holder secret"):
+        Wallet(None)
 
 
 def test_add_credential_rejects_duplicate_id():
     rng = random.Random(16)
     first = rand_credential(rng, credential_id="dup")
-    wallet = Wallet()
+    wallet = Wallet(HolderSecret(1))
     wallet.add_credential(first, label="one")
     with pytest.raises(ValueError):
         wallet.add_credential(rand_credential(rng, credential_id="dup"), label="two")
