@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from datetime import date, datetime
 from functools import cached_property
 from hashlib import sha256
@@ -89,26 +89,26 @@ class LengthCheckFailed(AbcError):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Bit-length profile for the scheme (Idemix-style relations)."""
+    """Bit-length profile for the scheme. l_e and l_v are derived, each the
+    least length its Idemix relation allows, so the relations hold by
+    construction."""
 
     l_n: int  # modulus
     l_m: int  # attribute messages and holder secret
-    l_e: int  # signature prime exponent
+    l_e: int = field(init=False)  # signature prime exponent
     l_e_prime: int  # width of the prime sampling interval
-    l_v: int  # signature blinding exponent
+    l_v: int = field(init=False)  # signature blinding exponent
     l_stat: int  # statistical zero-knowledge slack
     l_h: int  # Fiat-Shamir challenge
 
     def __post_init__(self) -> None:
-        # e's interval must lie above the proof's slack around it (Idemix).
-        if self.l_e <= self.l_stat + self.l_h + max(self.l_m + 4, self.l_e_prime + 2):
-            raise ParameterError("l_e must exceed l_stat + l_h + max(l_m + 4, l_e' + 2)")
-        if self.l_v < self.l_n + self.l_m + 2 * self.l_stat:
-            raise ParameterError("l_v too small for statistical hiding")
         if self.l_m > 257:
             raise ParameterError("attribute encoding supports l_m <= 257")
         if self.l_h > 256:
             raise ParameterError("a challenge is cut from a SHA-256 digest: l_h <= 256")
+        # e's interval lies above the proof's slack around it; v hides S^v statistically.
+        object.__setattr__(self, "l_e", self.l_stat + self.l_h + max(self.l_m + 4, self.l_e_prime + 2) + 1)
+        object.__setattr__(self, "l_v", self.l_n + self.l_m + self.l_h + 2 * self.l_stat + 4)
 
     @property
     def e_interval(self) -> tuple[int, int]:
@@ -116,13 +116,8 @@ class SystemParams:
         return lo, lo + (1 << self.l_e_prime)
 
 
-# l_v follows l_n + l_m + l_h + 2*l_stat + 4; only the 512 profile is meant
-# for tests and CI.
-PROFILES: dict[int, SystemParams] = {
-    512: SystemParams(512, 256, 597, 120, 1188, 80, 256),
-    1024: SystemParams(1024, 256, 597, 120, 1700, 80, 256),
-    2048: SystemParams(2048, 256, 597, 120, 2724, 80, 256),
-}
+# A profile is its modulus size; only the 512 profile is meant for tests and CI.
+PROFILES: dict[int, SystemParams] = {l_n: SystemParams(l_n, DEFAULT_L_M, 120, 80, 256) for l_n in (512, 1024, 2048)}
 
 
 @dataclass(frozen=True)
@@ -349,13 +344,10 @@ def setup_issuer_from_primes(
     if p % 4 != 3 or q % 4 != 3:
         raise ParameterError("p and q must be = 3 (mod 4)")
     n = p * q
-    order = ((p - 1) // 2) * ((q - 1) // 2)
+    sk = IssuerSecretKey(p=p, q=q)
     S = _unit_base(n, lambda: pow(rng.randrange(2, n - 1), 2, n))  # a square, so in QR_n
-    Z, *R = (_unit_base(n, lambda: pow(S, rng.randrange(2, order), n)) for _ in range(L + 2))
-    return (
-        IssuerPublicKey(n=n, S=S, Z=Z, R=tuple(R), params=params, issuer_id=issuer_id),
-        IssuerSecretKey(p=p, q=q),
-    )
+    Z, *R = (_unit_base(n, lambda: pow(S, rng.randrange(2, sk.group_order), n)) for _ in range(L + 2))
+    return IssuerPublicKey(n=n, S=S, Z=Z, R=tuple(R), params=params, issuer_id=issuer_id), sk
 
 
 def setup_issuer(

@@ -240,7 +240,7 @@ def cmd_fixture_emit(args) -> int:
     with wire.locked(out):
         for secret in (out / "wallet.json", *out.glob("*.key.json")):
             _refuse_to_replace(secret)
-        fx = gate.reference_fixture(seed=args.seed if args.seed is not None else 20260101)
+        fx = gate.reference_fixture() if args.seed is None else gate.reference_fixture(seed=args.seed)
 
         (out / "policies").mkdir(exist_ok=True)
         for pid, text in gate.FIXTURE_POLICY_TEXTS.items():

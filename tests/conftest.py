@@ -17,9 +17,8 @@ from abcid.anoncred import (
 from abcid.model import Attribute, Claim
 
 # Insecure scale-model profile over n = 23 * 47 = 1081; lets tests check
-# the arithmetic against hand-computable numbers. l_e = 37 is the least the
-# e-interval relation allows.
-TOY_PARAMS = SystemParams(l_n=11, l_m=8, l_e=37, l_e_prime=5, l_v=55, l_stat=8, l_h=16)
+# the arithmetic against hand-computable numbers. It derives l_e = 37 and l_v = 55.
+TOY_PARAMS = SystemParams(l_n=11, l_m=8, l_e_prime=5, l_stat=8, l_h=16)
 TOY_P, TOY_Q = 23, 47
 
 

@@ -109,14 +109,26 @@ def test_setup_rejects_bad_issuer_before_prime_search(monkeypatch, L, issuer_id)
 
 
 def test_params_relations_enforced():
-    with pytest.raises(ParameterError):
-        SystemParams(l_n=11, l_m=10, l_e=11, l_e_prime=5, l_v=55, l_stat=8, l_h=16)
-    with pytest.raises(ParameterError):
-        SystemParams(l_n=512, l_m=256, l_e=597, l_e_prime=120, l_v=300, l_stat=80, l_h=256)
     with pytest.raises(ParameterError, match="l_m <= 257"):
-        SystemParams(l_n=11, l_m=258, l_e=400, l_e_prime=5, l_v=300, l_stat=8, l_h=16)
+        SystemParams(l_n=11, l_m=258, l_e_prime=5, l_stat=8, l_h=16)
     with pytest.raises(ParameterError, match="l_h <= 256"):  # longer than the SHA-256 digest it is cut from
-        SystemParams(l_n=11, l_m=10, l_e=400, l_e_prime=5, l_v=55, l_stat=8, l_h=300)
+        SystemParams(l_n=11, l_m=10, l_e_prime=5, l_stat=8, l_h=300)
+
+
+@pytest.mark.parametrize("params, l_e, l_v", [
+    (PROFILES[512], 597, 1188),
+    (PROFILES[1024], 597, 1700),
+    (PROFILES[2048], 597, 2724),
+    (TOY_PARAMS, 37, 55),
+], ids=["512", "1024", "2048", "toy"])
+def test_params_derive_l_e_and_l_v(params, l_e, l_v):
+    """Each is the least length its relation allows: l_e > l_stat + l_h +
+    max(l_m + 4, l_e' + 2) and l_v >= l_n + l_m + l_h + 2*l_stat + 4."""
+    assert (params.l_e, params.l_v) == (l_e, l_v)
+    with pytest.raises(ValueError):
+        replace(params, l_e=l_e + 1)
+    with pytest.raises(ValueError):
+        replace(params, l_v=l_v + 1)
 
 
 def test_challenge_is_cut_from_the_digest():
