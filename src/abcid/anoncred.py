@@ -32,7 +32,6 @@ import random
 from dataclasses import astuple, dataclass, field
 from datetime import date, datetime
 from functools import cached_property
-from hashlib import sha256
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .hashing import (
@@ -41,6 +40,7 @@ from .hashing import (
     TAG_PRESENT,
     challenge_from_digest,
     int_signed_bytes,
+    sha256,
     transcript_hash,
 )
 from .model import Claim, CodedError, claim_bytes, is_token
@@ -425,6 +425,8 @@ def issue(
     rng: Rng,
 ) -> PreCredential:
     """Issuer side: sign the blinded commitment together with the claims."""
+    if sk.p * sk.q != pk.n:  # else A would be a root mod the wrong modulus, refused only at completion
+        raise ParameterError("secret key does not belong to this public key")
     verify_issuance_request(pk, req)
     if len(claims) != pk.L:
         raise EncodingError(f"issuer key fits exactly {pk.L} claims, got {len(claims)}")

@@ -4,12 +4,24 @@ Every hashed element is length-prefixed (4-byte big-endian) so transcripts
 are unambiguous, and integers carry an explicit sign byte ahead of their
 minimal big-endian magnitude. Changing any of this breaks interoperability
 with previously written message files.
+
+This is the package's one SHA-256. It comes from CPython's built-in module,
+as `random` takes its SHA-512, so that no process maps OpenSSL's libcrypto
+(3.6 MB of RSS) for a few short digests. The OpenSSL-backed module is only
+the fallback for an interpreter built without the built-in one.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable
+
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 TAG_ISSUE = b"abcid/issue/v1"
 TAG_PRESENT = b"abcid/present/v1"
@@ -35,7 +47,7 @@ def frame(elements: Iterable[bytes]) -> bytes:
 
 
 def transcript_hash(elements: Iterable[bytes]) -> bytes:
-    return hashlib.sha256(frame(elements)).digest()
+    return sha256(frame(elements)).digest()
 
 
 def challenge_from_digest(digest: bytes, bits: int) -> int:

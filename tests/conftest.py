@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import abcid
 from abcid.anoncred import (
     CredentialMetadata,
     SystemParams,
@@ -53,6 +58,15 @@ def ref_fx():
     from abcid.gate import reference_fixture
 
     return reference_fixture()
+
+
+def fresh_interpreter(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter that imports abcid from this checkout."""
+    src = str(Path(abcid.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 def make_claims(names, issuer_id: str, value: str = "true", schema_id: str = "test_v1"):

@@ -21,6 +21,7 @@ from abcid.anoncred import (
     ContextMismatch,
     EncodingError,
     IssuanceRequest,
+    IssuerSecretKey,
     LengthCheckFailed,
     NonceMismatch,
     PROFILES,
@@ -214,6 +215,21 @@ def test_issue_rejects_bad_proof_and_wrong_claim_count():
         issue(sk, pk, replace(req, s_k=req.s_k + 1), claims, metadata("toyissuer"), rng)
     with pytest.raises(EncodingError):
         issue(sk, pk, req, claims[:1], metadata("toyissuer"), rng)
+
+
+def test_issue_refuses_secret_key_of_another_modulus():
+    """A secret key that does not factor the public key's n is refused
+    before e is drawn; it would sign a pre-credential that no holder accepts."""
+    pk, sk = toy_issuer()
+    rng = random.Random(9)
+    hs = holder_keygen(rng, TOY_PARAMS.l_m)
+    req, _ = begin_issuance(pk, hs, NONCE, rng)
+    claims = make_claims(("a5", "a6"), "toyissuer")
+    state = rng.getstate()
+    with pytest.raises(ParameterError, match="does not belong"):
+        issue(IssuerSecretKey(p=TOY_P, q=59), pk, req, claims, metadata("toyissuer"), rng)
+    assert rng.getstate() == state
+    issue(sk, pk, req, claims, metadata("toyissuer"), rng)
 
 
 def test_complete_rejects_forged_signature():

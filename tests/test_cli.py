@@ -16,6 +16,7 @@ from abcid.cli import build_parser, run
 from abcid.gate import WORKED_POLICY_TEXT
 from abcid.wallet import Wallet, wallet_load, wallet_save
 
+from conftest import fresh_interpreter
 from randgen import rand_credential
 
 NONCE_A = "aa" * 16
@@ -469,6 +470,7 @@ ERROR_CASES = [
     ("FormatError", ISSUER_ISSUE + " --claims {t}/empty_credential_id.json"),
     ("FormatError", ISSUER_ISSUE + " --claims {t}/claim_not_object.json"),
     ("FormatError", "holder list --wallet {t}/no_secret.json"),
+    ("ParameterError", ISSUER_ISSUE.replace("{d}/sk.json", "{t}/other_sk.json") + " --claims {d}/claims.json"),
 ]
 ADMIN_CLAIM = {"name": "admin", "value": "true", "issuer_id": "clinic", "schema_id": "staff_v1"}
 DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
@@ -494,7 +496,7 @@ BAD_CLAIMS_FILES = {
 
 
 @pytest.mark.parametrize("code_name, command", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
-def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
+def test_error_codes_exit_2(issued_dir, issuer512, tmp_path, capsys, code_name, command):
     d, _ = issued_dir
     registry = {"version": 1, "domains": [], "issuer_key_digests": {}}
     wire.save(registry, tmp_path / "registry.json")
@@ -535,13 +537,14 @@ def test_error_codes_exit_2(issued_dir, tmp_path, capsys, code_name, command):
     wire.save({**pk, "z": "0x1"}, tmp_path / "z_one.json")
     wire.save({**pk, "params": {"l_n": 1024}}, tmp_path / "relabelled.json")
     wire.save({**pk, "issuer_id": "Bad Id"}, tmp_path / "bad_id.json")
+    wire.save(wire.secret_key_to_json(issuer512[1]), tmp_path / "other_sk.json")
     args = [a.format(d=d, t=tmp_path) for a in command.split()]
     code, out, err = cli(capsys, *args)
     assert code == 2
     assert err.startswith(f"error[{code_name}]: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
-    assert not (tmp_path / "pres.json").exists()
+    assert not (tmp_path / "pres.json").exists() and not (tmp_path / "pre.json").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -783,11 +786,7 @@ def test_party_commands_load_neither_gate_nor_policy(issued_dir, tmp_path, capsy
         "codes = [run(step) for step in json.loads(sys.argv[1])]\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('abcid'))]))\n"
     )
-    src = str(Path(abcid.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(steps)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = fresh_interpreter(script, json.dumps(steps))
     codes, modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0], proc.stderr
     assert "abcid.wallet" in modules
