@@ -19,6 +19,11 @@ its interval and away from e = 1, where anyone could forge A. Fresh
 randomness per show makes transcripts pairwise unlinkable; binding to a
 verifier nonce and context string stops replays.
 
+A show carries its commitment T, and the verifier derives the challenge
+from it. It accepts when its recomputed LHS satisfies LHS^2 == T^2 (mod
+n), so several shows under one key can be checked with one weighted
+equation (`equations_hold`).
+
 All operations take an explicit randomness source (``random.Random`` for
 reproducible tests, ``random.SystemRandom`` for real use) and are pure
 given that source. The 512-bit profile exists to keep tests fast; it is
@@ -29,10 +34,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .hashing import (
     TAG_ISSUE,
@@ -53,6 +58,7 @@ Rng = random.Random  # random.SystemRandom quacks the same
 DEFAULT_L_M = 256
 
 _WINDOW = 6  # bits per fixed-base table step, and per exponent digit in _mexp
+_STRAUS_WINDOW = 5  # bits per exponent digit in the variable-base pass
 
 
 class AbcError(CodedError):
@@ -115,6 +121,13 @@ class SystemParams:
         lo = 1 << (self.l_e - 1)
         return lo, lo + (1 << self.l_e_prime)
 
+    @property
+    def batch_sound(self) -> bool:
+        """Whether `equations_hold` with l_stat-bit weights errs with
+        probability at most 2^-l_stat: a square other than 1 has order at
+        least min(p', q') >= 2^(l_n/2 - 2), which must exceed every weight."""
+        return self.l_n // 2 - 2 > self.l_stat
+
 
 # A profile is its modulus size; only the 512 profile is meant for tests and CI.
 PROFILES: dict[int, SystemParams] = {l_n: SystemParams(l_n, DEFAULT_L_M, 120, 80, 256) for l_n in (512, 1024, 2048)}
@@ -122,6 +135,8 @@ PROFILES: dict[int, SystemParams] = {l_n: SystemParams(l_n, DEFAULT_L_M, 120, 80
 
 @dataclass(frozen=True)
 class IssuerPublicKey:
+    """An issuer's modulus n and bases S, Z, R_0..R_L under one profile."""
+
     n: int
     S: int
     Z: int
@@ -141,7 +156,12 @@ class IssuerPublicKey:
         return len(self.R) - 1
 
     def digest(self) -> bytes:
-        ints = (self.L, *astuple(self.params), self.n, self.S, self.Z, *self.R)
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
+        p = self.params
+        ints = (self.L, p.l_n, p.l_m, p.l_e, p.l_e_prime, p.l_v, p.l_stat, p.l_h, self.n, self.S, self.Z, *self.R)
         return transcript_hash([TAG_PK, self.issuer_id.encode("utf-8"), *map(int_signed_bytes, ints)])
 
     def _table(self, base: int, bits: int) -> tuple[int, ...]:
@@ -159,18 +179,31 @@ class IssuerPublicKey:
     def _tables(self) -> dict[int, tuple[int, ...]]:
         """base -> fixed-base table for Z^-1, S and R_0..R_L, each as long as
         the largest exponent its base is raised to (the c, s_v and s_k/s_m
-        bounds). Immutable, so threads can share them."""
+        bounds), plus l_stat + 4 bits: a batch of up to 16 shows raises each
+        base to a sum of l_stat-bit multiples of those. Immutable, so
+        threads can share them."""
         p = self.params
-        bits = {self._z_inv: p.l_h} | dict.fromkeys(self.R, p.l_m + p.l_stat + p.l_h + 1)
+        extra = p.l_stat + 4
+        bits = {self._z_inv: p.l_h + extra} | dict.fromkeys(self.R, p.l_m + p.l_stat + p.l_h + 1 + extra)
         # S last: should it equal Z^-1 or some R_i, its longer table serves both.
-        bits[self.S] = p.l_v + p.l_stat + p.l_h + 1
+        bits[self.S] = p.l_v + p.l_stat + p.l_h + 1 + extra
         return {base: self._table(base, b) for base, b in bits.items()}
 
 
 @dataclass(frozen=True)
 class IssuerSecretKey:
+    """The safe primes p = 2p'+1 and q = 2q'+1 of an issuer's modulus."""
+
     p: int
     q: int
+
+    def __post_init__(self) -> None:
+        if self.p <= 3 or self.q <= 3:
+            raise ParameterError("p and q must exceed 3")
+        if self.p == self.q:
+            raise ParameterError("p and q must differ")
+        if self.p % 4 != 3 or self.q % 4 != 3:
+            raise ParameterError("p and q must be = 3 (mod 4)")
 
     @property
     def group_order(self) -> int:
@@ -179,6 +212,8 @@ class IssuerSecretKey:
 
 @dataclass(frozen=True)
 class HolderSecret:
+    """The holder's secret key k, signed into every credential it holds."""
+
     k: int
 
 
@@ -196,12 +231,16 @@ class IssuanceRequest:
 
 @dataclass(frozen=True)
 class HolderIssuanceState:
+    """What the holder keeps between its request and completion."""
+
     v_prime: int
     pk: IssuerPublicKey
 
 
 @dataclass(frozen=True)
 class CredentialMetadata:
+    """A credential's issuer, schema, dates and wallet id; none of it signed."""
+
     issuer_id: str
     schema_id: str
     issued_at: date
@@ -218,6 +257,8 @@ class CredentialMetadata:
 
 @dataclass(frozen=True)
 class PreCredential:
+    """The issuer's signature (A, e, v'') on a request, with its claims."""
+
     A: int
     e: int
     v_dprime: int
@@ -227,6 +268,8 @@ class PreCredential:
 
 @dataclass(frozen=True)
 class Credential:
+    """A completed CL signature (A, e, v) on the holder secret and claims."""
+
     A: int
     e: int
     v: int
@@ -243,7 +286,9 @@ class Credential:
 
 @dataclass(frozen=True)
 class PresentationProof:
-    c: int
+    """A show's commitment T and its responses; the challenge is derived."""
+
+    T: int
     s_e: int
     s_v: int
     s_k: int
@@ -255,6 +300,8 @@ class PresentationProof:
 
 @dataclass(frozen=True)
 class Presentation:
+    """One show of a credential, bound to a nonce, a context and an issuer."""
+
     a_prime: int
     disclosed: Mapping[int, Claim]
     proof: PresentationProof
@@ -282,15 +329,16 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
     the table joins one shared fixed-base pass (Brickell-Gordon-McCurley-
     Wilson; Yao's bucket method): each table entry b^(2^(6j)) is multiplied
     into the bucket of the exponent's j-th 6-bit digit, and the buckets are
-    folded with a running product. Every other term uses `pow`, so a
-    negative exponent inverts its base and raises ValueError when the base
-    is not invertible, as `pow` does. `tables` defaults to `pk._tables`.
+    folded with a running product. The other terms share one `_straus`
+    pass, or use `pow` when there is only one. Either way a negative
+    exponent inverts its base and raises ValueError when the base is not
+    invertible, as `pow` does. `tables` defaults to `pk._tables`.
     """
     n = pk.n
     tables = pk._tables if tables is None else tables
     buckets = [1] * (1 << _WINDOW)
     mask = len(buckets) - 1
-    acc = 1
+    rest = []
     for base, exp in terms:
         table = tables.get(base)
         if table is not None and 0 <= exp and exp.bit_length() <= _WINDOW * len(table):
@@ -298,8 +346,9 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
                 digit = exp >> shift & mask
                 if digit:
                     buckets[digit] = buckets[digit] * entry % n
-        else:
-            acc = acc * pow(base, exp, n) % n
+        elif exp:
+            rest.append((base, exp))
+    acc = pow(*rest[0], n) if len(rest) == 1 else _straus(rest, n)
     running = 1
     for bucket in reversed(buckets[1:]):  # acc *= prod_d bucket[d]^d
         running = running * bucket % n
@@ -307,9 +356,33 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
     return acc
 
 
+def _straus(terms: Sequence[tuple[int, int]], n: int) -> int:
+    """prod base^exp (mod n) in one left-to-right pass over 5-bit exponent
+    digits, with every base's digits multiplied in between shared squarings
+    (Straus 1964). Each base gets a table of its powers 0..31."""
+    rows = []
+    for base, exp in terms:
+        if exp < 0:
+            base, exp = pow(base, -1, n), -exp
+        row = [1, base % n]
+        for _ in range(2, 1 << _STRAUS_WINDOW):
+            row.append(row[-1] * row[1] % n)
+        rows.append((row, exp))
+    mask = (1 << _STRAUS_WINDOW) - 1
+    top = max((exp.bit_length() for _, exp in rows), default=0)
+    acc = 1
+    for shift in reversed(range(0, top, _STRAUS_WINDOW)):
+        acc = pow(acc, 1 << _STRAUS_WINDOW, n)
+        for row, exp in rows:
+            digit = exp >> shift & mask
+            if digit:
+                acc = acc * row[digit] % n
+    return acc
+
+
 def _in_group(x: int, n: int) -> bool:
     """The rule for every group element the scheme takes in: key bases,
-    U and A'. Checked before any exponentiation, it leaves none to fail."""
+    U, A' and T. Checked before any exponentiation, it leaves none to fail."""
     return 2 <= x <= n - 2 and math.gcd(x, n) == 1
 
 
@@ -339,12 +412,8 @@ def setup_issuer_from_primes(
     """Key pair from caller-supplied safe primes (test hook; `setup_issuer`
     generates the primes for you)."""
     _check_issuer(L, issuer_id)
-    if p == q:
-        raise ParameterError("p and q must differ")
-    if p % 4 != 3 or q % 4 != 3:
-        raise ParameterError("p and q must be = 3 (mod 4)")
-    n = p * q
     sk = IssuerSecretKey(p=p, q=q)
+    n = p * q
     S = _unit_base(n, lambda: pow(rng.randrange(2, n - 1), 2, n))  # a square, so in QR_n
     Z, *R = (_unit_base(n, lambda: pow(S, rng.randrange(2, sk.group_order), n)) for _ in range(L + 2))
     return IssuerPublicKey(n=n, S=S, Z=Z, R=tuple(R), params=params, issuer_id=issuer_id), sk
@@ -526,6 +595,8 @@ def present(
     L_c = len(cred.claims)
     if L_c != pk.L:
         raise EncodingError(f"issuer key fits exactly {pk.L} claims, got {L_c}")
+    if any(c.issuer_id != pk.issuer_id for c in cred.claims):  # as in complete_credential: no show would verify
+        raise EncodingError(f"issuer key belongs to {pk.issuer_id!r}, yet a claim names another issuer")
     disclose = set(disclose)
     if any(i < 1 or i > L_c for i in disclose):
         raise IndexError(f"disclosure indices must lie in 1..{L_c}")
@@ -542,23 +613,26 @@ def present(
     ms = {i: encode_attribute(c, p) for i, c in enumerate(cred.claims, start=1)}
     hidden = sorted(set(ms) - disclose)
 
-    r_e = rng.getrandbits(p.l_e_prime + p.l_stat + p.l_h)
-    r_v = rng.getrandbits(p.l_v + p.l_stat + p.l_h)
-    r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
-    r_m = {i: rng.getrandbits(p.l_m + p.l_stat + p.l_h) for i in hidden}
-
     # A'^r_e = A^r_e * S^(r_A*r_e), so T raises only fixed bases; r_v + r_A*r_e
     # still fits S's table. Threads racing to build A's table store equal ones.
     a_tables = cred._a_tables
     if n not in a_tables:
         a_tables[n] = pk._table(cred.A, p.l_e_prime + p.l_stat + p.l_h)
-    terms = [(cred.A, r_e), (pk.S, r_v + r_A * r_e), (pk.R[0], r_k), *((pk.R[i], r_m[i]) for i in hidden)]
-    T = _mexp(pk, terms, {cred.A: a_tables[n]} | pk._tables)
+    tables = {cred.A: a_tables[n]} | pk._tables
+    while True:  # the verifier holds T to the rule for A', so T = ±1 needs a redraw
+        r_e = rng.getrandbits(p.l_e_prime + p.l_stat + p.l_h)
+        r_v = rng.getrandbits(p.l_v + p.l_stat + p.l_h)
+        r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
+        r_m = {i: rng.getrandbits(p.l_m + p.l_stat + p.l_h) for i in hidden}
+        terms = [(cred.A, r_e), (pk.S, r_v + r_A * r_e), (pk.R[0], r_k), *((pk.R[i], r_m[i]) for i in hidden)]
+        T = _mexp(pk, terms, tables)
+        if T not in (1, n - 1):
+            break
 
     disclosed = {i: cred.claims[i - 1] for i in sorted(disclose)}
     c = _present_challenge(pk, a_prime, T, disclosed, nonce, context)
     proof = PresentationProof(
-        c=c,
+        T=T,
         s_e=r_e + c * (cred.e - p.e_interval[0]),
         s_v=r_v + c * v_bar,
         s_k=r_k + c * hs.k,
@@ -579,17 +653,26 @@ def _check_response_bound(value: int, bits: int, label: str) -> None:
         raise LengthCheckFailed(f"response {label} fails its length bound")
 
 
-def verify_presentation(
+class Equation(NamedTuple):
+    """A show's verification equation: LHS = prod base^exp over `terms`,
+    which an honest show makes equal to its commitment T."""
+
+    terms: list[tuple[int, int]]
+    T: int
+
+
+def presentation_equation(
     pk: IssuerPublicKey,
     pres: Presentation,
     expected_nonce: bytes,
     expected_context: str,
-) -> frozenset[Claim]:
-    """Check a presentation transcript; returns exactly the disclosed claims.
+) -> Equation:
+    """Run every check of a presentation that needs no exponentiation,
+    recompute its challenge from T, and return its equation.
 
     Rejections carry distinct codes: NonceMismatch / ContextMismatch for
     binding failures, LengthCheckFailed for out-of-range responses, and
-    ProofInvalid for everything that breaks the sigma-protocol equation.
+    ProofInvalid for everything else.
     """
     if bytes(pres.nonce) != bytes(expected_nonce):
         raise NonceMismatch("presentation bound to a different nonce")
@@ -605,11 +688,11 @@ def verify_presentation(
         raise ProofInvalid("a disclosed claim names a different issuer")
     if not _in_group(pres.a_prime, pk.n):
         raise ProofInvalid("A' is not a unit in [2, n-2]")
+    if not _in_group(proof.T, pk.n):
+        raise ProofInvalid("T is not a unit in [2, n-2]")
     # Each of 1..L disclosed or hidden once; never 0, the holder secret.
     if sorted([*pres.disclosed, *proof.s_m]) != list(range(1, pk.L + 1)):
         raise ProofInvalid("attribute indices do not form a credential layout")
-    if not 0 <= proof.c < (1 << p.l_h):
-        raise ProofInvalid("challenge out of range")
 
     _check_response_bound(proof.s_e, p.l_e_prime + p.l_stat + p.l_h, "s_e")
     _check_response_bound(proof.s_v, p.l_v + p.l_stat + p.l_h, "s_v")
@@ -617,13 +700,57 @@ def verify_presentation(
     for i, s in proof.s_m.items():
         _check_response_bound(s, p.l_m + p.l_stat + p.l_h, f"s_m[{i}]")
 
+    c = _present_challenge(pk, pres.a_prime, proof.T, pres.disclosed, pres.nonce, pres.context)
     # (Z / prod_disclosed R_j^m_j)^-c = Z^-c * prod_disclosed R_j^(c*m_j)
     # s_e answers for e - 2^(l_e-1), so A' gets the offset back here.
-    a_exp = proof.s_e + proof.c * p.e_interval[0]
-    terms = [(pres.a_prime, a_exp), (pk.S, proof.s_v), (pk.R[0], proof.s_k)]
+    terms = [(pres.a_prime, proof.s_e + c * p.e_interval[0]), (pk.S, proof.s_v), (pk.R[0], proof.s_k)]
     terms += [(pk.R[i], s) for i, s in proof.s_m.items()]
-    terms += [(pk.R[i], proof.c * encode_attribute(c, p)) for i, c in pres.disclosed.items()]
-    T_hat = _mexp(pk, [*terms, (pk._z_inv, proof.c)])
-    if _present_challenge(pk, pres.a_prime, T_hat, pres.disclosed, pres.nonce, pres.context) != proof.c:
+    terms += [(pk.R[i], c * encode_attribute(cl, p)) for i, cl in pres.disclosed.items()]
+    terms.append((pk._z_inv, c))
+    return Equation(terms, proof.T)
+
+
+def verify_presentation(
+    pk: IssuerPublicKey,
+    pres: Presentation,
+    expected_nonce: bytes,
+    expected_context: str,
+) -> frozenset[Claim]:
+    """Check a presentation transcript; returns exactly the disclosed claims.
+
+    It raises the codes of `presentation_equation`, and ProofInvalid unless
+    LHS^2 == T^2 (mod n). An honest show has LHS = T; one with LHS = -T
+    holds too, and that is sound (see `equations_hold`).
+    """
+    terms, T = presentation_equation(pk, pres, expected_nonce, expected_context)
+    lhs = _mexp(pk, terms)
+    if lhs * lhs % pk.n != T * T % pk.n:
         raise ProofInvalid("transcript equation does not verify")
     return frozenset(pres.disclosed.values())
+
+
+def equations_hold(pk: IssuerPublicKey, equations: Sequence[Equation], weights: Sequence[int]) -> bool:
+    """Whether prod_j LHS_j^(2 d_j) == prod_j T_j^(2 d_j) (mod n), for the
+    equations of several shows under `pk` and weights d_j drawn at random
+    from [0, 2^l_stat) after every challenge was computed (the small-
+    exponents test of Bellare, Garay and Rabin 1998, squared for the
+    elements of order 2 that Boyd and Pavlovski 2000 point out).
+
+    Squaring makes the test sound up to a square root of 1: if some
+    eps_j = LHS_j / T_j has eps_j^2 != 1, then eps_j^2 lies in QR_n with
+    order at least min(p', q') > 2^l_stat (`SystemParams.batch_sound`), so
+    for any other weights at most one d_j passes. A root of 1 is harmless:
+    the extractor then gets Z = eps A^e S^v prod R_i^m_i with eps^2 = 1; for
+    odd e, (eps A, e, v) is a signature, and for even e, eps lies in QR_n,
+    where only 1 squares to 1. The fixed bases join one bucket pass, and
+    every A'_j and T_j one `_straus` pass.
+    """
+    if not pk.params.batch_sound:
+        raise ParameterError(f"a {pk.params.l_n}-bit modulus is too small for l_stat-bit weights")
+    exps: dict[int, int] = {}
+    for (terms, T), d in zip(equations, weights, strict=True):
+        for base, exp in terms:
+            exps[base] = exps.get(base, 0) + d * exp
+        exps[T] = exps.get(T, 0) - d
+    x = _mexp(pk, exps.items())
+    return x * x % pk.n == 1

@@ -4,9 +4,10 @@ A domain is a set of resources governed by the same policies; getting in
 means authenticating with credential presentations. A policy governs the
 domain its own `in domain` clause names, so the registry keeps one id ->
 policy mapping for all domains. `access` verifies each presentation
-against a trusted issuer key, pools the disclosed claims, and evaluates
-the domain's policies over them in registry order. Any failed
-presentation forces Deny no matter what the policies would say.
+against a trusted issuer key, those under one key together, pools the
+disclosed claims, and evaluates the domain's policies over them in
+registry order. Any failed presentation forces Deny no matter what the
+policies would say.
 
 `reference_fixture` builds the reference scenario used throughout the test
 suite: seven attributes a1..a7, five credentials c1..c5 in one wallet,
@@ -40,8 +41,10 @@ from .anoncred import (
     Presentation,
     begin_issuance,
     complete_credential,
+    equations_hold,
     holder_keygen,
     issue,
+    presentation_equation,
     setup_issuer,
     verify_presentation,
 )
@@ -77,6 +80,8 @@ class UnknownIssuerKey(GateError):
 
 @dataclass(frozen=True)
 class DomainSpec:
+    """A domain's id, the attributes it requires and the issuers it trusts."""
+
     domain_id: str
     required_attrs: frozenset[str]
     trusted_issuers: frozenset[str]
@@ -92,6 +97,8 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class AccessOutcome:
+    """A decision, the claims verified for it and each rejected presentation's code."""
+
     decision: Decision
     verified: frozenset[Claim]
     presentation_errors: tuple[tuple[int, str], ...]
@@ -132,6 +139,32 @@ def _trusted_key(registry: Registry, spec: DomainSpec, issuer_id: str) -> Issuer
     return pk
 
 
+def _verdicts(pk: IssuerPublicKey, shows: list[tuple[int, Presentation]], nonce: bytes, ctx: str):
+    """(index, claims, None) or (index, None, error code) for each show under
+    `pk`. Two or more shows that pass every check before exponentiation are
+    verified by one `equations_hold`, with weights drawn from the system's
+    randomness; should it fail, they are verified again one by one, so each
+    gets the code `verify_presentation` gives it."""
+    if len(shows) > 1 and pk.params.batch_sound:
+        ready = []
+        for idx, pres in shows:
+            try:
+                ready.append((idx, pres, presentation_equation(pk, pres, nonce, ctx)))
+            except AbcError as exc:
+                yield idx, None, exc.code
+        draw = random.SystemRandom().getrandbits
+        if len(ready) > 1 and equations_hold(pk, [eq for *_, eq in ready], [draw(pk.params.l_stat) for _ in ready]):
+            for idx, pres, _ in ready:
+                yield idx, frozenset(pres.disclosed.values()), None
+            return
+        shows = [(idx, pres) for idx, pres, _ in ready]
+    for idx, pres in shows:
+        try:
+            yield idx, verify_presentation(pk, pres, nonce, ctx), None
+        except AbcError as exc:
+            yield idx, None, exc.code
+
+
 def access(
     registry: Registry,
     domain_id: str,
@@ -145,9 +178,10 @@ def access(
     context string. Claims from every successfully verified presentation
     pool into one attribute set; a single verification failure forces a
     PresentationRejected Deny even if the surviving claims would satisfy a
-    policy. The policies are those of `registry.policies` whose domain is
-    `domain_id`, tried in mapping order; a domain with none of its own
-    denies with NoPolicyForDomain.
+    policy. Presentations under one issuer key are verified together, with
+    the same verdicts as one by one. The policies are those of
+    `registry.policies` whose domain is `domain_id`, tried in mapping order;
+    a domain with none of its own denies with NoPolicyForDomain.
     """
     spec = registry.domains.get(domain_id)
     if spec is None:
@@ -156,13 +190,23 @@ def access(
         raise ValueError("request addressed to a different domain")
 
     ctx = context_string(domain_id, req.resource_type, req.resource_name, req.action)
-    verified: set[Claim] = set()
     errors: list[tuple[int, str]] = []
+    by_key: dict[str, list[tuple[int, Presentation]]] = {}
     for idx, pres in enumerate(presentations):
         try:
-            verified |= verify_presentation(_trusted_key(registry, spec, pres.issuer_id), pres, nonce, ctx)
-        except (AbcError, GateError) as exc:
+            _trusted_key(registry, spec, pres.issuer_id)
+        except GateError as exc:
             errors.append((idx, exc.code))
+        else:
+            by_key.setdefault(pres.issuer_id, []).append((idx, pres))
+    verified: set[Claim] = set()
+    for issuer_id, shows in by_key.items():
+        for idx, claims, code in _verdicts(registry.issuer_keys[issuer_id], shows, nonce, ctx):
+            if code is None:
+                verified |= claims
+            else:
+                errors.append((idx, code))
+    errors.sort()
 
     decision = evaluate(registry.policies, {c.attribute for c in verified}, req)
     if errors and decision.outcome == "Permit":
@@ -286,6 +330,8 @@ _ISSUER_OF = {cid: _DUAL_ISSUER if len(codes) == 2 else _SINGLE_ISSUER for cid, 
 
 @dataclass
 class ReferenceFixture:
+    """The reference scenario: registry, issuer key pairs, holder and wallet."""
+
     registry: Registry
     issuer_keys: dict[str, tuple[IssuerPublicKey, IssuerSecretKey]]
     holder_secret: HolderSecret

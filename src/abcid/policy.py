@@ -55,6 +55,8 @@ class AttrTerm:
 
 @dataclass(frozen=True)
 class TimeWindow:
+    """Half-open [start, end) minutes of the UTC day."""
+
     start: int  # minutes of day, inclusive
     end: int  # exclusive
 
@@ -65,6 +67,8 @@ class TimeWindow:
 
 @dataclass(frozen=True)
 class Policy:
+    """A Permit rule: subject terms, action, domain and optional resource, window and days."""
+
     subject_attrs: frozenset[AttrTerm]
     action: str
     domain_id: str
@@ -89,6 +93,8 @@ class Policy:
 
 @dataclass(frozen=True)
 class AccessRequest:
+    """What a subject asks to do, on which resource, in which domain and when."""
+
     action: str
     resource_type: str
     resource_name: str
@@ -108,6 +114,8 @@ class AccessRequest:
 
 @dataclass(frozen=True)
 class Decision:
+    """Permit or Deny, the policy that matched and the reason codes."""
+
     outcome: str  # "Permit" | "Deny"
     matched_policy: str | None
     reasons: tuple[str, ...]

@@ -17,6 +17,8 @@ WALLET_VERSION = 1
 
 @dataclass
 class Wallet:
+    """A holder's secret key, its credentials and their labels."""
+
     holder_secret: HolderSecret
     credentials: list[Credential] = field(default_factory=list)
     labels: dict[str, str] = field(default_factory=dict)

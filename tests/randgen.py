@@ -70,7 +70,7 @@ def rand_presentation(rng: random.Random) -> Presentation:
         a_prime=rng.getrandbits(512),
         disclosed={i: rand_claim(rng) for i in disclosed_idx},
         proof=PresentationProof(
-            c=rng.getrandbits(256),
+            T=rng.getrandbits(512),
             s_e=rng.getrandbits(900),
             s_v=rng.getrandbits(1500) * rng.choice((1, -1)),
             s_k=rng.getrandbits(590),

@@ -103,7 +103,7 @@ def test_criterion_2_soundness_mutations(issuers_by_size):
             mutations.append((pk, mutant, nonce, expected, what))
 
         out(replace(pres, a_prime=pres.a_prime + 1), ProofInvalid, "a_prime+1")
-        out(replace(pres, proof=replace(proof, c=proof.c + 1)), ProofInvalid, "c+1")
+        out(replace(pres, proof=replace(proof, T=proof.T + 1)), ProofInvalid, "T+1")
         out(replace(pres, proof=replace(proof, s_e=proof.s_e + 1)), ProofInvalid, "s_e+1")
         out(replace(pres, proof=replace(proof, s_v=proof.s_v + 1)), ProofInvalid, "s_v+1")
         out(replace(pres, proof=replace(proof, s_k=proof.s_k + 1)), ProofInvalid, "s_k+1")
@@ -152,7 +152,7 @@ def test_criterion_3_unlinkability_structure(issuers_by_size):
     ]
     for field in ("a_prime",):
         assert len({p.a_prime for p in shows}) == 50
-    for name in ("c", "s_e", "s_v", "s_k"):
+    for name in ("T", "s_e", "s_v", "s_k"):
         assert len({getattr(p.proof, name) for p in shows}) == 50, name
     for i in (2, 3):
         assert len({p.proof.s_m[i] for p in shows}) == 50
@@ -285,11 +285,12 @@ def test_criterion_8_toy_oracle_equivalence():
         for disclose in ((), (1,), (2,), (1, 2)):
             pres = present(pk, cred, hs, disclose, nonce, CTX, rng)
             proof = pres.proof
+            c = _present_challenge(pk, pres.a_prime, proof.T, pres.disclosed, nonce, CTX)
             t_show = oracle.presentation_commitment(
                 pk.n, pk.S, pk.Z, pk.R, pres.a_prime, proof.s_e, proof.s_v, proof.s_k,
-                proof.s_m, {i: ms[i - 1] for i in disclose}, proof.c, TOY_PARAMS.l_e,
+                proof.s_m, {i: ms[i - 1] for i in disclose}, c, TOY_PARAMS.l_e,
             )
-            assert _present_challenge(pk, pres.a_prime, t_show, pres.disclosed, nonce, CTX) == proof.c
+            assert t_show == proof.T
             # The package's own recomputation must agree with the oracle's.
             assert verify_presentation(pk, pres, nonce, CTX) == frozenset(pres.disclosed.values())
             proofs += 1

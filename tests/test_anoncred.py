@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sympy import legendre_symbol
 
 import oracle
-from abcid import anoncred, wire
+from abcid import anoncred, hashing, wire
 from abcid.anoncred import (
     AbcError,
     ContextMismatch,
@@ -87,6 +87,16 @@ def test_setup_deterministic_under_seed():
     assert a == b
 
 
+def test_key_digest_is_computed_once(issuer512, monkeypatch):
+    """A key object hashes itself on its first `digest()` only."""
+    want = issuer512[0].digest()
+    pk = replace(issuer512[0])
+    calls = []
+    monkeypatch.setattr(anoncred, "transcript_hash", lambda elems: calls.append(elems) or hashing.transcript_hash(elems))
+    assert pk.digest() == pk.digest() == want
+    assert len(calls) == 1
+
+
 def test_setup_from_primes_validates():
     rng = random.Random(0)
     with pytest.raises(ParameterError):
@@ -95,6 +105,17 @@ def test_setup_from_primes_validates():
         setup_issuer_from_primes(2, 29, TOY_Q, TOY_PARAMS, rng)  # 29 % 4 == 1
     with pytest.raises(ParameterError):
         setup_issuer_from_primes(0, TOY_P, TOY_Q, TOY_PARAMS, rng)
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (1, TOY_P * TOY_Q, "exceed 3"),  # p*q == n, yet the group order would be 0
+    (3, TOY_Q, "exceed 3"),
+    (TOY_P, TOY_P, "must differ"),
+    (TOY_P, 29, "3 \\(mod 4\\)"),
+])
+def test_secret_key_checks_itself(p, q, message):
+    with pytest.raises(ParameterError, match=message):
+        IssuerSecretKey(p=p, q=q)
 
 
 @pytest.mark.parametrize("L, issuer_id", [(0, "clinic"), (2, "Clinic"), (2, ""), (2, "my clinic")])
@@ -383,7 +404,7 @@ def test_presentations_are_pairwise_fresh(issued512):
     p1 = present(pk, cred, hs, {1}, NONCE, CTX, rng)
     p2 = present(pk, cred, hs, {1}, NONCE, CTX, rng)
     assert p1.a_prime != p2.a_prime
-    for name in ("c", "s_e", "s_v", "s_k"):
+    for name in ("T", "s_e", "s_v", "s_k"):
         assert getattr(p1.proof, name) != getattr(p2.proof, name)
     for i in p1.proof.s_m:
         assert p1.proof.s_m[i] != p2.proof.s_m[i]
@@ -411,16 +432,15 @@ def test_verify_rejects_single_field_perturbations(issued512):
     proof = pres.proof
     mutants = [
         replace(pres, a_prime=pres.a_prime + 1),
-        replace(pres, proof=replace(proof, c=proof.c ^ 1)),
+        replace(pres, proof=replace(proof, T=proof.T ^ 1)),
         replace(pres, proof=replace(proof, s_e=proof.s_e + 1)),
         replace(pres, proof=replace(proof, s_v=proof.s_v + 1)),
         replace(pres, proof=replace(proof, s_k=proof.s_k + 1)),
         replace(pres, proof=replace(proof, s_m={2: proof.s_m[2] + 1})),
         replace(pres, a_prime=0),  # A' out of range
         replace(pres, a_prime=pk.n),
-        replace(pres, proof=replace(proof, c=1 << pk.params.l_h)),  # challenge out of range
-        # A' = p raised to the power -1 has no inverse mod n.
-        replace(pres, a_prime=sk.p, proof=replace(proof, c=0, s_e=-1)),
+        replace(pres, proof=replace(proof, T=pk.n)),  # T out of range
+        replace(pres, a_prime=sk.p),  # no unit mod n
     ]
     for mutant in mutants:
         with pytest.raises(ProofInvalid):
@@ -428,9 +448,9 @@ def test_verify_rejects_single_field_perturbations(issued512):
 
 
 def test_bad_values_refused_before_any_exponentiation(issued512, monkeypatch):
-    """Each verifier checks U, the request's challenge and A' against their
-    ranges before its one exponentiation: a group element must be a unit in
-    [2, n-2], so none of these reaches `_mexp`."""
+    """Each verifier checks U, the request's challenge, A' and T against
+    their ranges before its one exponentiation: a group element must be a
+    unit in [2, n-2], so none of these reaches `_mexp`."""
     pk, sk, hs, cred = issued512
     rng = random.Random(40)
     req, _ = begin_issuance(pk, hs, NONCE, rng)
@@ -443,8 +463,10 @@ def test_bad_values_refused_before_any_exponentiation(issued512, monkeypatch):
     for mutant in (replace(req, U=sk.p), replace(req, c=1 << pk.params.l_h)):
         with pytest.raises(ProofInvalid):
             verify_issuance_request(pk, mutant)
-    for mutant in (replace(pres, a_prime=sk.p), replace(pres, a_prime=pk.n - 1)):
-        with pytest.raises(ProofInvalid):
+    mutants = [replace(pres, a_prime=sk.p), replace(pres, a_prime=pk.n - 1)]
+    mutants += [replace(pres, proof=replace(pres.proof, T=t)) for t in (sk.q, 0, 1, pk.n - 1)]
+    for mutant in mutants:
+        with pytest.raises(ProofInvalid, match="is not a unit"):
             verify_presentation(pk, mutant, NONCE, CTX)
 
 
@@ -621,17 +643,18 @@ def test_ownership_term_is_load_bearing(issued512):
     pres = present(pk, cred, hs, {1, 2, 3}, NONCE, CTX, random.Random(20))
     n = pk.n
     proof = pres.proof
+    c = _present_challenge(pk, pres.a_prime, proof.T, pres.disclosed, NONCE, CTX)
     ms = {i: encode_attribute(c, pk.params) for i, c in pres.disclosed.items()}
     divisor = 1
     for i, m in ms.items():
         divisor = divisor * pow(pk.R[i], m, n) % n
     z_d = pk.Z * pow(divisor, -1, n) % n
     e_offset = 1 << (pk.params.l_e - 1)  # s_e answers for e - 2^(l_e-1)
-    with_k = pow(pres.a_prime, proof.s_e + proof.c * e_offset, n) * pow(pk.S, proof.s_v, n) % n
-    t_no_k = with_k * pow(z_d, -proof.c, n) % n
-    t_with_k = with_k * pow(pk.R[0], proof.s_k, n) % n * pow(z_d, -proof.c, n) % n
-    assert _present_challenge(pk, pres.a_prime, t_with_k, pres.disclosed, NONCE, CTX) == proof.c
-    assert _present_challenge(pk, pres.a_prime, t_no_k, pres.disclosed, NONCE, CTX) != proof.c
+    with_k = pow(pres.a_prime, proof.s_e + c * e_offset, n) * pow(pk.S, proof.s_v, n) % n
+    t_no_k = with_k * pow(z_d, -c, n) % n
+    t_with_k = with_k * pow(pk.R[0], proof.s_k, n) % n * pow(z_d, -c, n) % n
+    assert t_with_k == proof.T
+    assert t_no_k not in (proof.T, n - proof.T)
 
 
 def test_verify_issuer_id_binding(issued512):
@@ -835,7 +858,7 @@ def test_credential_table_stays_in_memory(issued512, tmp_path):
     assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
     verify_presentation(fresh, wire.presentation_from_json(shows[0]), NONCE, CTX)
     assert vars(new)["_a_tables"].keys() == {pk.n}
-    assert vars(fresh).keys() - {f.name for f in fields(fresh)} == {"_tables", "_z_inv"}
+    assert vars(fresh).keys() - {f.name for f in fields(fresh)} == {"_tables", "_z_inv", "_digest"}
     assert new.A not in fresh._tables
 
 

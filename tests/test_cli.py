@@ -471,6 +471,8 @@ ERROR_CASES = [
     ("FormatError", ISSUER_ISSUE + " --claims {t}/claim_not_object.json"),
     ("FormatError", "holder list --wallet {t}/no_secret.json"),
     ("ParameterError", ISSUER_ISSUE.replace("{d}/sk.json", "{t}/other_sk.json") + " --claims {d}/claims.json"),
+    ("FormatError", ISSUER_ISSUE.replace("{d}/sk.json", "{t}/p_one_sk.json") + " --claims {d}/claims.json"),
+    ("EncodingError", HOLDER_PRESENT.replace("{d}/pk.json", "{t}/other_issuer_pk.json")),
 ]
 ADMIN_CLAIM = {"name": "admin", "value": "true", "issuer_id": "clinic", "schema_id": "staff_v1"}
 DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
@@ -538,6 +540,8 @@ def test_error_codes_exit_2(issued_dir, issuer512, tmp_path, capsys, code_name, 
     wire.save({**pk, "params": {"l_n": 1024}}, tmp_path / "relabelled.json")
     wire.save({**pk, "issuer_id": "Bad Id"}, tmp_path / "bad_id.json")
     wire.save(wire.secret_key_to_json(issuer512[1]), tmp_path / "other_sk.json")
+    wire.save({"p": "0x1", "q": pk["n"]}, tmp_path / "p_one_sk.json")  # p*q == n, yet no safe prime
+    wire.save({**pk, "issuer_id": "registry"}, tmp_path / "other_issuer_pk.json")  # the wallet's claims name clinic
     args = [a.format(d=d, t=tmp_path) for a in command.split()]
     code, out, err = cli(capsys, *args)
     assert code == 2
@@ -797,7 +801,7 @@ def test_party_commands_load_neither_gate_nor_policy(issued_dir, tmp_path, capsy
 # walkthrough writes under seed 42. Re-pin it only for a deliberate change
 # to a document format or to the scheme, never to make a refactor pass.
 E2E_SEED_42_FILES = 21
-E2E_SEED_42_SHA256 = "c533a176647825c749d3e6f523da47bad8b4ec6b80b231019b8061612fa21a68"
+E2E_SEED_42_SHA256 = "67d37d4d06853169a0374310114902b5027cf33530634db02d28693850bb37d0"
 
 
 def test_e2e_demo_script(tmp_path):
@@ -855,7 +859,7 @@ def test_e2e_demo_script(tmp_path):
         "holder secret": ["k"],
         "credential": ["a", "e", "v", "claims", "metadata"],
         "presentation": ["a_prime", "disclosed", "proof", "nonce", "context", "issuer_id"],
-        "proof": ["c", "s_e", "s_v", "s_k", "s_m"],
+        "proof": ["t", "s_e", "s_v", "s_k", "s_m"],
         "registry": ["version", "domains", "issuer_key_digests"],
         "domain": ["domain_id", "required_attrs", "trusted_issuers"],
     }

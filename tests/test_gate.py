@@ -5,14 +5,20 @@ from datetime import date, datetime, timezone
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abcid import wire
+from abcid import anoncred, wire
 from abcid.anoncred import (
+    AbcError,
     Credential,
     CredentialMetadata,
     EncodingError,
     LengthCheckFailed,
+    Presentation,
+    PresentationProof,
     ProofInvalid,
+    _present_challenge,
     begin_issuance,
     encode_attribute,
     holder_keygen,
@@ -28,9 +34,11 @@ from abcid.gate import (
     REFERENCE_CREDENTIAL_SETS,
     DomainSpec,
     DuplicateDomain,
+    GateError,
     KeyDigestMismatch,
     Registry,
     UnknownDomain,
+    _trusted_key,
     access,
     context_string,
     register_domain,
@@ -38,8 +46,10 @@ from abcid.gate import (
     registry_to_json,
 )
 from abcid.model import Attribute, Claim, select_credentials
-from abcid.policy import AccessRequest, Decision, attribute_missing, parse_policy
+from abcid.policy import PRESENTATION_REJECTED, AccessRequest, Decision, attribute_missing, evaluate, parse_policy
 from abcid.primes import random_prime_in_interval
+
+from test_anoncred import _leaf_mutants
 
 MONDAY_9 = datetime(2026, 8, 3, 9, 0, tzinfo=timezone.utc)
 NONCE = b"\x42" * 16
@@ -428,9 +438,144 @@ def test_issuer_certifies_only_its_own_claims(ref_fx):
     req, _ = begin_issuance(pk, ref_fx.holder_secret, NONCE, rng)
     with pytest.raises(EncodingError):
         issue(sk, pk, req, (foreign,), ref_fx.wallet.find("c5").metadata, rng)
-    # A credential signed before `issue` checked claim issuers.
+    # A credential signed before `issue` checked claim issuers: the holder
+    # refuses to show it before drawing any randomness, and a show made
+    # under the key relabelled to the claim's issuer does not verify.
     e = random_prime_in_interval(*pk.params.e_interval, rng)
     cred = signed_without_issue(pk, foreign, ref_fx.holder_secret, e, pow(e, -1, sk.group_order), rng)
-    pres = present(pk, cred, ref_fx.holder_secret, {1}, NONCE, MEDICAL_CTX, rng)
-    with pytest.raises(ProofInvalid):
-        verify_presentation(pk, pres, NONCE, MEDICAL_CTX)
+    state = rng.getstate()
+    with pytest.raises(EncodingError, match="a claim names another issuer"):
+        present(pk, cred, ref_fx.holder_secret, {1}, NONCE, MEDICAL_CTX, rng)
+    assert rng.getstate() == state
+    relabelled = replace(pk, issuer_id="registry_office")
+    pres = present(relabelled, cred, ref_fx.holder_secret, {1}, NONCE, MEDICAL_CTX, rng)
+    for shown in (pres, replace(pres, issuer_id="campus_office")):
+        with pytest.raises(ProofInvalid):
+            verify_presentation(pk, shown, NONCE, MEDICAL_CTX)
+
+
+# -- shows under one key, verified together -----------------------------------------
+
+MEDICAL_REQ = request_for("medical_files", "write", "patient_file", "record_42")
+
+
+def hand_made_show(fx, cid: str, rng, eps: int = 1):
+    """A show of every claim of `cid`, made without `present`, whose T is eps
+    times its honest commitment mod n and whose responses answer the
+    challenge of that T, so that LHS = T / eps."""
+    cred = fx.wallet.find(cid)
+    pk = fx.public_key(cred.metadata.issuer_id)
+    p, n = pk.params, pk.n
+    r_A = rng.getrandbits(p.l_n + p.l_stat)
+    a_prime = cred.A * pow(pk.S, r_A, n) % n
+    r_e = rng.getrandbits(p.l_e_prime + p.l_stat + p.l_h)
+    r_v = rng.getrandbits(p.l_v + p.l_stat + p.l_h)
+    r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
+    T = eps * pow(a_prime, r_e, n) * pow(pk.S, r_v, n) * pow(pk.R[0], r_k, n) % n
+    disclosed = dict(enumerate(cred.claims, start=1))
+    c = _present_challenge(pk, a_prime, T, disclosed, NONCE, MEDICAL_CTX)
+    proof = PresentationProof(
+        T=T,
+        s_e=r_e + c * (cred.e - p.e_interval[0]),
+        s_v=r_v + c * (cred.v - cred.e * r_A),
+        s_k=r_k + c * fx.holder_secret.k,
+        s_m={},
+    )
+    return Presentation(a_prime, disclosed, proof, NONCE, MEDICAL_CTX, pk.issuer_id)
+
+
+def access_one_by_one(registry, domain_id, req, presentations, nonce) -> AccessOutcome:
+    """The reference for `access`: every presentation verified on its own."""
+    spec = registry.domains[domain_id]
+    ctx = context_string(domain_id, req.resource_type, req.resource_name, req.action)
+    verified, errors = set(), []
+    for idx, pres in enumerate(presentations):
+        try:
+            verified |= verify_presentation(_trusted_key(registry, spec, pres.issuer_id), pres, nonce, ctx)
+        except (AbcError, GateError) as exc:
+            errors.append((idx, exc.code))
+    decision = evaluate(registry.policies, {c.attribute for c in verified}, req)
+    if errors and decision.outcome == "Permit":
+        decision = Decision("Deny", None, (PRESENTATION_REJECTED,))
+    return AccessOutcome(decision, frozenset(verified), tuple(errors))
+
+
+def test_show_holds_up_to_sign(ref_fx, monkeypatch):
+    """Soundness harness: T replaced by n - T, with the responses answering
+    the challenge of n - T, gives LHS = -T, and LHS^2 = T^2 accepts it. That
+    is the documented slack: it shows the same signature. One such show and
+    two in a bundle get the same verdict one by one and together, and the
+    squared batch equation accepts them without falling back."""
+    rng = random.Random(71)
+    flipped = [hand_made_show(ref_fx, cid, rng, eps=-1) for cid in ("c1", "c5")]
+    pk = ref_fx.public_key("campus_office")
+    for pres in flipped:
+        assert verify_presentation(pk, pres, NONCE, MEDICAL_CTX) == set(pres.disclosed.values())
+    honest = [show(ref_fx, cid, NONCE, MEDICAL_CTX, 72) for cid in ("c3", "c4")]
+    monkeypatch.setattr("abcid.gate.verify_presentation", lambda *args: pytest.fail("the batch fell back"))
+    for bundle in (flipped, flipped[:1] + honest, flipped + honest):
+        out = access(ref_fx.registry, "medical_files", MEDICAL_REQ, bundle, NONCE)
+        assert out == access_one_by_one(ref_fx.registry, "medical_files", MEDICAL_REQ, bundle, NONCE)
+        assert out.presentation_errors == ()
+
+
+def test_bundle_names_the_one_false_equation(ref_fx, monkeypatch):
+    """Soundness harness: one show whose LHS is 2T, among three valid ones
+    under the same key. The batch equation fails, the shows are verified
+    again one by one, and exactly that index is rejected."""
+    batches = []
+    monkeypatch.setattr("abcid.gate.equations_hold", lambda *args: batches.append(args) or anoncred.equations_hold(*args))
+    rng = random.Random(73)
+    bundle = [show(ref_fx, cid, NONCE, MEDICAL_CTX, 74) for cid in ("c1", "c5", "c3")]
+    bundle.insert(2, hand_made_show(ref_fx, "c4", rng, eps=pow(2, -1, ref_fx.public_key("campus_office").n)))
+    out = access(ref_fx.registry, "medical_files", MEDICAL_REQ, bundle, NONCE)
+    assert len(batches) == 1 and len(batches[0][1]) == 4
+    assert out.presentation_errors == ((2, "ProofInvalid"),)
+    assert (out.decision.outcome, out.decision.reasons) == ("Deny", (PRESENTATION_REJECTED,))
+    assert {c.attribute.name for c in out.verified} == {"medical_staff", "school_member", "teacher"}
+    assert out == access_one_by_one(ref_fx.registry, "medical_files", MEDICAL_REQ, bundle, NONCE)
+    # Off by 2 and by 1/2, two equations would cancel in an unweighted batch.
+    n = ref_fx.public_key("campus_office").n
+    pair = [hand_made_show(ref_fx, "c1", rng, eps=pow(2, -1, n)), hand_made_show(ref_fx, "c5", rng, eps=2)]
+    out = access(ref_fx.registry, "medical_files", MEDICAL_REQ, pair, NONCE)
+    assert out.presentation_errors == ((0, "ProofInvalid"), (1, "ProofInvalid"))
+
+
+def test_bundle_refuses_bad_commitments_before_any_exponentiation(ref_fx, monkeypatch):
+    """A T that is a factor of n, 0, 1 or n - 1 fails the group rule, in a
+    bundle as alone, before the batch or any exponentiation."""
+    pk, sk = ref_fx.issuer_keys["campus_office"]
+    good = [show(ref_fx, cid, NONCE, MEDICAL_CTX, 75) for cid in ("c1", "c5", "c3", "c4")]
+    bad = [replace(pres, proof=replace(pres.proof, T=t)) for pres, t in zip(good, (sk.p, 0, 1, pk.n - 1))]
+
+    def no_exponentiation(*args):
+        raise AssertionError("exponentiation reached")
+
+    monkeypatch.setattr(anoncred, "_mexp", no_exponentiation)
+    out = access(ref_fx.registry, "medical_files", MEDICAL_REQ, bad, NONCE)
+    assert out.presentation_errors == tuple((i, "ProofInvalid") for i in range(4))
+    assert out.verified == frozenset()
+
+
+@pytest.fixture(scope="module")
+def medical_shows(ref_fx):
+    """Two honest shows of each campus_office credential, each as its JSON
+    document and the documents with one leaf changed."""
+    docs = [
+        wire.presentation_to_json(show(ref_fx, cid, NONCE, MEDICAL_CTX, seed))
+        for cid in ("c1", "c3", "c4", "c5") for seed in (76, 77)
+    ]
+    return [[doc, *dict(_leaf_mutants(doc)).values()] for doc in docs]
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_bundles_get_the_verdicts_of_one_by_one(ref_fx, medical_shows, data):
+    """Bundles of 2-4 shows under one key, some with one leaf of their JSON
+    changed, get the same decision, errors and verified claims from
+    `access` as from verifying each show on its own."""
+    picked = data.draw(st.lists(st.sampled_from(medical_shows), min_size=2, max_size=4), label="shows")
+    docs = [data.draw(st.just(honest) | st.sampled_from(mutants), label="document") for honest, *mutants in picked]
+    bundle = [wire.presentation_from_json(doc) for doc in docs]
+    out = access(ref_fx.registry, "medical_files", MEDICAL_REQ, bundle, NONCE)
+    assert out == access_one_by_one(ref_fx.registry, "medical_files", MEDICAL_REQ, bundle, NONCE)

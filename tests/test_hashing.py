@@ -54,8 +54,10 @@ req, state = anoncred.begin_issuance(pk, hs, nonce, rng)
 claims = tuple(Claim(Attribute(name, "true"), "golden") for name in ("g0a", "g0b", "g0c"))
 md = anoncred.CredentialMetadata("golden", "test_v1", date(2026, 1, 1), credential_id="g0")
 cred = anoncred.complete_credential(anoncred.issue(sk, pk, req, claims, md, rng), state, hs)
-pres = anoncred.present(pk, cred, hs, (2,), nonce, "library|audio|song1|read", rng)
-print(json.dumps([pk.digest().hex(), req.c, pres.proof.c, hashing.sha256 is hashlib.sha256]))
+ctx = "library|audio|song1|read"
+pres = anoncred.present(pk, cred, hs, (2,), nonce, ctx, rng)
+c = anoncred._present_challenge(pk, pres.a_prime, pres.proof.T, pres.disclosed, nonce, ctx)
+print(json.dumps([pk.digest().hex(), req.c, c, hashing.sha256 is hashlib.sha256]))
 """
 
 

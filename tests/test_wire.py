@@ -158,7 +158,7 @@ def test_serialization_is_byte_stable():
 def test_presentation_field_order():
     doc = wire.presentation_to_json(rand_presentation(random.Random(10)))
     assert list(doc) == ["a_prime", "disclosed", "proof", "nonce", "context", "issuer_id"]
-    assert list(doc["proof"]) == ["c", "s_e", "s_v", "s_k", "s_m"]
+    assert list(doc["proof"]) == ["t", "s_e", "s_v", "s_k", "s_m"]
 
 
 # -- wallet files --------------------------------------------------------------------
