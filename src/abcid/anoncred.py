@@ -58,7 +58,6 @@ Rng = random.Random  # random.SystemRandom quacks the same
 DEFAULT_L_M = 256
 
 _WINDOW = 6  # bits per fixed-base table step, and per exponent digit in _mexp
-_STRAUS_WINDOW = 5  # bits per exponent digit in the variable-base pass
 
 
 class AbcError(CodedError):
@@ -179,15 +178,38 @@ class IssuerPublicKey:
     def _tables(self) -> dict[int, tuple[int, ...]]:
         """base -> fixed-base table for Z^-1, S and R_0..R_L, each as long as
         the largest exponent its base is raised to (the c, s_v and s_k/s_m
-        bounds), plus l_stat + 4 bits: a batch of up to 16 shows raises each
-        base to a sum of l_stat-bit multiples of those. Immutable, so
-        threads can share them."""
+        bounds). Immutable, so threads can share them."""
         p = self.params
-        extra = p.l_stat + 4
-        bits = {self._z_inv: p.l_h + extra} | dict.fromkeys(self.R, p.l_m + p.l_stat + p.l_h + 1 + extra)
+        bits = {self._z_inv: p.l_h} | dict.fromkeys(self.R, p.l_m + p.l_stat + p.l_h + 1)
         # S last: should it equal Z^-1 or some R_i, its longer table serves both.
-        bits[self.S] = p.l_v + p.l_stat + p.l_h + 1 + extra
+        bits[self.S] = p.l_v + p.l_stat + p.l_h + 1
         return {base: self._table(base, b) for base, b in bits.items()}
+
+    @cached_property
+    def _rows(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """(key base b, k) -> odd powers of b^(2^(C k)), filled by `_chunks`.
+        Only the key's own bases enter it, never a show's A' or T. Threads
+        racing to fill it store equal rows."""
+        return {}
+
+    def _chunks(self, base: int, exp: int) -> list[tuple[tuple[int, ...], int]]:
+        """base^exp, for a key base and exp >= 0, as `_straus` terms: the
+        C-bit chunks of exp, each on base^(2^(C k)). That power is read from
+        the base's table, or squared up from its last entry beyond its end."""
+        C = _chain_bits(self.params)
+        table = self._tables[base]
+        terms = []
+        for k, shift in enumerate(range(0, exp.bit_length(), C)):
+            chunk = exp >> shift & ((1 << C) - 1)
+            if not chunk:
+                continue
+            row = self._rows.get((base, k))
+            if row is None:
+                past = max(0, shift // _WINDOW - len(table) + 1)
+                b = pow(table[shift // _WINDOW - past], 1 << (_WINDOW * past), self.n)
+                row = self._rows[base, k] = _odd_powers(b, _width(C), self.n)
+            terms.append((row, chunk))
+        return terms
 
 
 @dataclass(frozen=True)
@@ -330,7 +352,7 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
     Wilson; Yao's bucket method): each table entry b^(2^(6j)) is multiplied
     into the bucket of the exponent's j-th 6-bit digit, and the buckets are
     folded with a running product. The other terms share one `_straus`
-    pass, or use `pow` when there is only one. Either way a negative
+    chain, or use `pow` when there is only one. Either way a negative
     exponent inverts its base and raises ValueError when the base is not
     invertible, as `pow` does. `tables` defaults to `pk._tables`.
     """
@@ -348,7 +370,7 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
                     buckets[digit] = buckets[digit] * entry % n
         elif exp:
             rest.append((base, exp))
-    acc = pow(*rest[0], n) if len(rest) == 1 else _straus(rest, n)
+    acc = pow(*rest[0], n) if len(rest) == 1 else _straus([_own_row(b, e, n) for b, e in rest], n)
     running = 1
     for bucket in reversed(buckets[1:]):  # acc *= prod_d bucket[d]^d
         running = running * bucket % n
@@ -356,27 +378,56 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
     return acc
 
 
-def _straus(terms: Sequence[tuple[int, int]], n: int) -> int:
-    """prod base^exp (mod n) in one left-to-right pass over 5-bit exponent
-    digits, with every base's digits multiplied in between shared squarings
-    (Straus 1964). Each base gets a table of its powers 0..31."""
-    rows = []
-    for base, exp in terms:
-        if exp < 0:
-            base, exp = pow(base, -1, n), -exp
-        row = [1, base % n]
-        for _ in range(2, 1 << _STRAUS_WINDOW):
-            row.append(row[-1] * row[1] % n)
-        rows.append((row, exp))
-    mask = (1 << _STRAUS_WINDOW) - 1
-    top = max((exp.bit_length() for _, exp in rows), default=0)
+def _width(bits: int) -> int:
+    """Digit width for a `bits`-bit exponent whose base's odd powers are
+    made per call: a width w costs 2^(w-1) multiplications for the row
+    and about bits/(w+1) in the chain, and w+1 is cheaper past
+    2^(w-1)(w+1)(w+2) bits: 3-bit digits for 25 to 80 bits, 6-bit digits
+    for 673 to 1792."""
+    w = 1
+    while bits > (w + 1) * (w + 2) << (w - 1):
+        w += 1
+    return w
+
+
+def _odd_powers(base: int, width: int, n: int) -> tuple[int, ...]:
+    """(b, b^3, b^5, ..., b^(2^width - 1)) mod n."""
+    row = [base % n]
+    square = row[0] * row[0] % n
+    for _ in range((1 << (width - 1)) - 1):
+        row.append(row[-1] * square % n)
+    return tuple(row)
+
+
+def _own_row(base: int, exp: int, n: int) -> tuple[tuple[int, ...], int]:
+    """base^exp as a `_straus` term with a row made for it. A negative
+    exponent inverts its base, and raises ValueError when it is not
+    invertible, as `pow` does."""
+    if exp < 0:
+        base, exp = pow(base, -1, n), -exp
+    return _odd_powers(base, _width(exp.bit_length()), n), exp
+
+
+def _straus(terms: Iterable[tuple[Sequence[int], int]], n: int) -> int:
+    """prod row[0]^exp (mod n) over (row, exp) terms with exp >= 0, where
+    each row holds the odd powers of its base (`_odd_powers`): one chain
+    of squarings, into which every term's digits are multiplied (Straus
+    1964, with the sliding windows of Moller, SAC 2001). Each exponent is
+    recoded from its low end into odd digits below 2^w, where its row
+    holds 2^(w-1) powers."""
+    slots: dict[int, list[int]] = {}
+    for row, exp in terms:
+        mask = (len(row) << 1) - 1
+        while exp:
+            pos = (exp & -exp).bit_length() - 1
+            digit = exp >> pos & mask
+            slots.setdefault(pos, []).append(row[digit >> 1])
+            exp ^= digit << pos
     acc = 1
-    for shift in reversed(range(0, top, _STRAUS_WINDOW)):
-        acc = pow(acc, 1 << _STRAUS_WINDOW, n)
-        for row, exp in rows:
-            digit = exp >> shift & mask
-            if digit:
-                acc = acc * row[digit] % n
+    for pos in range(max(slots, default=-1), -1, -1):
+        acc = acc * acc % n
+        for entry in slots.get(pos, ()):
+            acc = acc * entry % n
     return acc
 
 
@@ -742,15 +793,34 @@ def equations_hold(pk: IssuerPublicKey, equations: Sequence[Equation], weights: 
     for any other weights at most one d_j passes. A root of 1 is harmless:
     the extractor then gets Z = eps A^e S^v prod R_i^m_i with eps^2 = 1; for
     odd e, (eps A, e, v) is a signature, and for even e, eps lies in QR_n,
-    where only 1 squares to 1. The fixed bases join one bucket pass, and
-    every A'_j and T_j one `_straus` pass.
+    where only 1 squares to 1. Every term rides one `_straus` chain of
+    `_chain_bits` squarings, which the A'_j exponents need anyway; each
+    key base joins it in chunks of that length, on rows the key caches.
     """
     if not pk.params.batch_sound:
         raise ParameterError(f"a {pk.params.l_n}-bit modulus is too small for l_stat-bit weights")
+    n = pk.n
+    # T_j^-d_j = T_j^(D - d_j) P^-D with P = prod_j T_j: one inversion per bundle, not one per show.
+    D = 1 << max((abs(d).bit_length() for d in weights), default=0)
     exps: dict[int, int] = {}
+    P = 1
     for (terms, T), d in zip(equations, weights, strict=True):
         for base, exp in terms:
             exps[base] = exps.get(base, 0) + d * exp
-        exps[T] = exps.get(T, 0) - d
-    x = _mexp(pk, exps.items())
-    return x * x % pk.n == 1
+        exps[T] = exps.get(T, 0) + D - d
+        P = P * T % n
+    chain = [((pow(P, -1, n),), D)]
+    for base, exp in exps.items():
+        if base in pk._tables and exp > 0:
+            chain += pk._chunks(base, exp)
+        elif exp:
+            chain.append(_own_row(base, exp, n))
+    x = _straus(chain, n)
+    return x * x % n == 1
+
+
+def _chain_bits(p: SystemParams) -> int:
+    """Length C of a batch's squaring chain: above every d_j-weighted A'_j
+    exponent d_j (s_e + c 2^(l_e-1)), and a whole number of table steps,
+    so that base^(2^(C k)) is a table entry. 936 at every profile."""
+    return -(-(p.l_stat + p.l_e + p.l_h + 2) // _WINDOW) * _WINDOW

@@ -15,30 +15,37 @@ from hypothesis import strategies as st
 from sympy import legendre_symbol
 
 import oracle
-from abcid import anoncred, hashing, wire
+from abcid import anoncred, gate, hashing, wire
 from abcid.anoncred import (
     AbcError,
     ContextMismatch,
     EncodingError,
+    Equation,
     IssuanceRequest,
     IssuerSecretKey,
     LengthCheckFailed,
     NonceMismatch,
     PROFILES,
     ParameterError,
+    Presentation,
+    PresentationProof,
     ProofInvalid,
     SignatureInvalid,
     SystemParams,
     _WINDOW,
+    _chain_bits,
     _issue_challenge,
     _mexp,
     _present_challenge,
+    _width,
     begin_issuance,
     complete_credential,
     encode_attribute,
+    equations_hold,
     holder_keygen,
     issue,
     present,
+    presentation_equation,
     setup_issuer,
     setup_issuer_from_primes,
     signature_holds,
@@ -47,6 +54,7 @@ from abcid.anoncred import (
 )
 from abcid.hashing import challenge_from_digest
 from abcid.model import claim_bytes
+from abcid.policy import AccessRequest
 from abcid.wallet import Wallet, wallet_save
 
 from conftest import TOY_P, TOY_PARAMS, TOY_Q, make_claims, metadata, toy_issuer
@@ -731,6 +739,148 @@ def test_mexp_table_boundary_and_errors(issuer512):
             _mexp(pk, [(pk.S, 3), (bad, -1)])
 
 
+def test_mexp_chain_at_each_width_threshold(issuer512):
+    """Without tables, two or more terms share one `_straus` chain. On both
+    sides of each length where `_width` grows, it matches `pow`, with a
+    negative exponent too."""
+    pk, _ = issuer512
+    n = pk.n
+    thresholds = [bits for bits in range(1, 2000) if _width(bits + 1) > _width(bits)]
+    assert thresholds == [6, 24, 80, 240, 672, 1792]
+    rng = random.Random(81)
+    for t in thresholds:
+        for bits in (t, t + 1):
+            top = 1 << (bits - 1)
+            terms = [(pk.S, (1 << bits) - 1), (rng.randrange(2, n - 1), -(top | rng.getrandbits(bits - 1))), (pk.R[0], top)]
+            assert _mexp(pk, terms, {}) == math.prod(pow(b, e, n) for b, e in terms) % n
+
+
+# -- the batch's squaring chain -------------------------------------------------
+
+C = _chain_bits(PROFILES[512])
+
+
+def _lhs(n, terms):
+    return math.prod(pow(b, e, n) for b, e in terms) % n
+
+
+def _pow_batch(pk, equations, weights):
+    """The reference for `equations_hold`: prod_j (LHS_j / T_j)^(2 d_j) == 1, by `pow` alone."""
+    n = pk.n
+    return math.prod(pow(_lhs(n, terms) * pow(T, -1, n), 2 * d, n) for (terms, T), d in zip(equations, weights)) % n == 1
+
+
+def _equation(pk, terms, T, eps=1):
+    """An equation over `terms` and one more base, chosen so that LHS = eps T."""
+    return Equation([*terms, (eps * T * pow(_lhs(pk.n, terms), -1, pk.n) % pk.n, 1)], T)
+
+
+def _weights(seed, count):
+    rng = random.Random(seed)
+    return [rng.getrandbits(80) for _ in range(count)]
+
+
+@pytest.fixture(scope="module")
+def lab_shows(issued512):
+    """Twenty honest shows of the session credential, with varied disclosure."""
+    pk, _, hs, cred = issued512
+    return [present(pk, cred, hs, {1 + i % 3, 1 + i % 2}, NONCE, CTX, random.Random(900 + i)) for i in range(20)]
+
+
+@pytest.mark.parametrize("bits", [C - 1, C, C + 1, 2 * C + 1])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_batch_chain_at_chunk_edges(issuer512, lab_shows, bits, data):
+    """A bundle whose S, R_0 and Z^-1 sums each have `bits` bits agrees with
+    `pow`: the sums end at a chunk's edge, and at 2C + 1 bits the chunk bases
+    of R_0 and Z^-1 lie past their tables' ends."""
+    pk, _ = issuer512
+    n = pk.n
+    shows = [presentation_equation(pk, pres, NONCE, CTX) for pres in lab_shows[:3]]
+    weights = [1, *data.draw(st.lists(st.integers(0, (1 << 80) - 1), min_size=3, max_size=3), label="weights")]
+    terms = []
+    for base in (pk.S, pk.R[0], pk._z_inv):
+        target = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1), label="sum")
+        others = sum(d * e for (ts, _), d in zip(shows, weights[1:]) for b, e in ts if b == base)
+        terms.append((base, target - others))
+    eps = data.draw(st.sampled_from([1, n - 1, 2]), label="eps")
+    bundle = [_equation(pk, terms, data.draw(st.integers(2, n - 2), label="T"), eps), *shows]
+    assert equations_hold(pk, bundle, weights) == _pow_batch(pk, bundle, weights) == (eps != 2)
+
+
+def test_batch_of_twenty_runs_past_the_shortened_table(issuer512, lab_shows):
+    """Twenty shows raise S to a sum longer than its table covers, and the
+    batch still agrees with `pow`."""
+    pk, _ = issuer512
+    equations = [presentation_equation(pk, pres, NONCE, CTX) for pres in lab_shows]
+    weights = _weights(82, 20)
+    s_sum = sum(d * e for (terms, _), d in zip(equations, weights) for b, e in terms if b == pk.S)
+    assert s_sum.bit_length() > _WINDOW * len(pk._tables[pk.S])
+    assert equations_hold(pk, equations, weights) and _pow_batch(pk, equations, weights)
+    equations[7] = Equation(equations[7].terms, 2 * equations[7].T % pk.n)  # the reference's product times 4^-d_7
+    assert not equations_hold(pk, equations, weights)
+
+
+def test_batch_with_a_negative_s_v(issued512, lab_shows):
+    """A show made without `present`, with r_v < 0, so that s_v < 0 and the
+    bundle's S sum is negative: S goes through inverted, as an ordinary term."""
+    pk, _, hs, cred = issued512
+    p, n = pk.params, pk.n
+    rng = random.Random(83)
+    r_A = rng.getrandbits(p.l_n + p.l_stat)
+    a_prime = cred.A * pow(pk.S, r_A, n) % n
+    r_e = rng.getrandbits(p.l_e_prime + p.l_stat + p.l_h)
+    r_v = -rng.getrandbits(p.l_v + p.l_stat + p.l_h)
+    r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
+    T = pow(a_prime, r_e, n) * pow(pk.S, r_v, n) * pow(pk.R[0], r_k, n) % n
+    disclosed = dict(enumerate(cred.claims, start=1))
+    c = _present_challenge(pk, a_prime, T, disclosed, NONCE, CTX)
+    proof = PresentationProof(
+        T=T,
+        s_e=r_e + c * (cred.e - p.e_interval[0]),
+        s_v=r_v + c * (cred.v - cred.e * r_A),
+        s_k=r_k + c * hs.k,
+        s_m={},
+    )
+    pres = Presentation(a_prime, disclosed, proof, NONCE, CTX, pk.issuer_id)
+    assert proof.s_v < 0
+    assert verify_presentation(pk, pres, NONCE, CTX) == set(cred.claims)
+    equations = [presentation_equation(pk, shown, NONCE, CTX) for shown in (pres, lab_shows[0])]
+    weights = [1 << 79, 1]
+    assert proof.s_v * weights[0] + dict(equations[1].terms)[pk.S] < 0
+    assert equations_hold(pk, equations, weights) and _pow_batch(pk, equations, weights)
+    equations[0] = Equation(equations[0].terms, 2 * T % n)
+    assert not equations_hold(pk, equations, weights) and not _pow_batch(pk, equations, weights)
+
+
+@pytest.mark.parametrize("slot", ["a_prime", "T"])
+@pytest.mark.parametrize("which", ["S", "R_0"])
+@pytest.mark.parametrize("eps", [1, 2])
+def test_batch_with_a_show_on_a_key_base(issuer512, lab_shows, slot, which, eps):
+    """A show whose A' or T equals S or R_0: its exponent joins that key
+    base's sum, and the batch still agrees with `pow`."""
+    pk, _ = issuer512
+    base = pk.S if which == "S" else pk.R[0]
+    shown = lab_shows[0]
+    (_, a_exp), *rest = presentation_equation(pk, shown, NONCE, CTX).terms
+    a_prime, T = (base, shown.proof.T) if slot == "a_prime" else (shown.a_prime, base)
+    equations = [_equation(pk, [(a_prime, a_exp), *rest], T, eps)]
+    equations += [presentation_equation(pk, pres, NONCE, CTX) for pres in lab_shows[1:3]]
+    weights = _weights(84, 3)
+    assert equations_hold(pk, equations, weights) == _pow_batch(pk, equations, weights) == (eps == 1)
+
+
+def test_batch_with_a_zero_weight(issuer512, lab_shows):
+    """A weight of 0 takes its equation out of the batch, true or false."""
+    pk, _ = issuer512
+    equations = [presentation_equation(pk, pres, NONCE, CTX) for pres in lab_shows[:3]]
+    equations[1] = Equation(equations[1].terms, 2 * equations[1].T % pk.n)
+    weights = _weights(85, 3)
+    for weight, holds in ((0, True), (weights[1], False)):
+        weights[1] = weight
+        assert equations_hold(pk, equations, weights) == _pow_batch(pk, equations, weights) == holds
+
+
 def test_key_with_bad_base_is_refused(issuer512):
     """A base that is not a unit, or lies outside [2, n-2], is refused when
     the key is built, and a key document holding one does not load."""
@@ -842,7 +992,8 @@ def _a_table(pk, cred):
 def test_credential_table_stays_in_memory(issued512, tmp_path):
     """The first show builds a table of A on the credential alone: wallet
     and presentation bytes do not change, the shared key collects no A,
-    and neither completing nor verifying builds a table."""
+    and neither completing nor verifying builds a table. A batch of four
+    shows caches rows of the key's own bases only, never of an A' or T."""
     pk, sk, hs, cred = issued512
     fresh = replace(pk)
     rng = random.Random(30)
@@ -860,6 +1011,13 @@ def test_credential_table_stays_in_memory(issued512, tmp_path):
     assert vars(new)["_a_tables"].keys() == {pk.n}
     assert vars(fresh).keys() - {f.name for f in fields(fresh)} == {"_tables", "_z_inv", "_digest"}
     assert new.A not in fresh._tables
+    registry = gate.Registry({"library": gate.DomainSpec("library", {"member"}, {"lab"})}, {"lab": fresh})
+    req = AccessRequest("read", "audio", "song1", "library", datetime(2026, 8, 3, 9))
+    four = [present(fresh, new, hs, {1 + i % 3}, NONCE, CTX, random.Random(32 + i)) for i in range(4)]
+    out = gate.access(registry, "library", req, four, NONCE)
+    assert out.presentation_errors == () and out.verified == set(new.claims)
+    assert vars(fresh).keys() - {f.name for f in fields(fresh)} == {"_tables", "_z_inv", "_digest", "_rows"}
+    assert fresh._rows and {base for base, _ in fresh._rows} <= {fresh._z_inv, fresh.S, *fresh.R}
 
 
 def test_credential_table_per_modulus():
@@ -921,3 +1079,28 @@ def test_fresh_key_shared_across_threads(issued512):
     finally:
         sys.setswitchinterval(interval)
     assert results == [[frozenset({cred.claims[r % 3]}) for r in range(5)]] * 4
+
+
+def test_batch_rows_filled_from_threads(issuer512, lab_shows):
+    """Threads racing to fill a fresh key's row cache all get the verdicts
+    of one thread, and leave the rows one thread fills."""
+    pk, _ = issuer512
+    equations = [presentation_equation(pk, pres, NONCE, CTX) for pres in lab_shows[:3]]
+    lone = replace(pk)
+    assert equations_hold(lone, equations, _weights(86, 3))
+    fresh = replace(pk)
+    start = Barrier(4, timeout=60)
+
+    def rounds(seed):
+        start.wait()
+        return [equations_hold(fresh, equations, _weights(seed + r, 3)) for r in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(rounds, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[True] * 3] * 4
+    assert fresh._rows == lone._rows
