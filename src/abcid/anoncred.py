@@ -351,16 +351,16 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
     the table joins one shared fixed-base pass (Brickell-Gordon-McCurley-
     Wilson; Yao's bucket method): each table entry b^(2^(6j)) is multiplied
     into the bucket of the exponent's j-th 6-bit digit, and the buckets are
-    folded with a running product. The other terms share one `_straus`
-    chain, or use `pow` when there is only one. Either way a negative
-    exponent inverts its base and raises ValueError when the base is not
-    invertible, as `pow` does. `tables` defaults to `pk._tables`.
+    folded with a running product. Every other term gets its own `pow`
+    (a negative exponent inverts its base, or raises ValueError): a checked
+    input has at most one, a show's A', a request's U^-c or a credential's
+    A^e. `tables` defaults to `pk._tables`.
     """
     n = pk.n
     tables = pk._tables if tables is None else tables
     buckets = [1] * (1 << _WINDOW)
     mask = len(buckets) - 1
-    rest = []
+    acc = 1
     for base, exp in terms:
         table = tables.get(base)
         if table is not None and 0 <= exp and exp.bit_length() <= _WINDOW * len(table):
@@ -369,8 +369,7 @@ def _mexp(pk: IssuerPublicKey, terms: Iterable[tuple[int, int]], tables: Mapping
                 if digit:
                     buckets[digit] = buckets[digit] * entry % n
         elif exp:
-            rest.append((base, exp))
-    acc = pow(*rest[0], n) if len(rest) == 1 else _straus([_own_row(b, e, n) for b, e in rest], n)
+            acc = acc * pow(base, exp, n) % n
     running = 1
     for bucket in reversed(buckets[1:]):  # acc *= prod_d bucket[d]^d
         running = running * bucket % n
@@ -397,15 +396,6 @@ def _odd_powers(base: int, width: int, n: int) -> tuple[int, ...]:
     for _ in range((1 << (width - 1)) - 1):
         row.append(row[-1] * square % n)
     return tuple(row)
-
-
-def _own_row(base: int, exp: int, n: int) -> tuple[tuple[int, ...], int]:
-    """base^exp as a `_straus` term with a row made for it. A negative
-    exponent inverts its base, and raises ValueError when it is not
-    invertible, as `pow` does."""
-    if exp < 0:
-        base, exp = pow(base, -1, n), -exp
-    return _odd_powers(base, _width(exp.bit_length()), n), exp
 
 
 def _straus(terms: Iterable[tuple[Sequence[int], int]], n: int) -> int:
@@ -561,16 +551,18 @@ def issue(
     # e, p' and q' are primes, and e has l_e bits where p' and q' have l_n/2 - 1,
     # so at every profile gcd(e, p'q') = 1; were it not, pow(e, -1, .) would raise.
     e = random_prime_in_interval(*p.e_interval, rng)
-    v_dprime = rng.getrandbits(p.l_v)
-
-    denom = req.U * _mexp(pk, [(pk.S, v_dprime), *zip(pk.R[1:], ms)]) % n
-    Q = pk.Z * pow(denom, -1, n) % n  # U and every base are units, so denom is one
     # A = Q^d with d = 1/e mod p'q'. Q is a unit mod n, so by Fermat
     # Q^d = Q^(d mod (p-1)) (mod p), and likewise mod q; CRT recombines.
     d = pow(e, -1, sk.group_order)
-    a_p = pow(Q, d % (sk.p - 1), sk.p)
-    a_q = pow(Q, d % (sk.q - 1), sk.q)
-    A = a_q + sk.q * ((a_p - a_q) * pow(sk.q, -1, sk.p) % sk.p)
+    while True:  # as U in begin_issuance: the holder refuses A = 1, which toy sizes can give
+        v_dprime = rng.getrandbits(p.l_v)
+        denom = req.U * _mexp(pk, [(pk.S, v_dprime), *zip(pk.R[1:], ms)]) % n
+        Q = pk.Z * pow(denom, -1, n) % n  # U and every base are units, so denom is one
+        a_p = pow(Q, d % (sk.p - 1), sk.p)
+        a_q = pow(Q, d % (sk.q - 1), sk.q)
+        A = a_q + sk.q * ((a_p - a_q) * pow(sk.q, -1, sk.p) % sk.p)
+        if _in_group(A, n):
+            break
     return PreCredential(A=A, e=e, v_dprime=v_dprime, claims=tuple(claims), metadata=metadata)
 
 
@@ -586,6 +578,8 @@ def complete_credential(
     signature equation (the issuer is not otherwise trusted)."""
     pk = state.pk
     p = pk.params
+    if not _in_group(pre.A, pk.n) or not 0 <= pre.v_dprime < 1 << p.l_v:  # honest v'' has l_v bits; more only cost time
+        raise SignatureInvalid("A is not a unit in [2, n-2], or v'' lies outside [0, 2^l_v)")
     v = state.v_prime + pre.v_dprime
     lo, hi = p.e_interval
     if not lo <= pre.e <= hi:
@@ -670,18 +664,18 @@ def present(
     if n not in a_tables:
         a_tables[n] = pk._table(cred.A, p.l_e_prime + p.l_stat + p.l_h)
     tables = {cred.A: a_tables[n]} | pk._tables
-    while True:  # the verifier holds T to the rule for A', so T = ±1 needs a redraw
+    disclosed = {i: cred.claims[i - 1] for i in sorted(disclose)}
+    while True:  # the verifier refuses T = ±1 and s_v < 0 (odds below 2^-78): redraw
         r_e = rng.getrandbits(p.l_e_prime + p.l_stat + p.l_h)
         r_v = rng.getrandbits(p.l_v + p.l_stat + p.l_h)
         r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
         r_m = {i: rng.getrandbits(p.l_m + p.l_stat + p.l_h) for i in hidden}
         terms = [(cred.A, r_e), (pk.S, r_v + r_A * r_e), (pk.R[0], r_k), *((pk.R[i], r_m[i]) for i in hidden)]
         T = _mexp(pk, terms, tables)
-        if T not in (1, n - 1):
+        c = _present_challenge(pk, a_prime, T, disclosed, nonce, context)
+        if T not in (1, n - 1) and r_v + c * v_bar >= 0:
             break
 
-    disclosed = {i: cred.claims[i - 1] for i in sorted(disclose)}
-    c = _present_challenge(pk, a_prime, T, disclosed, nonce, context)
     proof = PresentationProof(
         T=T,
         s_e=r_e + c * (cred.e - p.e_interval[0]),
@@ -700,7 +694,7 @@ def present(
 
 
 def _check_response_bound(value: int, bits: int, label: str) -> None:
-    if abs(value).bit_length() > bits + 1:
+    if value < 0 or value.bit_length() > bits + 1:
         raise LengthCheckFailed(f"response {label} fails its length bound")
 
 
@@ -723,7 +717,8 @@ def presentation_equation(
 
     Rejections carry distinct codes: NonceMismatch / ContextMismatch for
     binding failures, LengthCheckFailed for out-of-range responses, and
-    ProofInvalid for everything else.
+    ProofInvalid for everything else. A negative response is out of range,
+    so every exponent is >= 0, and A' is the one base without a key table.
     """
     if bytes(pres.nonce) != bytes(expected_nonce):
         raise NonceMismatch("presentation bound to a different nonce")
@@ -796,6 +791,8 @@ def equations_hold(pk: IssuerPublicKey, equations: Sequence[Equation], weights: 
     where only 1 squares to 1. Every term rides one `_straus` chain of
     `_chain_bits` squarings, which the A'_j exponents need anyway; each
     key base joins it in chunks of that length, on rows the key caches.
+    Checked shows and weights >= 0 give every base a sum >= 0, so no bundle
+    of them needs a longer chain; a negative sum raises ParameterError.
     """
     if not pk.params.batch_sound:
         raise ParameterError(f"a {pk.params.l_n}-bit modulus is too small for l_stat-bit weights")
@@ -811,10 +808,12 @@ def equations_hold(pk: IssuerPublicKey, equations: Sequence[Equation], weights: 
         P = P * T % n
     chain = [((pow(P, -1, n),), D)]
     for base, exp in exps.items():
-        if base in pk._tables and exp > 0:
+        if exp < 0:
+            raise ParameterError("a base's weighted exponent sum is negative")
+        if base in pk._tables:
             chain += pk._chunks(base, exp)
         elif exp:
-            chain.append(_own_row(base, exp, n))
+            chain.append((_odd_powers(base, _width(exp.bit_length()), n), exp))
     x = _straus(chain, n)
     return x * x % n == 1
 

@@ -36,7 +36,9 @@ from abcid.anoncred import (
     _chain_bits,
     _issue_challenge,
     _mexp,
+    _odd_powers,
     _present_challenge,
+    _straus,
     _width,
     begin_issuance,
     complete_credential,
@@ -455,19 +457,23 @@ def test_verify_rejects_single_field_perturbations(issued512):
             verify_presentation(pk, mutant, NONCE, CTX)
 
 
+def _no_exponentiation(*args):
+    raise AssertionError("exponentiation reached")
+
+
 def test_bad_values_refused_before_any_exponentiation(issued512, monkeypatch):
     """Each verifier checks U, the request's challenge, A' and T against
     their ranges before its one exponentiation: a group element must be a
-    unit in [2, n-2], so none of these reaches `_mexp`."""
+    unit in [2, n-2], so none of these reaches `_mexp` or `pow`. So do a
+    show's negative responses, and a pre-credential's A and v'', whose
+    length would otherwise set the holder's cost."""
     pk, sk, hs, cred = issued512
     rng = random.Random(40)
-    req, _ = begin_issuance(pk, hs, NONCE, rng)
+    req, state = begin_issuance(pk, hs, NONCE, rng)
     pres = present(pk, cred, hs, {1}, NONCE, CTX, rng)
-
-    def no_exponentiation(*args):
-        raise AssertionError("exponentiation reached")
-
-    monkeypatch.setattr(anoncred, "_mexp", no_exponentiation)
+    pre = issue(sk, pk, req, cred.claims, metadata("lab", "cred_hostile"), rng)
+    monkeypatch.setattr(anoncred, "_mexp", _no_exponentiation)
+    monkeypatch.setattr(anoncred, "pow", _no_exponentiation, raising=False)
     for mutant in (replace(req, U=sk.p), replace(req, c=1 << pk.params.l_h)):
         with pytest.raises(ProofInvalid):
             verify_issuance_request(pk, mutant)
@@ -476,6 +482,18 @@ def test_bad_values_refused_before_any_exponentiation(issued512, monkeypatch):
     for mutant in mutants:
         with pytest.raises(ProofInvalid, match="is not a unit"):
             verify_presentation(pk, mutant, NONCE, CTX)
+    proof = pres.proof
+    negated = [replace(proof, **{label: -getattr(proof, label)}) for label in ("s_e", "s_v", "s_k")]
+    negated += [replace(proof, s_m={**proof.s_m, i: -s}) for i, s in proof.s_m.items()]
+    for mutant in negated:
+        for check in (verify_presentation, presentation_equation):
+            with pytest.raises(LengthCheckFailed):
+                check(pk, replace(pres, proof=mutant), NONCE, CTX)
+    hostile = [replace(pre, A=a) for a in (0, 1, pk.n - 1, pk.n, sk.p)]
+    hostile += [replace(pre, v_dprime=v) for v in (-1, 1 << pk.params.l_v, 1 << 100_000)]
+    for mutant in hostile:
+        with pytest.raises(SignatureInvalid):
+            complete_credential(mutant, state, hs)
 
 
 def test_short_nonce_refused(issued512):
@@ -740,9 +758,8 @@ def test_mexp_table_boundary_and_errors(issuer512):
 
 
 def test_mexp_chain_at_each_width_threshold(issuer512):
-    """Without tables, two or more terms share one `_straus` chain. On both
-    sides of each length where `_width` grows, it matches `pow`, with a
-    negative exponent too."""
+    """Terms on rows of `_width` odd powers share one `_straus` chain. On
+    both sides of each length where `_width` grows, it matches `pow`."""
     pk, _ = issuer512
     n = pk.n
     thresholds = [bits for bits in range(1, 2000) if _width(bits + 1) > _width(bits)]
@@ -751,8 +768,9 @@ def test_mexp_chain_at_each_width_threshold(issuer512):
     for t in thresholds:
         for bits in (t, t + 1):
             top = 1 << (bits - 1)
-            terms = [(pk.S, (1 << bits) - 1), (rng.randrange(2, n - 1), -(top | rng.getrandbits(bits - 1))), (pk.R[0], top)]
-            assert _mexp(pk, terms, {}) == math.prod(pow(b, e, n) for b, e in terms) % n
+            terms = [(pk.S, (1 << bits) - 1), (rng.randrange(2, n - 1), top | rng.getrandbits(bits - 1)), (pk.R[0], top)]
+            rows = [(_odd_powers(b, _width(e.bit_length()), n), e) for b, e in terms]
+            assert _straus(rows, n) == math.prod(pow(b, e, n) for b, e in terms) % n
 
 
 # -- the batch's squaring chain -------------------------------------------------
@@ -821,9 +839,10 @@ def test_batch_of_twenty_runs_past_the_shortened_table(issuer512, lab_shows):
     assert not equations_hold(pk, equations, weights)
 
 
-def test_batch_with_a_negative_s_v(issued512, lab_shows):
-    """A show made without `present`, with r_v < 0, so that s_v < 0 and the
-    bundle's S sum is negative: S goes through inverted, as an ordinary term."""
+@pytest.fixture(scope="module")
+def negative_s_v_show(issued512):
+    """A show made without `present`, with r_v < 0, so that s_v < 0 while
+    its equation holds."""
     pk, _, hs, cred = issued512
     p, n = pk.params, pk.n
     rng = random.Random(83)
@@ -842,15 +861,118 @@ def test_batch_with_a_negative_s_v(issued512, lab_shows):
         s_k=r_k + c * hs.k,
         s_m={},
     )
-    pres = Presentation(a_prime, disclosed, proof, NONCE, CTX, pk.issuer_id)
+    return Presentation(a_prime, disclosed, proof, NONCE, CTX, pk.issuer_id)
+
+
+def test_batch_with_a_negative_s_v(issued512, lab_shows, negative_s_v_show, monkeypatch):
+    """A show with s_v < 0 is refused with LengthCheckFailed before any
+    exponentiation, although its equation holds, so it never joins a batch;
+    `equations_hold` refuses a bundle whose S sum is negative."""
+    pk, _, _, _ = issued512
+    p, n = pk.params, pk.n
+    pres = negative_s_v_show
+    proof = pres.proof
     assert proof.s_v < 0
-    assert verify_presentation(pk, pres, NONCE, CTX) == set(cred.claims)
-    equations = [presentation_equation(pk, shown, NONCE, CTX) for shown in (pres, lab_shows[0])]
+    c = _present_challenge(pk, pres.a_prime, proof.T, pres.disclosed, NONCE, CTX)
+    ms = {i: encode_attribute(cl, p) for i, cl in pres.disclosed.items()}
+    args = (n, pk.S, pk.Z, pk.R, pres.a_prime, proof.s_e, proof.s_v, proof.s_k, {}, ms, c, p.l_e)
+    assert oracle.presentation_commitment(*args) == proof.T
+    with monkeypatch.context() as m:
+        for name in ("_mexp", "_straus", "pow"):
+            m.setattr(anoncred, name, _no_exponentiation, raising=False)
+        for check in (verify_presentation, presentation_equation):
+            with pytest.raises(LengthCheckFailed, match="s_v"):
+                check(pk, pres, NONCE, CTX)
+    terms = [(pres.a_prime, proof.s_e + c * p.e_interval[0]), (pk.S, proof.s_v), (pk.R[0], proof.s_k)]
+    terms += [(pk.R[i], c * m) for i, m in ms.items()] + [(pk._z_inv, c)]
+    equations = [Equation(terms, proof.T), presentation_equation(pk, lab_shows[0], NONCE, CTX)]
     weights = [1 << 79, 1]
     assert proof.s_v * weights[0] + dict(equations[1].terms)[pk.S] < 0
-    assert equations_hold(pk, equations, weights) and _pow_batch(pk, equations, weights)
-    equations[0] = Equation(equations[0].terms, 2 * T % n)
-    assert not equations_hold(pk, equations, weights) and not _pow_batch(pk, equations, weights)
+    with pytest.raises(ParameterError, match="negative"):
+        equations_hold(pk, equations, weights)
+
+
+class _NegatedFirstRv(random.Random):
+    """Negates its first draw of r_v's length, so that the first s_v
+    `present` computes is negative."""
+
+    negated = False
+
+    def getrandbits(self, k):
+        x = super().getrandbits(k)
+        p = PROFILES[512]
+        if k == p.l_v + p.l_stat + p.l_h and not self.negated:
+            self.negated = True
+            return -x
+        return x
+
+
+def test_present_redraws_a_negative_s_v(issued512):
+    """`present` never sends s_v < 0: it draws r_v again."""
+    pk, _, hs, cred = issued512
+    rng = _NegatedFirstRv(23)
+    pres = present(pk, cred, hs, {1}, NONCE, CTX, rng)
+    assert rng.negated and pres.proof.s_v >= 0
+    assert verify_presentation(pk, pres, NONCE, CTX) == {cred.claims[0]}
+
+
+def test_checked_shows_cost_at_most_one_pow_or_one_chain(issued512, lab_shows, negative_s_v_show, monkeypatch):
+    """Cost ceilings at 512 bits, counted by test doubles of `pow` and
+    `_straus`: verifying a show makes one `pow`, on A' and of at most
+    l_e + l_h = 853 bits, and no chain; a bundle of 2-4 shows that pass
+    `presentation_equation` runs one chain of at most `_chain_bits`
+    squarings. Both hold for honest shows and for shows with every
+    response at its upper bound; a show with s_v < 0 is refused."""
+    pk, _, _, _ = issued512
+    p = pk.params
+
+    def top(bits):
+        return (1 << (bits + 1)) - 1
+
+    def at_bound(pres):
+        short = top(p.l_m + p.l_stat + p.l_h)
+        proof = replace(
+            pres.proof,
+            s_e=top(p.l_e_prime + p.l_stat + p.l_h),
+            s_v=top(p.l_v + p.l_stat + p.l_h),
+            s_k=short,
+            s_m=dict.fromkeys(pres.proof.s_m, short),
+        )
+        return replace(pres, proof=proof)
+
+    honest = lab_shows[:4]
+    for pres in honest:
+        verify_presentation(pk, pres, NONCE, CTX)  # builds the key's tables first
+    pows, chains = [], []
+    straus = anoncred._straus
+
+    def counted_straus(terms, n):
+        terms = list(terms)
+        chains.append(max((e.bit_length() for _, e in terms), default=0))
+        return straus(terms, n)
+
+    monkeypatch.setattr(anoncred, "pow", lambda *args: pows.append(args[1].bit_length()) or pow(*args), raising=False)
+    monkeypatch.setattr(anoncred, "_straus", counted_straus)
+    for shows, valid in ((honest, True), ([at_bound(pres) for pres in honest], False)):
+        for pres in shows:
+            pows.clear()
+            chains.clear()
+            if valid:
+                assert verify_presentation(pk, pres, NONCE, CTX)
+            else:
+                with pytest.raises(ProofInvalid):
+                    verify_presentation(pk, pres, NONCE, CTX)
+            assert len(pows) == 1 and pows[0] <= p.l_e + p.l_h == 853 and not chains
+        for k in (2, 3, 4):
+            equations = []
+            for pres in [*shows[:k], negative_s_v_show]:
+                try:
+                    equations.append(presentation_equation(pk, pres, NONCE, CTX))
+                except LengthCheckFailed:
+                    assert pres is negative_s_v_show
+            chains.clear()
+            assert equations_hold(pk, equations, [(1 << p.l_stat) - 1] * len(equations)) == valid
+            assert len(equations) == k and len(chains) == 1 and chains[0] <= C
 
 
 @pytest.mark.parametrize("slot", ["a_prime", "T"])

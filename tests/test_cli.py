@@ -12,6 +12,7 @@ import pytest
 
 import abcid
 from abcid import gate, wire
+from abcid.anoncred import present
 from abcid.cli import build_parser, run
 from abcid.gate import WORKED_POLICY_TEXT
 from abcid.wallet import Wallet, wallet_load, wallet_save
@@ -473,7 +474,10 @@ ERROR_CASES = [
     ("ParameterError", ISSUER_ISSUE.replace("{d}/sk.json", "{t}/other_sk.json") + " --claims {d}/claims.json"),
     ("FormatError", ISSUER_ISSUE.replace("{d}/sk.json", "{t}/p_one_sk.json") + " --claims {d}/claims.json"),
     ("EncodingError", HOLDER_PRESENT.replace("{d}/pk.json", "{t}/other_issuer_pk.json")),
+    ("LengthCheckFailed", "verifier verify --in {d}/negative_s_v.json --issuer-pub {d}/pk.json"
+                          " --nonce " + NONCE_B + " --context " + CTX),
 ]
+REJECTED = {"LengthCheckFailed"}  # a proof that does not verify exits 1, the other cases 2
 ADMIN_CLAIM = {"name": "admin", "value": "true", "issuer_id": "clinic", "schema_id": "staff_v1"}
 DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
 BAD_REGISTRIES = {
@@ -497,8 +501,20 @@ BAD_CLAIMS_FILES = {
 }
 
 
+@pytest.fixture(scope="module")
+def negative_s_v_show(issued_dir):
+    """A show of c_demo, bound to NONCE_B and CTX, with proof.s_v negated."""
+    d, _ = issued_dir
+    held = wallet_load(d / "wallet.json")
+    pk = wire.public_key_from_json(wire.load(d / "pk.json"))
+    pres = present(pk, held.find("c_demo"), held.holder_secret, {1}, bytes.fromhex(NONCE_B), CTX, random.Random(9))
+    doc = wire.presentation_to_json(pres)
+    doc["proof"]["s_v"] = wire.int_to_hex(-pres.proof.s_v)
+    wire.save(doc, d / "negative_s_v.json")
+
+
 @pytest.mark.parametrize("code_name, command", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
-def test_error_codes_exit_2(issued_dir, issuer512, tmp_path, capsys, code_name, command):
+def test_error_codes_exit_2(issued_dir, negative_s_v_show, issuer512, tmp_path, capsys, code_name, command):
     d, _ = issued_dir
     registry = {"version": 1, "domains": [], "issuer_key_digests": {}}
     wire.save(registry, tmp_path / "registry.json")
@@ -544,7 +560,7 @@ def test_error_codes_exit_2(issued_dir, issuer512, tmp_path, capsys, code_name, 
     wire.save({**pk, "issuer_id": "registry"}, tmp_path / "other_issuer_pk.json")  # the wallet's claims name clinic
     args = [a.format(d=d, t=tmp_path) for a in command.split()]
     code, out, err = cli(capsys, *args)
-    assert code == 2
+    assert code == (1 if code_name in REJECTED else 2)
     assert err.startswith(f"error[{code_name}]: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -542,19 +542,32 @@ def test_bundle_names_the_one_false_equation(ref_fx, monkeypatch):
 
 
 def test_bundle_refuses_bad_commitments_before_any_exponentiation(ref_fx, monkeypatch):
-    """A T that is a factor of n, 0, 1 or n - 1 fails the group rule, in a
-    bundle as alone, before the batch or any exponentiation."""
+    """A T that is a factor of n, 0, 1 or n - 1 fails the group rule, and a
+    negative response its length bound, in a bundle as alone, before the
+    batch or any exponentiation, with the codes of one-by-one checking."""
     pk, sk = ref_fx.issuer_keys["campus_office"]
     good = [show(ref_fx, cid, NONCE, MEDICAL_CTX, 75) for cid in ("c1", "c5", "c3", "c4")]
     bad = [replace(pres, proof=replace(pres.proof, T=t)) for pres, t in zip(good, (sk.p, 0, 1, pk.n - 1))]
+    negative = [
+        replace(pres, proof=replace(pres.proof, **{s: -getattr(pres.proof, s)}))
+        for pres, s in zip(good, ("s_e", "s_v", "s_k"))
+    ]
 
     def no_exponentiation(*args):
         raise AssertionError("exponentiation reached")
 
-    monkeypatch.setattr(anoncred, "_mexp", no_exponentiation)
-    out = access(ref_fx.registry, "medical_files", MEDICAL_REQ, bad, NONCE)
-    assert out.presentation_errors == tuple((i, "ProofInvalid") for i in range(4))
-    assert out.verified == frozenset()
+    with monkeypatch.context() as m:
+        for name in ("_mexp", "_straus", "pow"):
+            m.setattr(anoncred, name, no_exponentiation, raising=False)
+        out = access(ref_fx.registry, "medical_files", MEDICAL_REQ, bad, NONCE)
+        assert out.presentation_errors == tuple((i, "ProofInvalid") for i in range(4))
+        assert out.verified == frozenset()
+        out = access(ref_fx.registry, "medical_files", MEDICAL_REQ, negative, NONCE)
+        assert out.presentation_errors == tuple((i, "LengthCheckFailed") for i in range(3))
+    mixed = [good[0], negative[1], good[3]]
+    out = access(ref_fx.registry, "medical_files", MEDICAL_REQ, mixed, NONCE)
+    assert out.presentation_errors == ((1, "LengthCheckFailed"),)
+    assert out == access_one_by_one(ref_fx.registry, "medical_files", MEDICAL_REQ, mixed, NONCE)
 
 
 @pytest.fixture(scope="module")
