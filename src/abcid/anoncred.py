@@ -48,7 +48,7 @@ from .hashing import (
     sha256,
     transcript_hash,
 )
-from .model import Claim, CodedError, claim_bytes, is_token
+from .model import Attribute, Claim, CodedError, claim_bytes, is_token
 from .primes import random_prime_in_interval, safe_prime
 
 NONCE_LEN = 16
@@ -322,10 +322,12 @@ class PresentationProof:
 
 @dataclass(frozen=True)
 class Presentation:
-    """One show of a credential, bound to a nonce, a context and an issuer."""
+    """One show of a credential, bound to a nonce, a context and an issuer.
+    It discloses attributes; the verifier reads each as a claim of its key's
+    issuer, the only claims that key signs."""
 
     a_prime: int
-    disclosed: Mapping[int, Claim]
+    disclosed: Mapping[int, Attribute]
     proof: PresentationProof
     nonce: bytes
     context: str
@@ -607,14 +609,14 @@ def _present_challenge(
     pk: IssuerPublicKey,
     a_prime: int,
     T: int,
-    disclosed: Mapping[int, Claim],
+    disclosed: Mapping[int, Attribute],
     nonce: bytes,
     context: str,
 ) -> int:
     elems = [TAG_PRESENT, pk.digest(), *map(int_signed_bytes, (a_prime, T, len(disclosed)))]
     for i in sorted(disclosed):
         elems.append(int_signed_bytes(i))
-        elems.append(claim_bytes(disclosed[i]))
+        elems.append(claim_bytes(Claim(disclosed[i], pk.issuer_id)))
     elems.append(bytes(nonce))
     elems.append(context.encode("utf-8"))
     return challenge_from_digest(transcript_hash(elems), pk.params.l_h)
@@ -664,7 +666,7 @@ def present(
     if n not in a_tables:
         a_tables[n] = pk._table(cred.A, p.l_e_prime + p.l_stat + p.l_h)
     tables = {cred.A: a_tables[n]} | pk._tables
-    disclosed = {i: cred.claims[i - 1] for i in sorted(disclose)}
+    disclosed = {i: cred.claims[i - 1].attribute for i in sorted(disclose)}
     while True:  # the verifier refuses T = ±1 and s_v < 0 (odds below 2^-78): redraw
         r_e = rng.getrandbits(p.l_e_prime + p.l_stat + p.l_h)
         r_v = rng.getrandbits(p.l_v + p.l_stat + p.l_h)
@@ -730,8 +732,6 @@ def presentation_equation(
 
     if pres.issuer_id != pk.issuer_id:
         raise ProofInvalid("presentation names a different issuer")
-    if any(c.issuer_id != pk.issuer_id for c in pres.disclosed.values()):
-        raise ProofInvalid("a disclosed claim names a different issuer")
     if not _in_group(pres.a_prime, pk.n):
         raise ProofInvalid("A' is not a unit in [2, n-2]")
     if not _in_group(proof.T, pk.n):
@@ -751,7 +751,7 @@ def presentation_equation(
     # s_e answers for e - 2^(l_e-1), so A' gets the offset back here.
     terms = [(pres.a_prime, proof.s_e + c * p.e_interval[0]), (pk.S, proof.s_v), (pk.R[0], proof.s_k)]
     terms += [(pk.R[i], s) for i, s in proof.s_m.items()]
-    terms += [(pk.R[i], c * encode_attribute(cl, p)) for i, cl in pres.disclosed.items()]
+    terms += [(pk.R[i], c * encode_attribute(Claim(a, pk.issuer_id), p)) for i, a in pres.disclosed.items()]
     terms.append((pk._z_inv, c))
     return Equation(terms, proof.T)
 
@@ -762,7 +762,8 @@ def verify_presentation(
     expected_nonce: bytes,
     expected_context: str,
 ) -> frozenset[Claim]:
-    """Check a presentation transcript; returns exactly the disclosed claims.
+    """Check a presentation transcript; returns exactly the disclosed
+    attributes, each as a claim of the key's issuer.
 
     It raises the codes of `presentation_equation`, and ProofInvalid unless
     LHS^2 == T^2 (mod n). An honest show has LHS = T; one with LHS = -T
@@ -772,7 +773,7 @@ def verify_presentation(
     lhs = _mexp(pk, terms)
     if lhs * lhs % pk.n != T * T % pk.n:
         raise ProofInvalid("transcript equation does not verify")
-    return frozenset(pres.disclosed.values())
+    return frozenset(Claim(a, pk.issuer_id) for a in pres.disclosed.values())
 
 
 def equations_hold(pk: IssuerPublicKey, equations: Sequence[Equation], weights: Sequence[int]) -> bool:

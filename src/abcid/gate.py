@@ -1,17 +1,18 @@
 """Domain registry and access decisions.
 
 A domain is a set of resources governed by the same policies; getting in
-means authenticating with credential presentations. A policy governs the
-domain its own `in domain` clause names, so the registry keeps one id ->
-policy mapping for all domains. `access` verifies each presentation
-against a trusted issuer key, those under one key together, pools the
-disclosed claims, and evaluates the domain's policies over them in
+means authenticating with credential presentations. The registry lists the
+issuers each domain trusts. A policy governs the domain its own `in domain`
+clause names, so the registry keeps one id -> policy mapping for all
+domains. `access` verifies each presentation against a trusted issuer key,
+those under one key together, pools the disclosed attributes as claims of
+their keys' issuers, and evaluates the domain's policies over them in
 registry order. Any failed presentation forces Deny no matter what the
 policies would say.
 
 `reference_fixture` builds the reference scenario used throughout the test
 suite: seven attributes a1..a7, five credentials c1..c5 in one wallet,
-and four domains d1..d4 with the attribute requirements
+and four domains d1..d4 with the attribute requirements (`DOMAIN_ATTRS`)
 
     medical_files  {a5, a6}     students_marks {a3}
     library        {a6, a7}     staff_bus      {a4, a6}
@@ -80,14 +81,13 @@ class UnknownIssuerKey(GateError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A domain's id, the attributes it requires and the issuers it trusts."""
+    """A domain's id and the issuers it trusts. What a domain requires is
+    what its policies name; an older document's `required_attrs` is ignored."""
 
     domain_id: str
-    required_attrs: frozenset[str]
     trusted_issuers: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "required_attrs", frozenset(self.required_attrs))
         object.__setattr__(self, "trusted_issuers", frozenset(self.trusted_issuers))
         if not is_token(self.domain_id):
             raise ValueError(f"invalid domain id: {self.domain_id!r}")
@@ -155,7 +155,7 @@ def _verdicts(pk: IssuerPublicKey, shows: list[tuple[int, Presentation]], nonce:
         draw = random.SystemRandom().getrandbits
         if len(ready) > 1 and equations_hold(pk, [eq for *_, eq in ready], [draw(pk.params.l_stat) for _ in ready]):
             for idx, pres, _ in ready:
-                yield idx, frozenset(pres.disclosed.values()), None
+                yield idx, frozenset(Claim(a, pk.issuer_id) for a in pres.disclosed.values()), None
             return
         shows = [(idx, pres) for idx, pres, _ in ready]
     for idx, pres in shows:
@@ -339,7 +339,7 @@ class ReferenceFixture:
     attributes: dict[str, Attribute]  # a1..a7 -> Attribute
 
     def required_names(self, domain_id: str) -> frozenset[str]:
-        return self.registry.domains[domain_id].required_attrs
+        return frozenset(ATTRIBUTE_CODES[c] for c in DOMAIN_ATTRS[domain_id])
 
     def public_key(self, issuer_id: str) -> IssuerPublicKey:
         return self.issuer_keys[issuer_id][0]
@@ -379,15 +379,8 @@ def reference_fixture(seed: int = 20260101, l_n: int = 512) -> ReferenceFixture:
         issuer_keys={issuer_id: pk for issuer_id, (pk, _) in issuer_keys.items()},
         policies={pid: parse_policy(text) for pid, text in FIXTURE_POLICY_TEXTS.items()},
     )
-    for domain_id, codes in DOMAIN_ATTRS.items():
-        register_domain(
-            registry,
-            DomainSpec(
-                domain_id=domain_id,
-                required_attrs=frozenset(ATTRIBUTE_CODES[c] for c in codes),
-                trusted_issuers=frozenset(_ISSUER_OF[cid] for cid in REFERENCE_CREDENTIAL_SETS[domain_id]),
-            ),
-        )
+    for domain_id, cids in REFERENCE_CREDENTIAL_SETS.items():
+        register_domain(registry, DomainSpec(domain_id, frozenset(_ISSUER_OF[cid] for cid in cids)))
     return ReferenceFixture(
         registry=registry,
         issuer_keys=issuer_keys,

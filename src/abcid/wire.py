@@ -269,10 +269,15 @@ CODECS: dict[str, Codec] = {
         list, lambda claims: [claim_to_json(c) for c in claims], lambda doc: tuple(map(claim_from_json, doc))
     ),
     "Mapping[int, int]": _index_map(int_to_hex, hex_to_int),
-    "Mapping[int, Claim]": _index_map(claim_to_json, claim_from_json),
     "frozenset[str]": Codec(list, sorted, _strings),
     "dict[str, str]": Codec(dict),
 }
+
+
+# A show's disclosed attributes, each {"name", "value"}: the keys a claim
+# has in a claims file. A key beside them, such as the issuer_id and
+# schema_id of older shows, is ignored.
+CODECS["Mapping[int, Attribute]"] = _index_map(*message(Attribute))
 
 
 # -- credential metadata ---------------------------------------------------

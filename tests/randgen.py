@@ -68,7 +68,7 @@ def rand_presentation(rng: random.Random) -> Presentation:
     hidden_idx = [i for i in range(1, total + 1) if i not in disclosed_idx]
     return Presentation(
         a_prime=rng.getrandbits(512),
-        disclosed={i: rand_claim(rng) for i in disclosed_idx},
+        disclosed={i: Attribute(rand_token(rng), rand_text(rng)) for i in disclosed_idx},
         proof=PresentationProof(
             T=rng.getrandbits(512),
             s_e=rng.getrandbits(900),

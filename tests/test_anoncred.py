@@ -55,7 +55,7 @@ from abcid.anoncred import (
     verify_presentation,
 )
 from abcid.hashing import challenge_from_digest
-from abcid.model import claim_bytes
+from abcid.model import Claim, claim_bytes
 from abcid.policy import AccessRequest
 from abcid.wallet import Wallet, wallet_save
 
@@ -544,11 +544,10 @@ def _leaf_mutants(doc):
         yield path, mutant
 
 
-def test_only_claim_schema_ids_are_unauthenticated(issued512):
+def test_presentation_has_no_survivors(issued512):
     """Soundness harness: change one leaf of a real presentation document at
-    a time. A field the signature and the challenge do not cover survives;
-    the only such fields are the disclosed claims' schema ids, which never
-    reach the encoded attribute."""
+    a time. A field the signature and the challenge do not cover would
+    survive; a show discloses only attributes, which both cover, so none does."""
     pk, _, hs, cred = issued512
     doc = wire.presentation_to_json(present(pk, cred, hs, {1, 3}, NONCE, CTX, random.Random(18)))
     mutants = dict(_leaf_mutants(doc))
@@ -559,8 +558,8 @@ def test_only_claim_schema_ids_are_unauthenticated(issued512):
         except (wire.FormatError, AbcError):
             continue
         survivors.add(path)
-    assert survivors == {("disclosed", "1", "schema_id"), ("disclosed", "3", "schema_id")}
-    assert len(mutants) == 17
+    assert survivors == set()
+    assert len(mutants) == 13
 
 
 def test_pre_credential_survivors_are_schema_ids_and_metadata(issuer512):
@@ -615,7 +614,7 @@ def test_verify_rejects_swapped_disclosed_value(issued512):
     pres = present(pk, cred, hs, {1, 2, 3}, NONCE, CTX, random.Random(16))
     (lie,) = make_claims(("member",), "lab", value="false")
     swapped = dict(pres.disclosed)
-    swapped[1] = lie
+    swapped[1] = lie.attribute
     with pytest.raises(ProofInvalid):
         verify_presentation(pk, replace(pres, disclosed=swapped), NONCE, CTX)
 
@@ -670,7 +669,7 @@ def test_ownership_term_is_load_bearing(issued512):
     n = pk.n
     proof = pres.proof
     c = _present_challenge(pk, pres.a_prime, proof.T, pres.disclosed, NONCE, CTX)
-    ms = {i: encode_attribute(c, pk.params) for i, c in pres.disclosed.items()}
+    ms = {i: encode_attribute(cl, pk.params) for i, cl in enumerate(cred.claims, start=1)}
     divisor = 1
     for i, m in ms.items():
         divisor = divisor * pow(pk.R[i], m, n) % n
@@ -852,7 +851,7 @@ def negative_s_v_show(issued512):
     r_v = -rng.getrandbits(p.l_v + p.l_stat + p.l_h)
     r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
     T = pow(a_prime, r_e, n) * pow(pk.S, r_v, n) * pow(pk.R[0], r_k, n) % n
-    disclosed = dict(enumerate(cred.claims, start=1))
+    disclosed = {i: claim.attribute for i, claim in enumerate(cred.claims, start=1)}
     c = _present_challenge(pk, a_prime, T, disclosed, NONCE, CTX)
     proof = PresentationProof(
         T=T,
@@ -874,7 +873,7 @@ def test_batch_with_a_negative_s_v(issued512, lab_shows, negative_s_v_show, monk
     proof = pres.proof
     assert proof.s_v < 0
     c = _present_challenge(pk, pres.a_prime, proof.T, pres.disclosed, NONCE, CTX)
-    ms = {i: encode_attribute(cl, p) for i, cl in pres.disclosed.items()}
+    ms = {i: encode_attribute(Claim(a, pk.issuer_id), p) for i, a in pres.disclosed.items()}
     args = (n, pk.S, pk.Z, pk.R, pres.a_prime, proof.s_e, proof.s_v, proof.s_k, {}, ms, c, p.l_e)
     assert oracle.presentation_commitment(*args) == proof.T
     with monkeypatch.context() as m:
@@ -1133,7 +1132,7 @@ def test_credential_table_stays_in_memory(issued512, tmp_path):
     assert vars(new)["_a_tables"].keys() == {pk.n}
     assert vars(fresh).keys() - {f.name for f in fields(fresh)} == {"_tables", "_z_inv", "_digest"}
     assert new.A not in fresh._tables
-    registry = gate.Registry({"library": gate.DomainSpec("library", {"member"}, {"lab"})}, {"lab": fresh})
+    registry = gate.Registry({"library": gate.DomainSpec("library", {"lab"})}, {"lab": fresh})
     req = AccessRequest("read", "audio", "song1", "library", datetime(2026, 8, 3, 9))
     four = [present(fresh, new, hs, {1 + i % 3}, NONCE, CTX, random.Random(32 + i)) for i in range(4)]
     out = gate.access(registry, "library", req, four, NONCE)

@@ -426,7 +426,6 @@ ERROR_CASES = [
     # In UTC these times fall before year 1 and after year 9999.
     ("ValueError", GATE_EVAL.replace("2026-08-03T09:00:00Z", "0001-01-01T00:00:00+05:00") + " --action read --nonce " + NONCE_A),
     ("ValueError", GATE_EVAL.replace("2026-08-03T09:00:00Z", "9999-12-31T23:00:00-05:00") + " --action read --nonce " + NONCE_A),
-    ("FormatError", GATE_EVAL.replace("registry.json", "bad_required_attrs.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", GATE_EVAL.replace("registry.json", "bad_trusted_issuers.json") + " --action read --nonce " + NONCE_A),
     ("FormatError", "issuer issue --key {d}/sk.json --issuer-pub {d}/pk.json --in {d}/request.json"
                     " --claims {t}/claims_not_list.json --out {t}/pre.json --nonce " + NONCE_A),
@@ -479,9 +478,8 @@ ERROR_CASES = [
 ]
 REJECTED = {"LengthCheckFailed"}  # a proof that does not verify exits 1, the other cases 2
 ADMIN_CLAIM = {"name": "admin", "value": "true", "issuer_id": "clinic", "schema_id": "staff_v1"}
-DOMAIN = {"domain_id": "nowhere", "required_attrs": ["staff"], "trusted_issuers": ["clinic"]}
+DOMAIN = {"domain_id": "nowhere", "trusted_issuers": ["clinic"]}
 BAD_REGISTRIES = {
-    "bad_required_attrs": {"domains": [{**DOMAIN, "required_attrs": [{}]}]},
     "bad_trusted_issuers": {"domains": [{**DOMAIN, "trusted_issuers": [{}]}]},
     "bad_domain_id": {"domains": [{**DOMAIN, "domain_id": "No where"}]},
     "no_trusted_issuer": {"domains": [{**DOMAIN, "trusted_issuers": []}]},
@@ -594,7 +592,7 @@ def test_gate_eval_names_each_rejected_presentation(issued_dir, tmp_path, capsys
     d, _ = issued_dir
     ctx = "clinic|patient_file|record_42|write"
     pk = wire.public_key_from_json(wire.load(d / "pk.json"))
-    domain = {"domain_id": "clinic", "required_attrs": ["medical_staff"], "trusted_issuers": ["clinic"]}
+    domain = {"domain_id": "clinic", "trusted_issuers": ["clinic"]}
     wire.save(
         {"version": 1, "domains": [domain], "issuer_key_digests": {"clinic": gate.key_digest(pk)}},
         tmp_path / "registry.json",
@@ -714,7 +712,7 @@ def test_gate_eval_at_accepts_lowercase_t_and_z(issued_dir, tmp_path, capsys):
     d, _ = issued_dir
     ctx = "clinic|patient_file|record_42|write"
     pk = wire.public_key_from_json(wire.load(d / "pk.json"))
-    domain = {"domain_id": "clinic", "required_attrs": ["medical_staff"], "trusted_issuers": ["clinic"]}
+    domain = {"domain_id": "clinic", "trusted_issuers": ["clinic"]}
     wire.save(
         {"version": 1, "domains": [domain], "issuer_key_digests": {"clinic": gate.key_digest(pk)}},
         tmp_path / "registry.json",
@@ -817,7 +815,7 @@ def test_party_commands_load_neither_gate_nor_policy(issued_dir, tmp_path, capsy
 # walkthrough writes under seed 42. Re-pin it only for a deliberate change
 # to a document format or to the scheme, never to make a refactor pass.
 E2E_SEED_42_FILES = 21
-E2E_SEED_42_SHA256 = "67d37d4d06853169a0374310114902b5027cf33530634db02d28693850bb37d0"
+E2E_SEED_42_SHA256 = "41b4aa34cbd31c962b44de2c791b43a5366943811aced65c40b4a194d0bb9dbc"
 
 
 def test_e2e_demo_script(tmp_path):
@@ -859,6 +857,7 @@ def test_e2e_demo_script(tmp_path):
         "holder secret": keys("wallet.json", "holder_secret"),
         "credential": keys("wallet.json", "credentials", 0),
         "presentation": keys("presentation.json"),
+        "disclosed claim": keys("presentation.json", "disclosed", "1"),
         "proof": keys("presentation.json", "proof"),
         "registry": keys("fixture/registry.json"),
         "domain": keys("fixture/registry.json", "domains", 0),
@@ -875,7 +874,8 @@ def test_e2e_demo_script(tmp_path):
         "holder secret": ["k"],
         "credential": ["a", "e", "v", "claims", "metadata"],
         "presentation": ["a_prime", "disclosed", "proof", "nonce", "context", "issuer_id"],
+        "disclosed claim": ["name", "value"],
         "proof": ["t", "s_e", "s_v", "s_k", "s_m"],
         "registry": ["version", "domains", "issuer_key_digests"],
-        "domain": ["domain_id", "required_attrs", "trusted_issuers"],
+        "domain": ["domain_id", "trusted_issuers"],
     }

@@ -73,7 +73,7 @@ def show(fx, cid: str, nonce: bytes, ctx: str, seed: int = 0):
 
 def test_register_and_lookup():
     reg = Registry()
-    spec = DomainSpec("library", frozenset({"a6"}), frozenset({"campus"}))
+    spec = DomainSpec("library", frozenset({"campus"}))
     assert register_domain(reg, spec) is reg
     assert reg.domains["library"] == spec
     with pytest.raises(DuplicateDomain):
@@ -82,16 +82,24 @@ def test_register_and_lookup():
 
 def test_domain_spec_needs_trusted_issuers():
     with pytest.raises(ValueError):
-        DomainSpec("d", frozenset(), frozenset())
+        DomainSpec("d", frozenset())
 
 
 def test_fixture_has_four_domains(ref_fx):
-    for domain_id in ("medical_files", "students_marks", "library", "staff_bus"):
-        spec = ref_fx.registry.domains[domain_id]
-        assert spec.domain_id == domain_id
-        assert spec.required_attrs == frozenset(
-            ref_fx.attributes[c].name for c in DOMAIN_ATTRS[domain_id]
-        )
+    """The registry lists the issuers each domain trusts; what a domain
+    requires comes from the fixture's own table."""
+    assert {d: (spec.domain_id, spec.trusted_issuers) for d, spec in ref_fx.registry.domains.items()} == {
+        "medical_files": ("medical_files", {"campus_office"}),
+        "students_marks": ("students_marks", {"campus_office"}),
+        "library": ("library", {"campus_office", "registry_office"}),
+        "staff_bus": ("staff_bus", {"campus_office"}),
+    }
+    assert {d: ref_fx.required_names(d) for d in DOMAIN_ATTRS} == {
+        "medical_files": {"medical_staff", "school_member"},
+        "students_marks": {"teacher"},
+        "library": {"school_member", "library_subscriber"},
+        "staff_bus": {"staff", "school_member"},
+    }
 
 
 def test_context_string_escapes_separator():
@@ -120,15 +128,22 @@ def test_registry_loads_with_every_listed_key(ref_fx):
 
 def test_documents_with_removed_fields_still_load(ref_fx):
     """Registries and presentations written before `policy_files`,
-    `policy_ids` and the presentation-level `schema_id` were dropped still
-    load; the keys are ignored."""
+    `policy_ids`, `required_attrs`, the presentation-level `schema_id` and
+    each disclosed claim's `issuer_id` and `schema_id` were dropped still
+    load; the keys are ignored, and a disclosed attribute verifies as a
+    claim of the key's issuer whatever issuer the old entry named."""
     doc = {**registry_to_json(ref_fx.registry), "policy_files": {"library_audio_read": "policies/library.pol"}}
-    doc["domains"] = [{**d, "policy_ids": ["ghost"]} for d in doc["domains"]]
+    doc["domains"] = [{**d, "policy_ids": ["ghost"], "required_attrs": ["a6"]} for d in doc["domains"]]
     reg2 = registry_from_json(doc, [])
     assert reg2.domains == ref_fx.registry.domains
-    pres = show(ref_fx, "c1", NONCE, context_string("medical_files", "patient_file", "r1", "write"), 12)
+    ctx = context_string("medical_files", "patient_file", "r1", "write")
+    pres = show(ref_fx, "c1", NONCE, ctx, 12)
     old = {**wire.presentation_to_json(pres), "schema_id": "fixture_v1"}
+    stale = {"issuer_id": "registry_office", "schema_id": "fixture_v1"}
+    old["disclosed"] = {i: {**entry, **stale} for i, entry in old["disclosed"].items()}
     assert wire.presentation_from_json(old) == pres
+    verified = verify_presentation(ref_fx.public_key("campus_office"), wire.presentation_from_json(old), NONCE, ctx)
+    assert verified == {Claim(Attribute("medical_staff", "true"), "campus_office")}
 
 
 # -- access --------------------------------------------------------------------
@@ -241,8 +256,7 @@ def test_access_pools_disclosed_claims_exactly(ref_fx):
     p2 = show(ref_fx, "c2", NONCE, ctx, 9)
     p5 = show(ref_fx, "c5", NONCE, ctx, 10)
     out = access(ref_fx.registry, "library", req, [p2, p5], NONCE)
-    expected = set(p2.disclosed.values()) | set(p5.disclosed.values())
-    assert out.verified == frozenset(expected)
+    assert out.verified == {*ref_fx.wallet.find("c2").claims, *ref_fx.wallet.find("c5").claims}
     # The library policy also wants `student`, which no credential provides:
     # the fixture's deliberate inconsistency, surfacing as a Deny.
     assert out.decision.outcome == "Deny"
@@ -263,7 +277,7 @@ def test_access_requires_matching_request_domain(ref_fx):
 
 def test_access_with_explicit_policies(ref_fx):
     reg = Registry()
-    register_domain(reg, DomainSpec("pool", frozenset({"x"}), frozenset({"campus_office"})))
+    register_domain(reg, DomainSpec("pool", frozenset({"campus_office"})))
     reg.issuer_keys["campus_office"] = ref_fx.public_key("campus_office")
     policy = parse_policy("permit subjects with medical_staff may dive on resources in domain pool")
     reg.policies["pool_rule"] = policy
@@ -280,7 +294,7 @@ def _two_domain_registry(ref_fx) -> Registry:
     would permit the other domain's requests if it were consulted there."""
     reg = Registry()
     for domain_id in ("gym", "pool"):
-        register_domain(reg, DomainSpec(domain_id, frozenset({"x"}), frozenset({"campus_office"})))
+        register_domain(reg, DomainSpec(domain_id, frozenset({"campus_office"})))
     reg.issuer_keys["campus_office"] = ref_fx.public_key("campus_office")
     reg.policies["gym_medics"] = parse_policy("permit subjects with medical_staff may dive on resources in domain gym")
     reg.policies["pool_staff"] = parse_policy("permit subjects with staff may dive on resources in domain pool")
@@ -303,7 +317,7 @@ def test_each_domain_is_decided_by_its_own_policies(ref_fx, domain_id, cid, outc
 
 def test_domain_without_its_own_policy_denies(ref_fx):
     reg = _two_domain_registry(ref_fx)
-    register_domain(reg, DomainSpec("sauna", frozenset({"x"}), frozenset({"campus_office"})))
+    register_domain(reg, DomainSpec("sauna", frozenset({"campus_office"})))
     ctx = context_string("sauna", "lane", "l1", "dive")
     pres = [show(ref_fx, cid, NONCE, ctx, 14) for cid in ("c1", "c4")]
     out = access(reg, "sauna", request_for("sauna", "dive", "lane", "l1"), pres, NONCE)
@@ -440,7 +454,8 @@ def test_issuer_certifies_only_its_own_claims(ref_fx):
         issue(sk, pk, req, (foreign,), ref_fx.wallet.find("c5").metadata, rng)
     # A credential signed before `issue` checked claim issuers: the holder
     # refuses to show it before drawing any randomness, and a show made
-    # under the key relabelled to the claim's issuer does not verify.
+    # under the key relabelled to the claim's issuer does not verify,
+    # whichever issuer it names: its challenge hashes the relabelled key.
     e = random_prime_in_interval(*pk.params.e_interval, rng)
     cred = signed_without_issue(pk, foreign, ref_fx.holder_secret, e, pow(e, -1, sk.group_order), rng)
     state = rng.getstate()
@@ -472,7 +487,7 @@ def hand_made_show(fx, cid: str, rng, eps: int = 1):
     r_v = rng.getrandbits(p.l_v + p.l_stat + p.l_h)
     r_k = rng.getrandbits(p.l_m + p.l_stat + p.l_h)
     T = eps * pow(a_prime, r_e, n) * pow(pk.S, r_v, n) * pow(pk.R[0], r_k, n) % n
-    disclosed = dict(enumerate(cred.claims, start=1))
+    disclosed = {i: claim.attribute for i, claim in enumerate(cred.claims, start=1)}
     c = _present_challenge(pk, a_prime, T, disclosed, NONCE, MEDICAL_CTX)
     proof = PresentationProof(
         T=T,
@@ -509,8 +524,8 @@ def test_show_holds_up_to_sign(ref_fx, monkeypatch):
     rng = random.Random(71)
     flipped = [hand_made_show(ref_fx, cid, rng, eps=-1) for cid in ("c1", "c5")]
     pk = ref_fx.public_key("campus_office")
-    for pres in flipped:
-        assert verify_presentation(pk, pres, NONCE, MEDICAL_CTX) == set(pres.disclosed.values())
+    for cid, pres in zip(("c1", "c5"), flipped):
+        assert verify_presentation(pk, pres, NONCE, MEDICAL_CTX) == set(ref_fx.wallet.find(cid).claims)
     honest = [show(ref_fx, cid, NONCE, MEDICAL_CTX, 72) for cid in ("c3", "c4")]
     monkeypatch.setattr("abcid.gate.verify_presentation", lambda *args: pytest.fail("the batch fell back"))
     for bundle in (flipped, flipped[:1] + honest, flipped + honest):

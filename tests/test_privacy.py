@@ -62,8 +62,7 @@ def _show(issuer512, holder: int, schema_id: str) -> dict:
 # Each issuer strategy is the claim schema id it writes for holder h.
 @pytest.mark.parametrize("schema_id_of", [
     pytest.param(lambda h: "test_v1", id="honest"),
-    pytest.param(lambda h: f"h{h:04d}", id="per_holder_schema_id",
-                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4")),
+    pytest.param(lambda h: f"h{h:04d}", id="per_holder_schema_id"),
 ])
 def test_two_holders_shows_agree_outside_a_prime_and_proof(issuer512, schema_id_of):
     seen = [
