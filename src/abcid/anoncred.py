@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -48,7 +47,7 @@ from .hashing import (
     sha256,
     transcript_hash,
 )
-from .model import Attribute, Claim, CodedError, claim_bytes, is_token
+from .model import Attribute, Claim, CodedError, Record, claim_bytes, is_token
 from .primes import random_prime_in_interval, safe_prime
 
 NONCE_LEN = 16
@@ -92,17 +91,16 @@ class LengthCheckFailed(AbcError):
     """A response outside its length bound."""
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(Record, derived=("l_e", "l_v")):
     """Bit-length profile for the scheme. l_e and l_v are derived, each the
     least length its Idemix relation allows, so the relations hold by
     construction."""
 
     l_n: int  # modulus
     l_m: int  # attribute messages and holder secret
-    l_e: int = field(init=False)  # signature prime exponent
+    l_e: int  # signature prime exponent
     l_e_prime: int  # width of the prime sampling interval
-    l_v: int = field(init=False)  # signature blinding exponent
+    l_v: int  # signature blinding exponent
     l_stat: int  # statistical zero-knowledge slack
     l_h: int  # Fiat-Shamir challenge
 
@@ -132,8 +130,7 @@ class SystemParams:
 PROFILES: dict[int, SystemParams] = {l_n: SystemParams(l_n, DEFAULT_L_M, 120, 80, 256) for l_n in (512, 1024, 2048)}
 
 
-@dataclass(frozen=True)
-class IssuerPublicKey:
+class IssuerPublicKey(Record):
     """An issuer's modulus n and bases S, Z, R_0..R_L under one profile."""
 
     n: int
@@ -212,8 +209,7 @@ class IssuerPublicKey:
         return terms
 
 
-@dataclass(frozen=True)
-class IssuerSecretKey:
+class IssuerSecretKey(Record):
     """The safe primes p = 2p'+1 and q = 2q'+1 of an issuer's modulus."""
 
     p: int
@@ -232,15 +228,13 @@ class IssuerSecretKey:
         return ((self.p - 1) // 2) * ((self.q - 1) // 2)
 
 
-@dataclass(frozen=True)
-class HolderSecret:
+class HolderSecret(Record):
     """The holder's secret key k, signed into every credential it holds."""
 
     k: int
 
 
-@dataclass(frozen=True)
-class IssuanceRequest:
+class IssuanceRequest(Record):
     """Blinded commitment U = S^v' R_0^k plus a Fiat-Shamir proof of
     knowledge of (v', k), bound to the issuer's nonce."""
 
@@ -251,16 +245,14 @@ class IssuanceRequest:
     nonce: bytes
 
 
-@dataclass(frozen=True)
-class HolderIssuanceState:
+class HolderIssuanceState(Record):
     """What the holder keeps between its request and completion."""
 
     v_prime: int
     pk: IssuerPublicKey
 
 
-@dataclass(frozen=True)
-class CredentialMetadata:
+class CredentialMetadata(Record):
     """A credential's issuer, schema, dates and wallet id; none of it signed."""
 
     issuer_id: str
@@ -277,8 +269,7 @@ class CredentialMetadata:
             raise ValueError("issued_at and expires_at must be dates without a time of day")
 
 
-@dataclass(frozen=True)
-class PreCredential:
+class PreCredential(Record):
     """The issuer's signature (A, e, v'') on a request, with its claims."""
 
     A: int
@@ -288,8 +279,7 @@ class PreCredential:
     metadata: CredentialMetadata
 
 
-@dataclass(frozen=True)
-class Credential:
+class Credential(Record):
     """A completed CL signature (A, e, v) on the holder secret and claims."""
 
     A: int
@@ -306,8 +296,7 @@ class Credential:
         return {}
 
 
-@dataclass(frozen=True)
-class PresentationProof:
+class PresentationProof(Record):
     """A show's commitment T and its responses; the challenge is derived."""
 
     T: int
@@ -320,8 +309,7 @@ class PresentationProof:
         object.__setattr__(self, "s_m", dict(self.s_m))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """One show of a credential, bound to a nonce, a context and an issuer.
     It discloses attributes; the verifier reads each as a claim of its key's
     issuer, the only claims that key signs."""
@@ -335,6 +323,8 @@ class Presentation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "disclosed", dict(self.disclosed))
+        if not all(isinstance(i, int) and isinstance(a, Attribute) for i, a in self.disclosed.items()):
+            raise ValueError("disclosed must map attribute indices to Attributes")
 
 
 def encode_attribute(claim: Claim, params: SystemParams) -> int:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable
 from urllib.parse import quote
@@ -49,7 +48,7 @@ from .anoncred import (
     setup_issuer,
     verify_presentation,
 )
-from .model import Attribute, Claim, CodedError, is_token
+from .model import Attribute, Claim, CodedError, Record, is_token
 from .policy import PRESENTATION_REJECTED, AccessRequest, Decision, Policy, evaluate, parse_policy
 from .wallet import Wallet
 from .wire import FormatError, message, need
@@ -79,8 +78,7 @@ class UnknownIssuerKey(GateError):
     """A trusted issuer whose key the registry does not hold."""
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(Record):
     """A domain's id and the issuers it trusts. What a domain requires is
     what its policies name; an older document's `required_attrs` is ignored."""
 
@@ -95,8 +93,7 @@ class DomainSpec:
             raise ValueError("a domain must trust at least one issuer")
 
 
-@dataclass(frozen=True)
-class AccessOutcome:
+class AccessOutcome(Record):
     """A decision, the claims verified for it and each rejected presentation's code."""
 
     decision: Decision
@@ -108,13 +105,12 @@ class AccessOutcome:
             raise ValueError("Permit cannot coexist with presentation errors")
 
 
-@dataclass
-class Registry:
+class Registry(Record, frozen=False):
     """Read-mostly store; writes must be externally serialized."""
 
-    domains: dict[str, DomainSpec] = field(default_factory=dict)
-    issuer_keys: dict[str, IssuerPublicKey] = field(default_factory=dict)
-    policies: dict[str, Policy] = field(default_factory=dict)
+    domains: dict[str, DomainSpec] = {}
+    issuer_keys: dict[str, IssuerPublicKey] = {}
+    policies: dict[str, Policy] = {}
 
 
 def register_domain(registry: Registry, spec: DomainSpec) -> Registry:
@@ -328,8 +324,7 @@ _DUAL_ISSUER = "registry_office"  # two-claim credentials (c2)
 _ISSUER_OF = {cid: _DUAL_ISSUER if len(codes) == 2 else _SINGLE_ISSUER for cid, codes in CREDENTIAL_ATTRS.items()}
 
 
-@dataclass
-class ReferenceFixture:
+class ReferenceFixture(Record, frozen=False):
     """The reference scenario: registry, issuer key pairs, holder and wallet."""
 
     registry: Registry

@@ -3,15 +3,15 @@ selection. A holder's wallet is its digital identity; `select_credentials`
 picks the credentials for a domain's partial identity, and `gate.access`
 returns the claims that the domain verified.
 
-Everything is a frozen dataclass and every operation is a pure function,
-so values are safe to share across threads.
+Values are frozen `Record`s and every operation is a pure function, so
+values are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Iterable, Mapping, NamedTuple
 
 TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 MAX_NAME_LEN = 64
@@ -23,8 +23,104 @@ def is_token(s: str) -> bool:
     return bool(TOKEN_RE.match(s))
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Field(NamedTuple):
+    """A record field: its name and its annotation as written (every module
+    of the package postpones annotations, so `type` is source text)."""
+
+    name: str
+    type: str
+
+
+class Record:
+    """Base of the package's value types.
+
+    A subclass's fields are its annotations, in order, and a class
+    attribute gives a field's default; a list, dict or set default is
+    copied for each instance. `__init__` takes every field, by position or
+    by name, except those the class keyword `derived` names: the subclass's
+    `__post_init__` hook sets those. Records are equal when their types are
+    the same and their field values are equal, and hash by those values.
+    They are frozen unless the class keyword `frozen` is False; a mutable
+    record does not hash. Every method here serves all subclasses as
+    written: nothing is generated or compiled per class, which keeps
+    importing the package cheap.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True, derived: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(Field(name, kind) for name, kind in cls.__annotations__.items())
+        cls._init_names = tuple(f.name for f in cls._fields if f.name not in derived)
+        cls._init_set = frozenset(cls._init_names)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._init_names if name in cls.__dict__}
+        # What __eq__ and __hash__ compare: the field values, as a tuple when there are several.
+        cls._key = attrgetter(*(f.name for f in cls._fields))
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        names = cls._init_names
+        if args:
+            if len(args) > len(names) or kwargs and not kwargs.keys().isdisjoint(names[: len(args)]):
+                raise TypeError(f"{cls.__name__}() got too many arguments or one twice")
+            kwargs.update(zip(names, args))
+        if kwargs.keys() != cls._init_set:
+            if not kwargs.keys() <= cls._init_set:
+                raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs.keys() - cls._init_set)}")
+            for name in names:
+                if name not in kwargs:
+                    if name not in cls._defaults:
+                        raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                    default = cls._defaults[name]
+                    kwargs[name] = default.copy() if isinstance(default, (list, dict, set)) else default
+        self.__dict__.update(kwargs)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check or normalise the fields once `__init__` has set them."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def fields(record: Record | type[Record]) -> tuple[Field, ...]:
+    """The fields of a record or record type, in declaration order."""
+    return record._fields
+
+
+def asdict(record: Record) -> dict:
+    """Field name -> value, one level deep."""
+    return {f.name: getattr(record, f.name) for f in record._fields}
+
+
+def replace(record: Record, **changes: object) -> Record:
+    """A new record of `record`'s type, with `changes` in place of those
+    fields; its `__post_init__` checks run again. A derived field cannot
+    be replaced: ValueError."""
+    derived = {f.name for f in record._fields}.difference(record._init_names)
+    if not derived.isdisjoint(changes):
+        raise ValueError(f"derived fields cannot be replaced: {sorted(derived.intersection(changes))}")
+    return type(record)(**{name: getattr(record, name) for name in record._init_names} | changes)
+
+
+class Attribute(Record):
     """A named characteristic of an entity. Equality is exact on the
     (name, value) pair; values are opaque UTF-8 strings and may be empty."""
 
@@ -38,8 +134,7 @@ class Attribute:
             raise ValueError("attribute value must be a string")
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     """An attribute certified by an issuer.
 
     Two claims are the same fact when (name, value, issuer_id) match;
@@ -48,7 +143,15 @@ class Claim:
 
     attribute: Attribute
     issuer_id: str
-    schema_id: str = field(default="", compare=False)
+    schema_id: str = ""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.attribute, self.issuer_id) == (other.attribute, other.issuer_id)
+
+    def __hash__(self) -> int:
+        return hash((self.attribute, self.issuer_id))
 
     def __post_init__(self) -> None:
         if not is_token(self.issuer_id):

@@ -18,11 +18,10 @@ request.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .model import Attribute, CodedError, is_token
+from .model import Attribute, CodedError, Record, is_token
 
 DAYS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 
@@ -41,8 +40,7 @@ def attribute_missing(name: str) -> str:
     return f"AttributeMissing({name})"
 
 
-@dataclass(frozen=True)
-class AttrTerm:
+class AttrTerm(Record):
     """Required subject attribute: bare name, or name pinned to a value."""
 
     name: str
@@ -53,8 +51,7 @@ class AttrTerm:
             raise ValueError(f"invalid attribute term name: {self.name!r}")
 
 
-@dataclass(frozen=True)
-class TimeWindow:
+class TimeWindow(Record):
     """Half-open [start, end) minutes of the UTC day."""
 
     start: int  # minutes of day, inclusive
@@ -65,8 +62,7 @@ class TimeWindow:
             raise ValueError(f"bad time window {self.start}..{self.end}")
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Record):
     """A Permit rule: subject terms, action, domain and optional resource, window and days."""
 
     subject_attrs: frozenset[AttrTerm]
@@ -91,8 +87,7 @@ class Policy:
                 raise ValueError(f"bad day set {sorted(self.days)}")
 
 
-@dataclass(frozen=True)
-class AccessRequest:
+class AccessRequest(Record):
     """What a subject asks to do, on which resource, in which domain and when."""
 
     action: str
@@ -112,8 +107,7 @@ class AccessRequest:
             raise ValueError("request time out of range") from None
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     """Permit or Deny, the policy that matched and the reason codes."""
 
     outcome: str  # "Permit" | "Deny"
@@ -141,8 +135,7 @@ class ParseError(CodedError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(Record):
     kind: str  # IDENT | STRING | TIME | PUNCT | EOF
     text: str
     line: int

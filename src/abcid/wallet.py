@@ -6,22 +6,21 @@ the only files that ever carry the holder secret or raw signature values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .anoncred import Credential, HolderSecret
+from .model import Record
 from .wire import CODECS, Codec, FormatError, credential_from_json, credential_to_json, load, message, need, save
 
 WALLET_VERSION = 1
 
 
-@dataclass
-class Wallet:
+class Wallet(Record, frozen=False):
     """A holder's secret key, its credentials and their labels."""
 
     holder_secret: HolderSecret
-    credentials: list[Credential] = field(default_factory=list)
-    labels: dict[str, str] = field(default_factory=dict)
+    credentials: list[Credential] = []
+    labels: dict[str, str] = {}
 
     def __post_init__(self) -> None:
         if not isinstance(self.holder_secret, HolderSecret):

@@ -13,7 +13,6 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import asdict, fields
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
@@ -33,7 +32,7 @@ from .anoncred import (
     PresentationProof,
     SystemParams,
 )
-from .model import Attribute, Claim, CodedError
+from .model import Attribute, Claim, CodedError, asdict, fields
 
 
 class FormatError(CodedError):
@@ -144,8 +143,8 @@ def load(path: str | Path) -> dict:
 
 # -- message tables ------------------------------------------------------------
 #
-# A message type is a dataclass, and `message` derives its table from the
-# dataclass's fields in order: each JSON key is the field name in lowercase,
+# A message type is a `Record`, and `message` derives its table from the
+# record's fields in order: each JSON key is the field name in lowercase,
 # and each codec is the `CODECS` entry for the field's annotation. A codec
 # names the JSON type the value must have and converts the field to and from
 # it. A field annotated `X | None` uses X's codec, and null or a missing key
@@ -163,7 +162,7 @@ class Codec(NamedTuple):
 
 
 def message(cls: type) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
-    """The (to_json, from_json) pair of the dataclass `cls`. from_json
+    """The (to_json, from_json) pair of the record type `cls`. from_json
     reports a ValueError from a codec or from `cls`'s own checks as a
     FormatError. An annotation with no codec raises KeyError here."""
     table = []

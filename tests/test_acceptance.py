@@ -5,7 +5,6 @@ printing a PASS line with its headline numbers (run pytest -s to see them).
 import json
 import random
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from abcid.anoncred import (
 )
 from abcid.cli import run
 from abcid.gate import REFERENCE_CREDENTIAL_SETS, WORKED_POLICY_TEXT
-from abcid.model import Attribute, select_credentials
+from abcid.model import Attribute, replace, select_credentials
 from abcid.policy import (
     AccessRequest,
     AttrTerm,

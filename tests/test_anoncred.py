@@ -4,7 +4,6 @@ import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
 from datetime import date, datetime, timedelta
 from hashlib import sha256
 from threading import Barrier
@@ -55,7 +54,7 @@ from abcid.anoncred import (
     verify_presentation,
 )
 from abcid.hashing import challenge_from_digest
-from abcid.model import Claim, claim_bytes
+from abcid.model import Claim, claim_bytes, fields, replace
 from abcid.policy import AccessRequest
 from abcid.wallet import Wallet, wallet_save
 
@@ -610,6 +609,8 @@ def test_issuance_request_has_no_survivors(issuer512):
 
 
 def test_verify_rejects_swapped_disclosed_value(issued512):
+    """A swapped value fails the proof; a disclosed map holding anything but
+    int -> Attribute, such as a whole claim, is refused when built."""
     pk, _, hs, cred = issued512
     pres = present(pk, cred, hs, {1, 2, 3}, NONCE, CTX, random.Random(16))
     (lie,) = make_claims(("member",), "lab", value="false")
@@ -617,6 +618,9 @@ def test_verify_rejects_swapped_disclosed_value(issued512):
     swapped[1] = lie.attribute
     with pytest.raises(ProofInvalid):
         verify_presentation(pk, replace(pres, disclosed=swapped), NONCE, CTX)
+    for malformed in ({1: cred.claims[0]}, {"1": cred.claims[0].attribute}):
+        with pytest.raises(ValueError, match="disclosed"):
+            replace(pres, disclosed=malformed)
 
 
 def test_verify_length_bounds(issued512):
@@ -972,6 +976,45 @@ def test_checked_shows_cost_at_most_one_pow_or_one_chain(issued512, lab_shows, n
             chains.clear()
             assert equations_hold(pk, equations, [(1 << p.l_stat) - 1] * len(equations)) == valid
             assert len(equations) == k and len(chains) == 1 and chains[0] <= C
+
+
+def test_failed_bundle_costs_one_chain_and_one_pow_per_show(issued512, lab_shows, monkeypatch):
+    """Cost ceiling of a failed batch at 512 bits, counted by the test
+    doubles above: four same-key shows, one with s_k + 1, make `gate.access`
+    run one chain, which fails, with its one inversion, and then one `pow`
+    per show as it checks them one by one. The rejections are those of
+    checking one by one."""
+    pk, _, _, _ = issued512
+    p = pk.params
+    honest = lab_shows[:4]
+    bundle = [*honest[:2], replace(honest[2], proof=replace(honest[2].proof, s_k=honest[2].proof.s_k + 1)), honest[3]]
+    one_by_one = []
+    for idx, pres in enumerate(bundle):
+        try:
+            verify_presentation(pk, pres, NONCE, CTX)
+        except AbcError as exc:
+            one_by_one.append((idx, exc.code))
+    assert one_by_one == [(2, "ProofInvalid")]
+    registry = gate.Registry({"library": gate.DomainSpec("library", {"lab"})}, {"lab": pk})
+    req = AccessRequest("read", "audio", "song1", "library", datetime(2026, 8, 3, 9))
+    assert gate.access(registry, "library", req, honest, NONCE).presentation_errors == ()  # fills the key's rows
+
+    pows, chains = [], []
+    straus = anoncred._straus
+
+    def counted_straus(terms, n):
+        terms = list(terms)
+        chains.append(max((e.bit_length() for _, e in terms), default=0))
+        return straus(terms, n)
+
+    monkeypatch.setattr(anoncred, "pow", lambda *args: pows.append(args[1]) or pow(*args), raising=False)
+    monkeypatch.setattr(anoncred, "_straus", counted_straus)
+    out = gate.access(registry, "library", req, bundle, NONCE)
+    assert out.presentation_errors == tuple(one_by_one)
+    assert len(chains) == 1 and chains[0] <= C
+    exponents = [e for e in pows if e != -1]
+    assert len(pows) - len(exponents) == 1  # the chain's P^-1
+    assert len(exponents) <= len(bundle) and max(e.bit_length() for e in exponents) <= p.l_e + p.l_h
 
 
 @pytest.mark.parametrize("slot", ["a_prime", "T"])

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from datetime import date, datetime, timezone
 from itertools import combinations
 
@@ -45,7 +44,7 @@ from abcid.gate import (
     registry_from_json,
     registry_to_json,
 )
-from abcid.model import Attribute, Claim, select_credentials
+from abcid.model import Attribute, Claim, replace, select_credentials
 from abcid.policy import PRESENTATION_REJECTED, AccessRequest, Decision, attribute_missing, evaluate, parse_policy
 from abcid.primes import random_prime_in_interval
 

@@ -102,31 +102,57 @@ EVERY_COMMAND = [
     + " --presentation {t}/c1.json --presentation {t}/c5.json --issuer-pub {t}/fixture/campus_office.pub.json"
     " --issuer-pub {t}/fixture/registry_office.pub.json --policy {t}/fixture/policies/medical_files_write.pol",
 ]
-# Runs each command in turn and reports, after each, which OpenSSL modules are loaded.
+# Runs each command in turn and reports, after each, which watched modules
+# are loaded: OpenSSL's hashlib, and the stdlib modules behind per-class
+# code generation. The first entry lists those loaded before abcid.
+WATCHED = ("_hashlib", "hashlib", "dataclasses", "inspect")
 EVERY_COMMAND_RUN = """
 import json, sys
-preloaded = "_hashlib" in sys.modules
+watched = set(json.loads(sys.argv[2]))
+preloaded = sorted(watched & set(sys.modules))
 from abcid.cli import run
-report = [[step[:2], run(step), sorted({"_hashlib", "hashlib"} & set(sys.modules))] for step in json.loads(sys.argv[1])]
+report = [[step[:2], run(step), sorted(watched & set(sys.modules))] for step in json.loads(sys.argv[1])]
 print(json.dumps([preloaded, report]))
 """
+
+
+@pytest.fixture(scope="module")
+def every_command(tmp_path_factory):
+    """(modules loaded before abcid, [(command, exit code, loaded modules)])
+    for every CLI command, run one after another in one fresh interpreter."""
+    tmp_path = tmp_path_factory.mktemp("every_command")
+    claims = {"schema_id": "staff_v1", "credential_id": "c_demo", "issued_at": "2026-02-02",
+              "claims": [{"name": "medical_staff", "value": "true"}]}
+    (tmp_path / "claims.json").write_text(json.dumps(claims))
+    steps = [command.format(t=tmp_path).split() for command in EVERY_COMMAND]
+    proc = fresh_interpreter(EVERY_COMMAND_RUN, json.dumps(steps), json.dumps(WATCHED))
+    assert proc.returncode == 0, proc.stderr
+    preloaded, report = json.loads(proc.stdout.splitlines()[-1])
+    assert [code for _, code, _ in report] == [0] * len(steps), proc.stderr
+    return set(preloaded), report
+
+
+def loaded_after(report, names):
+    return [(command, sorted(names & set(loaded))) for command, _, loaded in report if names & set(loaded)]
 
 
 @pytest.mark.skipif(
     not BUILTIN_SHA256,
     reason="this interpreter has no built-in SHA-256, so hashlib is the only path",
 )
-def test_no_command_loads_openssl(tmp_path):
+def test_no_command_loads_openssl(every_command):
     """Every CLI command, one after another in a fresh interpreter, leaves
     OpenSSL's hashlib unloaded: each process saves the 3.6 MB libcrypto maps."""
-    claims = {"schema_id": "staff_v1", "credential_id": "c_demo", "issued_at": "2026-02-02",
-              "claims": [{"name": "medical_staff", "value": "true"}]}
-    (tmp_path / "claims.json").write_text(json.dumps(claims))
-    steps = [command.format(t=tmp_path).split() for command in EVERY_COMMAND]
-    proc = fresh_interpreter(EVERY_COMMAND_RUN, json.dumps(steps))
-    assert proc.returncode == 0, proc.stderr
-    preloaded, report = json.loads(proc.stdout.splitlines()[-1])
-    if preloaded:
+    preloaded, report = every_command
+    if "_hashlib" in preloaded:
         pytest.skip("_hashlib was loaded before abcid, by a site hook or the interpreter")
-    assert [code for _, code, _ in report] == [0] * len(steps), proc.stderr
-    assert [(command, loaded) for command, _, loaded in report if loaded] == []
+    assert loaded_after(report, {"_hashlib", "hashlib"}) == []
+
+
+def test_no_command_loads_dataclasses(every_command):
+    """No CLI command loads `dataclasses` or `inspect`: importing them and
+    generating each class's methods cost about 22 ms of every command."""
+    preloaded, report = every_command
+    if not preloaded.isdisjoint({"dataclasses", "inspect"}):
+        pytest.skip("dataclasses or inspect was loaded before abcid, by a site hook or the interpreter")
+    assert loaded_after(report, {"dataclasses", "inspect"}) == []

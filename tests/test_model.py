@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abcid.anoncred import PROFILES, HolderSecret
+from abcid.gate import Registry
 from abcid.model import (
     Attribute,
     Claim,
@@ -11,6 +13,8 @@ from abcid.model import (
     claim_bytes,
     select_credentials,
 )
+from abcid.policy import AttrTerm
+from abcid.wallet import Wallet
 
 from conftest import attr_names
 
@@ -53,6 +57,40 @@ def test_claim_identity_ignores_schema():
     assert a != c
     assert len({a, b}) == 1
     assert len({a, b, c}) == 2
+
+
+# -- records -----------------------------------------------------------------
+
+def test_records_of_different_types_are_unequal():
+    assert Attribute("age", "30") != AttrTerm("age", "30")
+    assert AttrTerm("age", "30") != Attribute("age", "30")
+
+
+def test_frozen_record_refuses_assignment_and_deletion():
+    a = Attribute("age", "30")
+    with pytest.raises(AttributeError):
+        a.value = "31"
+    with pytest.raises(AttributeError):
+        del a.name
+    assert a == Attribute("age", "30")
+
+
+def test_record_repr():
+    """Fields in declaration order, derived ones included."""
+    claim = Claim(Attribute("age", "30"), "gov", "v1")
+    assert repr(claim) == "Claim(attribute=Attribute(name='age', value='30'), issuer_id='gov', schema_id='v1')"
+    assert repr(PROFILES[512]) == (
+        "SystemParams(l_n=512, l_m=256, l_e=597, l_e_prime=120, l_v=1188, l_stat=80, l_h=256)"
+    )
+
+
+def test_mutable_records_share_no_container():
+    for a, b in ((Registry(), Registry()), (Wallet(HolderSecret(1)), Wallet(HolderSecret(1)))):
+        containers = [name for name, value in vars(a).items() if isinstance(value, (list, dict))]
+        assert containers and all(getattr(a, name) is not getattr(b, name) for name in containers)
+    registry = Registry()
+    registry.domains["d"] = None
+    assert Registry().domains == {}
 
 
 def test_claim_bytes_layout():

@@ -13,7 +13,6 @@ strict xfail that names its ROADMAP item; the fix removes the mark.
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -28,6 +27,7 @@ from abcid.anoncred import (
     present,
     verify_presentation,
 )
+from abcid.model import replace
 
 from conftest import make_claims, metadata
 

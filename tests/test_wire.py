@@ -1,11 +1,11 @@
 import os
 import random
-from dataclasses import asdict
 
 import pytest
 
 from abcid import wire
 from abcid.anoncred import PROFILES, HolderSecret, begin_issuance, holder_keygen
+from abcid.model import asdict
 from abcid.wallet import Wallet, wallet_load, wallet_save
 
 from conftest import toy_issuer, TOY_PARAMS
