@@ -1,5 +1,6 @@
-"""Seeded 512-bit outputs pinned by hashes: issuance and presentation on
-fixed primes, and the seeded prime search itself.
+"""Seeded outputs pinned by hashes: 512-bit issuance and presentation on
+fixed primes, the seeded safe-prime search, and the 1024-bit profile's
+sampling of the signature prime e.
 
 Uses only the public API, so the same file runs against any revision.
 """
@@ -17,7 +18,7 @@ from abcid.anoncred import (
     setup_issuer_from_primes,
 )
 from abcid.gate import reference_fixture
-from abcid.primes import safe_prime
+from abcid.primes import is_probable_prime, random_prime_in_interval, safe_prime
 
 from conftest import make_claims, metadata
 
@@ -65,3 +66,18 @@ def test_seeded_key_search_matches_golden_hash():
     fx = reference_fixture(seed=20260101, l_n=512)
     outputs += [fx.public_key(issuer).digest() for issuer in sorted(fx.issuer_keys)]
     assert sha256(repr(outputs).encode()).hexdigest() == KEY_SEARCH_SHA256
+
+
+# SHA-256 over the repr of seeded signature primes e at the 1024-bit profile
+# and of the verdicts on 2,000 seeded odd candidates from e's interval. A
+# faster primality test must draw and test the same candidates with the same
+# witnesses; only a change to how e is drawn or confirmed may change it.
+E_SAMPLING_SHA256 = "3c33dab143a5d1d48ce39a274a7a8ce63928f8fdbde5d641c98bd440b9362930"
+
+
+def test_seeded_e_sampling_matches_golden_hash():
+    lo, hi = PROFILES[1024].e_interval
+    outputs = [random_prime_in_interval(lo, hi, random.Random(s)) for s in range(1, 33)]
+    rng = random.Random(596)
+    outputs.append([is_probable_prime(rng.randrange(lo, hi) | 1) for _ in range(2000)])
+    assert sha256(repr(outputs).encode()).hexdigest() == E_SAMPLING_SHA256

@@ -8,9 +8,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abcid import primes
+from abcid.anoncred import PROFILES
 from abcid.primes import is_probable_prime, random_prime_in_interval, safe_prime
 
-E_LO, E_HI = 1 << 596, (1 << 596) + (1 << 120)
+E_LO, E_HI = PROFILES[1024].e_interval  # 2^596 and 2^596 + 2^120 at every profile
 
 
 def test_agrees_with_sympy_small_range():
@@ -129,6 +130,70 @@ def test_confirming_a_597_bit_e_takes_11_rounds(monkeypatch):
     assert len(bases) == 11 and bases[0] == 2
 
 
+def _record_pow(monkeypatch) -> list[int]:
+    """Patches the builtin `pow` that `primes` calls to record each modulus."""
+    moduli = []
+    real = pow
+
+    def recorded(base, exp, mod):
+        moduli.append(mod)
+        return real(base, exp, mod)
+
+    monkeypatch.setattr(primes, "pow", recorded, raising=False)
+    return moduli
+
+
+def test_sampling_e_folds_every_round(monkeypatch):
+    folded = 0
+    real = primes._fold_pow
+
+    def counted(a, d, n):
+        nonlocal folded
+        folded += 1
+        return real(a, d, n)
+
+    moduli = _record_pow(monkeypatch)
+    monkeypatch.setattr(primes, "_fold_pow", counted)
+    random_prime_in_interval(E_LO, E_HI, random.Random(11))
+    assert folded >= 11  # the prime's own rounds, after any composites'
+    assert [m for m in moduli if m.bit_length() > 81] == []
+
+
+def _fold_limit(k: int) -> int:
+    """Most bits c may have for `_fold_pow` to keep 2^k + c's residues in
+    [0, 2^(k+1)): 2 * bits(c) + 2 <= k."""
+    return (k - 2) // 2
+
+
+@st.composite
+def _fold_cases(draw):
+    """(a, d, n): n = 2^k + c with c up to one bit past `_fold_limit(k)`."""
+    k = draw(st.integers(min_value=8, max_value=2100))
+    c_bits = draw(st.integers(min_value=0, max_value=_fold_limit(k) + 1))
+    n = (1 << k) + (draw(st.integers(1 << c_bits >> 1, (1 << c_bits) - 1)) if c_bits else 0)
+    a = draw(st.sampled_from([2, n - 2]) | st.integers(min_value=0, max_value=n - 1))
+    return a, draw(st.integers(min_value=1, max_value=n)), n
+
+
+@given(_fold_cases())
+@example((2, E_LO - 1, E_LO))
+@example((E_HI - 2, E_HI - 1, E_HI))
+@settings(max_examples=150, deadline=None)
+def test_fold_pow_agrees_with_pow(case):
+    a, d, n = case
+    assert primes._fold_pow(a, d, n) == pow(a, d, n)
+
+
+@pytest.mark.parametrize("k", [primes._FOLD_MIN_BITS, 596, 597, 2048])
+def test_pow_takes_each_modulus_the_fold_does_not_fit(monkeypatch, k):
+    moduli = _record_pow(monkeypatch)
+    at, past = (1 << k) + (1 << _fold_limit(k)) - 1, (1 << k) + (1 << _fold_limit(k)) + 1
+    small = (1 << (primes._FOLD_MIN_BITS - 1)) + 1
+    for n in (at, past, small):
+        primes._miller_rabin_round(n, 3, n - 1, 0)
+    assert moduli == [past, small]
+
+
 def test_second_sieve_edges_agree_with_sympy(monkeypatch):
     e = random_prime_in_interval(E_LO, E_HI, random.Random(11))
     for n in (2003, 16381, 2003**2, 2003 * 2011, 16369 * 16381):
@@ -198,19 +263,11 @@ def test_filters_reject_only_composites(bits, j, f, in_p):
 
 
 def test_safe_prime_reaches_pow_less(monkeypatch):
-    calls = 0
-    real = pow
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(primes, "pow", counted, raising=False)
+    moduli = _record_pow(monkeypatch)
     counts = []
     for s in (1, 2, 3):
-        calls = 0
+        moduli.clear()
         safe_prime(256, random.Random(s))
-        counts.append(calls)
+        counts.append(len(moduli))
     # Before the wheel and the second gcd stage: [139, 286, 619].
     assert counts == [106, 208, 424]
