@@ -48,7 +48,7 @@ from .hashing import (
     transcript_hash,
 )
 from .model import Attribute, Claim, CodedError, Record, claim_bytes, is_token
-from .primes import random_prime_in_interval, safe_prime
+from .primes import PrimePool, random_prime_in_interval, safe_prime
 
 NONCE_LEN = 16
 
@@ -226,6 +226,12 @@ class IssuerSecretKey(Record):
     @property
     def group_order(self) -> int:
         return ((self.p - 1) // 2) * ((self.q - 1) // 2)
+
+    @cached_property
+    def _e_pool(self) -> PrimePool:
+        """Where `issue` draws e from after this key object's first
+        signature, which samples e without it. In memory only."""
+        return PrimePool()
 
 
 class HolderSecret(Record):
@@ -542,7 +548,8 @@ def issue(
 
     # e, p' and q' are primes, and e has l_e bits where p' and q' have l_n/2 - 1,
     # so at every profile gcd(e, p'q') = 1; were it not, pow(e, -1, .) would raise.
-    e = random_prime_in_interval(*p.e_interval, rng)
+    # The key's pool never repeats an e: two signatures on one e forge a third.
+    e = random_prime_in_interval(*p.e_interval, rng, sk._e_pool)
     # A = Q^d with d = 1/e mod p'q'. Q is a unit mod n, so by Fermat
     # Q^d = Q^(d mod (p-1)) (mod p), and likewise mod q; CRT recombines.
     d = pow(e, -1, sk.group_order)

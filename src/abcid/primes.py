@@ -7,25 +7,36 @@ bit-stable. A round's exponentiation is builtin ``pow()``, except for a
 modulus of at least `_FOLD_MIN_BITS` bits of the form 2^k + c with a small
 c, such as the signature prime e = 2^596 + x: `_fold_pow` reduces each of
 its products by shifts and one short multiply instead of a long division.
+
+A signature prime e is drawn uniformly from its interval, or, for a key
+that signs again, from a `PrimePool`: a window of the interval sieved once
+for many signatures, whose survivors the same Miller-Rabin test confirms
+(Brandt and Damgard, CRYPTO 1992).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
 import random
+import threading
+from typing import Iterable, Iterator
 
 
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
+def _odd_primes(bound: int) -> Iterator[int]:
+    """The odd primes below `bound`, in order, sieved over odd numbers only."""
+    flags = bytearray([1]) * (bound // 2)  # flags[i] stands for 2i + 1
+    flags[0] = 0
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(limit) if flags[i]]
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return itertools.compress(range(1, bound, 2), flags)
 
 
-SMALL_PRIMES = _sieve(2000)
+SMALL_PRIMES = [2, *_odd_primes(2000)]
 _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
 _SMALL_PRIME_PRODUCT = math.prod(SMALL_PRIMES)
 
@@ -46,7 +57,7 @@ _ROUNDS = ((595, 10), (505, 12), (210, 29), (82, 55))
 
 @functools.cache  # built on first use, not at import: about 3 ms
 def _second_sieve() -> int:
-    return math.prod(p for p in _sieve(1 << 14) if p > SMALL_PRIMES[-1])
+    return math.prod(p for p in _odd_primes(1 << 14) if p > SMALL_PRIMES[-1])
 
 
 # Below about 450 bits builtin pow was as fast as `_fold_pow` (CPython 3.10-3.13).
@@ -170,12 +181,22 @@ def safe_prime(bits: int, rng: random.Random) -> int:
             return p
 
 
-def random_prime_in_interval(lo: int, hi: int, rng: random.Random) -> int:
+def random_prime_in_interval(lo: int, hi: int, rng: random.Random, pool: PrimePool | None = None) -> int:
     """Uniformly sampled odd prime in [lo, hi]. After 64 draws per bit of
     `hi` find none (a chance below 2^-260 where primes are as dense as near
-    hi), the least prime in [lo, hi]; ValueError if there is none."""
+    hi), the least prime in [lo, hi]; ValueError if there is none.
+
+    With a `pool`, from its second draw on and for an interval at least two
+    windows wide, a prime from the pool's window instead: one the pool has
+    not handed out before, tested by the same `is_probable_prime`. Narrower
+    intervals, such as those of toy parameters, always take the draws above.
+    """
     if hi < lo:
         raise ValueError("empty interval")
+    if pool is not None and hi - lo >= 2 * POOL_WINDOW:
+        e = pool.draw(lo, hi, rng)
+        if e is not None:
+            return e
     for _ in range(64 * hi.bit_length()):
         # From an even start every odd value in [lo, hi] has two draws,
         # itself and the even number below it, so an odd lo is not halved.
@@ -187,3 +208,91 @@ def random_prime_in_interval(lo: int, hi: int, rng: random.Random) -> int:
         raise ValueError(f"no prime in [{lo}, {hi}]")
     return e
 
+
+# A pool's window: POOL_WINDOW odd candidates, sieved by every odd prime below
+# POOL_BOUND. About 9.0% survive (2e^-γ / ln POOL_BOUND), so a window near 2^596
+# holds about 5,900 survivors and 317 primes: a draw tests about 19 per prime.
+POOL_WINDOW = 1 << 16  # offsets fit 2 bytes
+POOL_BOUND = 1 << 18
+
+# One lock for every pool; a forked child takes a new one, as the copy it
+# inherits may be held by a thread that did not follow it into the child.
+_pool_lock = threading.Lock()
+
+
+def _new_pool_lock() -> None:
+    global _pool_lock
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_pool_lock)
+
+
+def _sieve_window(start: int, width: int, primes: Iterable[int]) -> memoryview:
+    """Offsets j in [0, width) of the odd candidates start + 2j that no
+    prime in `primes` (odd primes, start odd) divides, ascending, as
+    2-byte integers: width <= 2^16. A candidate equal to one of `primes`
+    is removed like its multiples. A memoryview, not array("H"): importing
+    `array` alone raised a 1024-bit gate process's peak RSS by 0.1-0.3 MB."""
+    flags = bytearray([1]) * width
+    zeros = bytes((width - 1) // 3 + 1)  # the most that one p >= 3 clears
+    for p in primes:
+        j = (p - start % p) * ((p + 1) >> 1) % p  # start + 2j = 0 (mod p)
+        if j < width:
+            flags[j::p] = zeros[: (width - 1 - j) // p + 1]
+    left = memoryview(bytearray(2 * flags.count(1))).cast("H")
+    for k, j in enumerate(itertools.compress(range(width), flags)):
+        left[k] = j
+    return left
+
+
+class PrimePool:
+    """Distinct odd primes from one interval, for an owner that asks for many.
+
+    The pool keeps one window: `POOL_WINDOW` odd candidates at a uniformly
+    random odd offset inside [lo, hi], sieved once by every odd prime below
+    `POOL_BOUND`. A draw removes a uniformly random untried survivor under a
+    lock and returns it only if `is_probable_prime` accepts it, so the pool
+    never hands out one candidate twice. It takes a fresh window when it has
+    none left, when asked for another interval, and in a process other than
+    the one that sieved it, so a forked child never repeats its parent's
+    candidates. Two windows overlap with probability below 2^-100 over an
+    interval as wide as e's. Its first draw returns None and sieves nothing,
+    so an owner that asks once, like a key that signs once, pays nothing.
+    """
+
+    def __init__(self) -> None:
+        self._asked = False
+        self._built_for = None  # (pid, lo, hi) of the window
+        self._start = 0  # the window's first candidate
+        self._left = ()  # untried survivors, each j standing for start + 2j
+
+    def __reduce__(self):
+        """A copy, deep copy or unpickled pool starts empty, so two pools
+        never hold the same survivors."""
+        return PrimePool, ()
+
+    def draw(self, lo: int, hi: int, rng: random.Random) -> int | None:
+        """A prime in [lo, hi] that this pool has not handed out, or None
+        on the pool's first draw. The interval must hold a window."""
+        while True:
+            with _pool_lock:
+                if not self._asked:
+                    self._asked = True
+                    return None
+                if self._built_for != (os.getpid(), lo, hi) or not self._left:
+                    self._fill(lo, hi, rng)
+                left = self._left
+                i = rng.randrange(len(left))
+                e = self._start + 2 * left[i]
+                left[i] = left[-1]
+                self._left = left[:-1]
+            if is_probable_prime(e):
+                return e
+
+    def _fill(self, lo: int, hi: int, rng: random.Random) -> None:
+        first = lo | 1
+        starts = (hi - 2 * (POOL_WINDOW - 1) - first) // 2 + 1  # odd starts whose window ends by hi
+        self._start = first + 2 * rng.randrange(starts)
+        self._left = _sieve_window(self._start, POOL_WINDOW, _odd_primes(POOL_BOUND))
+        self._built_for = (os.getpid(), lo, hi)

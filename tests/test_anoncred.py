@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sympy import legendre_symbol
 
 import oracle
-from abcid import anoncred, gate, hashing, wire
+from abcid import anoncred, gate, hashing, primes, wire
 from abcid.anoncred import (
     AbcError,
     ContextMismatch,
@@ -56,6 +56,7 @@ from abcid.anoncred import (
 from abcid.hashing import challenge_from_digest
 from abcid.model import Claim, claim_bytes, fields, replace
 from abcid.policy import AccessRequest
+from abcid.primes import random_prime_in_interval
 from abcid.wallet import Wallet, wallet_save
 
 from conftest import TOY_P, TOY_PARAMS, TOY_Q, make_claims, metadata, toy_issuer
@@ -245,6 +246,53 @@ def test_issue_rejects_bad_proof_and_wrong_claim_count():
         issue(sk, pk, replace(req, s_k=req.s_k + 1), claims, metadata("toyissuer"), rng)
     with pytest.raises(EncodingError):
         issue(sk, pk, req, claims[:1], metadata("toyissuer"), rng)
+
+
+def test_a_fresh_key_samples_its_first_e_without_a_pool(issued512):
+    """A key object's first signature draws e as `random_prime_in_interval`
+    does from the same rng state; its second comes from the key's pool."""
+    pk, sk, hs, _ = issued512
+    fresh = replace(sk)
+    rng = random.Random(41)
+    claims = make_claims(("member", "over_18", "reader"), "lab")
+    req, _ = begin_issuance(pk, hs, NONCE, rng)
+    for first in (True, False):
+        stateless = random_prime_in_interval(*pk.params.e_interval, copy.copy(rng))
+        pre = issue(fresh, pk, req, claims, metadata("lab"), rng)
+        assert (pre.e == stateless) == first
+        assert (vars(fresh)["_e_pool"]._left == ()) == first
+
+
+@pytest.mark.parametrize("window", [primes.POOL_WINDOW, 1024])
+def test_one_key_signing_from_threads_never_repeats_e(issuer512, monkeypatch, window):
+    """Two signatures on one e under one key forge a third, so 8 threads
+    that issue 25 credentials each under one key get 200 distinct e. A
+    stand-in for Miller-Rabin that passes about half the pool's survivors
+    keeps each draw cheap and still sends threads back for another; `issue`
+    signs on any e that shares no factor with p'q'. The small window runs
+    dry every few draws, so threads also race to refill it."""
+    monkeypatch.setattr(primes, "is_probable_prime", lambda n: n % 4 == 1)
+    monkeypatch.setattr(primes, "POOL_WINDOW", window)
+    pk, sk = issuer512
+    fresh = replace(sk)
+    hs = holder_keygen(random.Random(42))
+    claims = make_claims(("member", "over_18", "reader"), "lab")
+    req, _ = begin_issuance(pk, hs, NONCE, random.Random(43))
+    start = Barrier(8, timeout=60)
+
+    def signatures(seed):
+        rng = random.Random(seed)
+        start.wait()
+        return [issue(fresh, pk, req, claims, metadata("lab"), rng).e for _ in range(25)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            es = [e for thread in pool.map(signatures, range(8), timeout=300) for e in thread]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(es)) == 200
 
 
 def test_issue_refuses_secret_key_of_another_modulus():

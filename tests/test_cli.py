@@ -785,6 +785,25 @@ def test_module_entry_point():
     assert "issuer" in proc.stdout
 
 
+def test_one_shot_issue_sieves_no_prime_pool(issued_dir, tmp_path):
+    """`issuer issue` signs once per process, so it never builds the window
+    that a key signing again draws e from."""
+    d, _ = issued_dir
+    script = (
+        "import json, sys\n"
+        "from abcid import primes\n"
+        "from abcid.cli import run\n"
+        "sieved = []\n"
+        "real = primes._sieve_window\n"
+        "primes._sieve_window = lambda *args: sieved.append(args) or real(*args)\n"
+        "code = run(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, len(sieved)]))\n"
+    )
+    step = ISSUER_ISSUE.format(d=d, t=tmp_path).split() + ["--claims", str(d / "claims.json")]
+    proc = fresh_interpreter(script, json.dumps(step))
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0], proc.stderr
+
+
 def test_party_commands_load_neither_gate_nor_policy(issued_dir, tmp_path, capsys):
     """A holder or verifier step imports only the modules it runs: the
     policy language and the gate stay unloaded."""
@@ -814,8 +833,10 @@ def test_party_commands_load_neither_gate_nor_policy(issued_dir, tmp_path, capsy
 # SHA-256 over the sorted (relative path, bytes) pairs of every file the
 # walkthrough writes under seed 42. Re-pin it only for a deliberate change
 # to a document format or to the scheme, never to make a refactor pass.
+# `fixture emit` signs 4 credentials under campus_office: the last 3 take e
+# from the key's prime pool.
 E2E_SEED_42_FILES = 21
-E2E_SEED_42_SHA256 = "41b4aa34cbd31c962b44de2c791b43a5366943811aced65c40b4a194d0bb9dbc"
+E2E_SEED_42_SHA256 = "3f95ea760968579a2e75d537ef62bc5bb569f0bd7270b87d3cc4776619ff72d1"
 
 
 def test_e2e_demo_script(tmp_path):

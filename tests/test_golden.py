@@ -2,7 +2,8 @@
 fixed primes, the seeded safe-prime search, and the 1024-bit profile's
 sampling of the signature prime e.
 
-Uses only the public API, so the same file runs against any revision.
+Uses only the public API, so the same file runs against any revision that
+has `PrimePool`.
 """
 
 import random
@@ -18,7 +19,7 @@ from abcid.anoncred import (
     setup_issuer_from_primes,
 )
 from abcid.gate import reference_fixture
-from abcid.primes import is_probable_prime, random_prime_in_interval, safe_prime
+from abcid.primes import PrimePool, is_probable_prime, random_prime_in_interval, safe_prime
 
 from conftest import make_claims, metadata
 
@@ -30,11 +31,15 @@ GOLDEN_P = 977807982065166961652008365251548056572152977263281212664783359467343
 GOLDEN_Q = 89350475309887533445599869384550063540115056740090470884927006644745426614099
 # SHA-256 over the repr of the seeded outputs below. Optimisations of the
 # arithmetic must reproduce them bit for bit; only a change to the scheme
-# itself, or to the shape of its outputs, may change this value.
-GOLDEN_SHA256 = "dbc6ba56c8a2fab8bf723a86c42deb3d2d35fa4a0fa42235b3d40db64c2ee352"
+# itself, or to the shape of its outputs, may change this value. The key
+# signs 3 times, so its 2nd and 3rd e come from its prime pool.
+GOLDEN_SHA256 = "973f5aad11e5e7f49f426eabe2a4ec07c2cd87c15c6dd234a6bffe85c56bce5b"
+# The same outputs with every e drawn without a pool, as before pools
+# existed: the pools changed nothing but the e they draw.
+GOLDEN_UNPOOLED_SHA256 = "dbc6ba56c8a2fab8bf723a86c42deb3d2d35fa4a0fa42235b3d40db64c2ee352"
 
 
-def test_seeded_outputs_match_golden_hash():
+def _golden_outputs() -> list:
     pk, sk = setup_issuer_from_primes(
         3, GOLDEN_P, GOLDEN_Q, PROFILES[512], random.Random(4040), "golden"
     )
@@ -50,7 +55,16 @@ def test_seeded_outputs_match_golden_hash():
         outputs += [hs, req, state, pre, cred]
         for disclose in ((), (2,), (1, 3)):
             outputs.append(present(pk, cred, hs, disclose, nonce, CTX, rng))
-    assert sha256(repr(outputs).encode()).hexdigest() == GOLDEN_SHA256
+    return outputs
+
+
+def test_seeded_outputs_match_golden_hash():
+    assert sha256(repr(_golden_outputs()).encode()).hexdigest() == GOLDEN_SHA256
+
+
+def test_seeded_outputs_without_pools_match_unpooled_hash(monkeypatch):
+    monkeypatch.setattr(PrimePool, "draw", lambda self, lo, hi, rng: None)
+    assert sha256(repr(_golden_outputs()).encode()).hexdigest() == GOLDEN_UNPOOLED_SHA256
 
 
 # SHA-256 over the repr of seeded safe primes and the key digests of the

@@ -1,4 +1,7 @@
+import copy
 import math
+import multiprocessing
+import pickle
 import random
 from collections import Counter
 
@@ -9,7 +12,9 @@ from hypothesis import strategies as st
 
 from abcid import primes
 from abcid.anoncred import PROFILES
-from abcid.primes import is_probable_prime, random_prime_in_interval, safe_prime
+from abcid.primes import PrimePool, is_probable_prime, random_prime_in_interval, safe_prime
+
+from conftest import TOY_PARAMS
 
 E_LO, E_HI = PROFILES[1024].e_interval  # 2^596 and 2^596 + 2^120 at every profile
 
@@ -271,3 +276,111 @@ def test_safe_prime_reaches_pow_less(monkeypatch):
         counts.append(len(moduli))
     # Before the wheel and the second gcd stage: [139, 286, 619].
     assert counts == [106, 208, 424]
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 80),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=3, max_value=300),
+)
+@example(half=0, width=200, bound=300)  # candidates 1, 3, 5, ... include the sieving primes
+@settings(max_examples=150, deadline=None)
+def test_window_sieve_keeps_exactly_the_candidates_without_a_small_factor(half, width, bound):
+    start = 2 * half + 1
+    odd_primes = list(primes._odd_primes(bound))
+    assert odd_primes == list(sympy.primerange(3, bound))
+    survivors = list(primes._sieve_window(start, width, odd_primes))
+    assert survivors == sorted(set(survivors))
+    for j in range(width):
+        has_factor = any((start + 2 * j) % p == 0 for p in odd_primes)
+        assert (j in survivors) != has_factor, (start, j)
+
+
+def test_pool_sieves_by_the_odd_primes_below_its_bound():
+    assert primes.SMALL_PRIMES == list(sympy.primerange(2, 2000))
+    assert sum(1 for _ in primes._odd_primes(primes.POOL_BOUND)) == sympy.primepi(primes.POOL_BOUND) - 1
+    assert primes.POOL_WINDOW <= 1 << 16  # every offset fits 2 bytes
+
+
+def _rounds_per_candidate(monkeypatch) -> Counter:
+    """Counts the Miller-Rabin rounds run on each candidate from now on."""
+    rounds = Counter()
+    real = primes._miller_rabin_round
+
+    def counted(n, a, d, r):
+        rounds[n] += 1
+        return real(n, a, d, r)
+
+    monkeypatch.setattr(primes, "_miller_rabin_round", counted)
+    return rounds
+
+
+def test_pooled_e_are_distinct_primes_each_confirmed_by_11_rounds(monkeypatch):
+    rounds = _rounds_per_candidate(monkeypatch)
+    pool, rng = PrimePool(), random.Random(30)
+    first = random_prime_in_interval(E_LO, E_HI, copy.copy(rng))
+    assert random_prime_in_interval(E_LO, E_HI, rng, pool) == first  # the first draw sieves nothing
+    assert pool._left == ()
+    pooled = [random_prime_in_interval(E_LO, E_HI, rng, pool) for _ in range(12)]
+    assert len({first, *pooled}) == 13
+    for e in pooled:
+        assert pool._start <= e < pool._start + 2 * primes.POOL_WINDOW
+        assert E_LO <= e <= E_HI and e % 2 == 1 and sympy.isprime(e)
+        assert rounds[e] == 11
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+def test_a_copied_pool_starts_empty(clone):
+    pool, rng = PrimePool(), random.Random(33)
+    pool.draw(E_LO, E_HI, rng)
+    pool.draw(E_LO, E_HI, rng)
+    twin = clone(pool)
+    assert (twin._asked, twin._left) == (False, ())
+    assert len(pool._left) > 5000
+
+
+def test_an_emptied_pool_takes_a_fresh_window(monkeypatch):
+    monkeypatch.setattr(primes, "POOL_WINDOW", 64)  # about 6 survivors, and a prime in 1 window of 3
+    pool, rng = PrimePool(), random.Random(31)
+    pool.draw(E_LO, E_HI, rng)
+    starts, drawn = set(), []
+    for _ in range(8):
+        drawn.append(pool.draw(E_LO, E_HI, rng))
+        starts.add(pool._start)
+    assert len(set(drawn)) == 8 and all(sympy.isprime(e) for e in drawn)
+    assert len(starts) > 1
+    assert all(any(s <= e < s + 128 for s in starts) for e in drawn)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_intervals_narrower_than_a_window_skip_the_pool(seed):
+    pool = PrimePool()
+    toy = TOY_PARAMS.e_interval
+    assert toy[1] - toy[0] < primes.POOL_WINDOW
+    for _ in range(3):
+        assert random_prime_in_interval(*toy, random.Random(seed), pool) == random_prime_in_interval(
+            *toy, random.Random(seed)
+        )
+    with pytest.raises(ValueError, match="no prime"):
+        random_prime_in_interval(24, 28, random.Random(seed), pool)
+    assert not pool._asked
+
+
+def test_a_forked_child_draws_from_a_new_window():
+    pool, rng = PrimePool(), random.Random(32)
+    pool.draw(E_LO, E_HI, rng)
+    pool.draw(E_LO, E_HI, rng)
+    parent_start = pool._start
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    # Same rng state, same survivors: without the pid check the child would
+    # draw exactly the e that the parent draws next.
+    child = ctx.Process(target=lambda: send.send((pool.draw(E_LO, E_HI, rng), pool._start)))
+    child.start()
+    assert recv.poll(60)
+    child_e, child_start = recv.recv()
+    child.join(60)
+    assert child.exitcode == 0
+    assert child_start != parent_start
+    assert not parent_start <= child_e < parent_start + 2 * primes.POOL_WINDOW
+    assert pool.draw(E_LO, E_HI, rng) != child_e and pool._start == parent_start
