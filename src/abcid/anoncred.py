@@ -36,7 +36,7 @@ import math
 import random
 from datetime import date, datetime
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .hashing import (
     TAG_ISSUE,
@@ -48,7 +48,11 @@ from .hashing import (
     transcript_hash,
 )
 from .model import Attribute, Claim, CodedError, Record, claim_bytes, is_token
-from .primes import PrimePool, random_prime_in_interval, safe_prime
+
+# Only making a key and signing draw primes, so `setup_issuer`, `issue` and
+# `_e_pool` import `primes` when they run: no other command compiles it.
+if TYPE_CHECKING:
+    from .primes import PrimePool
 
 NONCE_LEN = 16
 
@@ -231,6 +235,8 @@ class IssuerSecretKey(Record):
     def _e_pool(self) -> PrimePool:
         """Where `issue` draws e from after this key object's first
         signature, which samples e without it. In memory only."""
+        from .primes import PrimePool
+
         return PrimePool()
 
 
@@ -466,6 +472,8 @@ def setup_issuer(
     params = PROFILES.get(l_n)
     if params is None:
         raise ParameterError(f"unsupported modulus size {l_n}, pick one of {sorted(PROFILES)}")
+    from .primes import safe_prime
+
     # safe_prime sets the top two bits, so p*q has exactly l_n bits, and
     # setup_issuer_from_primes refuses p == q: no draw needs a retry.
     p = safe_prime(l_n // 2, rng)
@@ -549,6 +557,8 @@ def issue(
     # e, p' and q' are primes, and e has l_e bits where p' and q' have l_n/2 - 1,
     # so at every profile gcd(e, p'q') = 1; were it not, pow(e, -1, .) would raise.
     # The key's pool never repeats an e: two signatures on one e forge a third.
+    from .primes import random_prime_in_interval
+
     e = random_prime_in_interval(*p.e_interval, rng, sk._e_pool)
     # A = Q^d with d = 1/e mod p'q'. Q is a unit mod n, so by Fermat
     # Q^d = Q^(d mod (p-1)) (mod p), and likewise mod q; CRT recombines.

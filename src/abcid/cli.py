@@ -19,9 +19,11 @@ import sys
 from datetime import datetime
 from pathlib import Path
 
-# The parser and the error handler need only these; each command imports
-# the rest, so an issuer, holder or verifier step never loads the policy
-# language or the gate.
+# The parser and the error handler need only these: the parser takes the
+# nonce type from `wire` and the key sizes from `anoncred`. Each command
+# imports the rest, so an issuer, holder or verifier step never loads the
+# policy language or the gate, and only making a key or signing loads
+# `primes`. `build_parser` builds only the parser of the command argv names.
 from . import anoncred, wire
 from .anoncred import AbcError, CredentialMetadata, EncodingError, ParameterError
 from .model import Claim, CodedError, Unsatisfiable, select_credentials
@@ -271,91 +273,108 @@ def cmd_fixture_emit(args) -> int:
 
 # -- wiring --------------------------------------------------------------------
 
-def _shared(flag: str, parents: tuple = (), **kwargs) -> argparse.ArgumentParser:
-    """A parent parser declaring one option that several commands take."""
-    p = argparse.ArgumentParser(add_help=False, parents=parents)
-    p.add_argument(flag, **kwargs)
-    return p
+# Options that several commands take, each declared once as a parent parser:
+# name -> (flag, keywords for add_argument).
+_SHARED = {
+    "seed": ("--seed", {"type": int}),
+    "out": ("--out", {"required": True, "help": "output file"}),
+    "infile": ("--in", {"dest": "infile", "required": True, "help": "input document"}),
+    "key": ("--issuer-pub", {"required": True, "help": "issuer public key file"}),
+    "wallet": ("--wallet", {"required": True}),
+    "nonce": ("--nonce", {"type": wire.nonce_from_hex, "required": True, "help": "32 hex digits"}),
+    "context": ("--context", {"required": True}),
+}
+
+# group -> (help, {command -> (function, help, shared options, own options)}),
+# in the order the help lists them; an own option is (flag, add_argument keywords).
+_COMMANDS = {
+    "issuer": ("issuer-side operations", {
+        "init": (cmd_issuer_init, "generate an issuer key pair", ("seed",), (
+            ("--issuer-id", {"required": True}),
+            ("--attrs", {"type": int, "required": True, "help": "claims per credential"}),
+            ("--l-n", {"type": int, "default": 2048, "choices": sorted(anoncred.PROFILES)}),
+            ("--key", {"required": True, "help": "secret key output file"}),
+            ("--issuer-pub", {"required": True, "help": "public key output file"}),
+        )),
+        "issue": (cmd_issuer_issue, "sign a blinded issuance request", ("key", "infile", "nonce", "seed", "out"), (
+            ("--key", {"required": True}),
+            ("--claims", {"required": True, "help": "claims + metadata JSON file"}),
+        )),
+    }),
+    "holder": ("wallet-side operations", {
+        "keygen": (cmd_holder_keygen, "create a wallet with a fresh holder secret", ("wallet", "key", "seed"), ()),
+        "request": (cmd_holder_request, "start a blinded issuance", ("wallet", "key", "nonce", "seed", "out"), (
+            ("--state", {"required": True, "help": "issuance state output file"}),
+        )),
+        "complete": (cmd_holder_complete, "turn a pre-credential into a credential", ("wallet", "key", "infile"), (
+            ("--state", {"required": True}),
+            ("--label", {}),
+        )),
+        "list": (cmd_holder_list, "list wallet credentials", ("wallet",), ()),
+        "present": (cmd_holder_present, "create a selective-disclosure presentation",
+                    ("wallet", "key", "nonce", "context", "seed", "out"), (
+            ("--credential", {"required": True, "help": "credential id in the wallet"}),
+            ("--disclose", {"default": "", "help": "comma-separated attribute names"}),
+        )),
+    }),
+    "verifier": ("verifier-side operations", {
+        "verify": (cmd_verifier_verify, "check a presentation transcript", ("infile", "key", "nonce", "context"), ()),
+    }),
+    "policy": ("policy tooling", {
+        "lint": (cmd_policy_lint, "parse a .pol file and show its parts", (), (("file", {}),)),
+    }),
+    "gate": ("domain gate", {
+        "eval": (cmd_gate_eval, "decide one access request", ("nonce",), (
+            ("--registry", {"required": True}),
+            ("--domain", {"required": True}),
+            ("--action", {"required": True}),
+            ("--rtype", {"required": True}),
+            ("--rname", {"default": ""}),
+            ("--at", {"required": True, "help": "RFC3339 UTC timestamp"}),
+            ("--presentation", {"action": "append", "help": "presentation file (repeatable)"}),
+            ("--issuer-pub", {"action": "append", "help": "trusted issuer key file (repeatable)"}),
+            ("--policy", {"action": "append", "help": ".pol file (repeatable; id = file stem)"}),
+        )),
+    }),
+    "fixture": ("reference scenario", {
+        "emit": (cmd_fixture_emit, "write the reference fixture to a directory", ("seed",), (
+            ("--out-dir", {"required": True}),
+        )),
+    }),
+}
 
 
-def _command(group, name: str, fn, help: str, *parents) -> argparse.ArgumentParser:
-    """A subcommand of `group` that runs `fn` and takes the options of `parents`."""
-    p = group.add_parser(name, help=help, parents=parents)
-    p.set_defaults(fn=fn)
-    return p
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for `argv`. When `argv` starts with a known group and
+    command, only that command's parser is built, beside the bare group
+    parsers that the top-level usage lists: every help, usage or error text
+    such an `argv` can print comes from those. Any other `argv`, or none,
+    gets every command, for the help and errors that list them."""
+    group, cmd, *_ = [*(argv or ()), "", ""]
+    only = group in _COMMANDS and cmd in _COMMANDS[group][1]
+    parents: dict[str, argparse.ArgumentParser] = {}
 
-
-def build_parser() -> argparse.ArgumentParser:
-    seed = _shared("--seed", type=int)
-    out = _shared("--out", required=True, help="output file")
-    infile = _shared("--in", dest="infile", required=True, help="input document")
-    key = _shared("--issuer-pub", required=True, help="issuer public key file")
-    wallet = _shared("--wallet", required=True)
-    nonce = _shared("--nonce", type=wire.nonce_from_hex, required=True, help="32 hex digits")
-    show = _shared("--context", required=True, parents=(nonce,))
+    def parent(name: str) -> argparse.ArgumentParser:
+        if name not in parents:
+            flag, kwargs = _SHARED[name]
+            parents[name] = argparse.ArgumentParser(add_help=False)
+            parents[name].add_argument(flag, **kwargs)
+        return parents[name]
 
     parser = argparse.ArgumentParser(prog="abcid", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    def group(name: str, help: str):
-        return sub.add_parser(name, help=help).add_subparsers(dest="cmd", required=True)
-
-    issuer = group("issuer", "issuer-side operations")
-    p = _command(issuer, "init", cmd_issuer_init, "generate an issuer key pair", seed)
-    p.add_argument("--issuer-id", required=True)
-    p.add_argument("--attrs", type=int, required=True, help="claims per credential")
-    p.add_argument("--l-n", type=int, default=2048, choices=sorted(anoncred.PROFILES))
-    p.add_argument("--key", required=True, help="secret key output file")
-    p.add_argument("--issuer-pub", required=True, help="public key output file")
-
-    p = _command(issuer, "issue", cmd_issuer_issue, "sign a blinded issuance request",
-                 key, infile, nonce, seed, out)
-    p.add_argument("--key", required=True)
-    p.add_argument("--claims", required=True, help="claims + metadata JSON file")
-
-    holder = group("holder", "wallet-side operations")
-    _command(holder, "keygen", cmd_holder_keygen, "create a wallet with a fresh holder secret",
-             wallet, key, seed)
-
-    p = _command(holder, "request", cmd_holder_request, "start a blinded issuance",
-                 wallet, key, nonce, seed, out)
-    p.add_argument("--state", required=True, help="issuance state output file")
-
-    p = _command(holder, "complete", cmd_holder_complete, "turn a pre-credential into a credential",
-                 wallet, key, infile)
-    p.add_argument("--state", required=True)
-    p.add_argument("--label")
-
-    _command(holder, "list", cmd_holder_list, "list wallet credentials", wallet)
-
-    p = _command(holder, "present", cmd_holder_present, "create a selective-disclosure presentation",
-                 wallet, key, show, seed, out)
-    p.add_argument("--credential", required=True, help="credential id in the wallet")
-    p.add_argument("--disclose", default="", help="comma-separated attribute names")
-
-    verifier = group("verifier", "verifier-side operations")
-    _command(verifier, "verify", cmd_verifier_verify, "check a presentation transcript", infile, key, show)
-
-    policy = group("policy", "policy tooling")
-    p = _command(policy, "lint", cmd_policy_lint, "parse a .pol file and show its parts")
-    p.add_argument("file")
-
-    gatep = group("gate", "domain gate")
-    p = _command(gatep, "eval", cmd_gate_eval, "decide one access request", nonce)
-    p.add_argument("--registry", required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--action", required=True)
-    p.add_argument("--rtype", required=True)
-    p.add_argument("--rname", default="")
-    p.add_argument("--at", required=True, help="RFC3339 UTC timestamp")
-    p.add_argument("--presentation", action="append", help="presentation file (repeatable)")
-    p.add_argument("--issuer-pub", action="append", help="trusted issuer key file (repeatable)")
-    p.add_argument("--policy", action="append", help=".pol file (repeatable; id = file stem)")
-
-    fixture = group("fixture", "reference scenario")
-    p = _command(fixture, "emit", cmd_fixture_emit, "write the reference fixture to a directory", seed)
-    p.add_argument("--out-dir", required=True)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group_name, (group_help, commands) in _COMMANDS.items():
+        group_parser = groups.add_parser(group_name, help=group_help)
+        if only and group_name != group:
+            continue
+        subcommands = group_parser.add_subparsers(dest="cmd", required=True)
+        for name, (fn, help, shared, own) in commands.items():
+            if only and name != cmd:
+                continue
+            p = subcommands.add_parser(name, help=help, parents=[parent(n) for n in shared])
+            p.set_defaults(fn=fn)
+            for flag, kwargs in own:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -364,7 +383,7 @@ def run(argv: list[str]) -> int:
     try:
         # Inside the handler: an argument type such as the nonce parser
         # raises FormatError, which argparse passes through.
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)

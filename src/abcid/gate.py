@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import re
 from datetime import date
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 from urllib.parse import quote
 
 from .anoncred import (
@@ -50,8 +50,10 @@ from .anoncred import (
 )
 from .model import Attribute, Claim, CodedError, Record, is_token
 from .policy import PRESENTATION_REJECTED, AccessRequest, Decision, Policy, evaluate, parse_policy
-from .wallet import Wallet
 from .wire import FormatError, message, need
+
+if TYPE_CHECKING:  # only building the reference fixture makes a wallet
+    from .wallet import Wallet
 
 
 class GateError(CodedError):
@@ -342,6 +344,8 @@ class ReferenceFixture(Record, frozen=False):
 
 def reference_fixture(seed: int = 20260101, l_n: int = 512) -> ReferenceFixture:
     """Build the full reference scenario, deterministically from `seed`."""
+    from .wallet import Wallet
+
     rng = random.Random(seed)
     attributes = {code: Attribute(name, "true") for code, name in ATTRIBUTE_CODES.items()}
 

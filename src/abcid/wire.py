@@ -8,7 +8,6 @@ produce identical bytes.
 
 from __future__ import annotations
 
-import fcntl
 import json
 import os
 import re
@@ -112,6 +111,8 @@ def save_text(text: str, path: str | Path) -> None:
 def locked(directory: str | Path) -> Iterator[None]:
     """Hold an exclusive lock on `directory`, so that one writer at a time checks and
     replaces its files. The lock makes no file and outlasts the renames `save` makes."""
+    import fcntl  # only the writing commands lock
+
     fd = os.open(directory, os.O_RDONLY)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)

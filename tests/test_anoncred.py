@@ -133,7 +133,7 @@ def test_setup_rejects_bad_issuer_before_prime_search(monkeypatch, L, issuer_id)
     def no_search(*args):
         raise AssertionError("prime search started")
 
-    monkeypatch.setattr("abcid.anoncred.safe_prime", no_search)
+    monkeypatch.setattr("abcid.primes.safe_prime", no_search)
     with pytest.raises(ParameterError):
         setup_issuer(L, 2048, random.Random(0), issuer_id)
     with pytest.raises(ParameterError):

@@ -3,6 +3,7 @@ lists must still exist, or a traced run fails before its first operation."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,29 @@ def test_in_process_workload_runs_clean(monkeypatch, tmp_path, name):
     workload = getattr(workloads, name)(7, tmp_path)
     results = [workload.setup(None)] + [workload.run_op(i, None) for i in range(workload.block)]
     assert [r.problems for r in results] == [[]] * len(results)
+
+
+def test_traced_issue_records_its_prime_draw(issuer512):
+    """`issue` imports the prime sampler when it runs, so the tracer's
+    wrapper on `abcid.primes` still catches every draw of e."""
+    from abcid import anoncred
+
+    from conftest import make_claims, metadata
+
+    tracer_module = _load_tracer()
+    pk, sk = issuer512
+    rng = random.Random(31)
+    hs = anoncred.holder_keygen(rng)
+    nonce = rng.getrandbits(128).to_bytes(16, "big")
+    req, _ = anoncred.begin_issuance(pk, hs, nonce, rng)
+    tracer = tracer_module.Tracer()
+    tracer.rid = 0
+    tracer.install()
+    try:
+        anoncred.issue(sk, pk, req, make_claims(("member", "over_18", "reader"), "lab"), metadata("lab", "traced"), rng)
+    finally:
+        tracer.uninstall()
+    names = {idx: span[0] for idx, span in enumerate(tracer.spans)}
+    draws = [span for span in tracer.spans if span[0] == "primes.random_prime_in_interval"]
+    assert len(draws) == 1 and names[draws[0][3]] == "anoncred.issue"
+    assert tracer_module.layer_metrics(tracer.totals(), 1)["primes.is_probable_prime.calls_per_prime"] > 0

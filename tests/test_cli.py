@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import abcid
-from abcid import gate, wire
+from abcid import cli as cli_module, gate, wire
 from abcid.anoncred import present
 from abcid.cli import build_parser, run
 from abcid.gate import WORKED_POLICY_TEXT
@@ -401,6 +401,104 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
 
 
+def _built_commands(parser):
+    """(group, command) -> parser of each command `parser` has built; a bare group has none."""
+    return {
+        (group, cmd): cmd_parser
+        for group, group_parser in _subcommands(parser).items()
+        if group_parser._subparsers is not None
+        for cmd, cmd_parser in _subcommands(group_parser).items()
+    }
+
+
+def _options(parser):
+    """Every action of `parser`, in the order its help lists them."""
+    return [(a.option_strings, a.dest, a.required, a.default, a.type, a.choices, type(a)) for a in parser._actions]
+
+
+@pytest.mark.parametrize("group, cmd", sorted(CLI_SURFACE))
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys, group, cmd):
+    """`run` builds that command's parser alone, with the options of the
+    full parser's, beside the bare group parsers the top-level usage lists."""
+    built = []
+    real = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda argv=None: built.append(real(argv)) or built[-1])
+    assert run([group, cmd, "-h"]) == 0
+    (parser,) = built
+    full = build_parser()
+    assert list(_subcommands(parser)) == list(_subcommands(full))
+    assert list(_built_commands(parser)) == [(group, cmd)]
+    assert _options(_built_commands(parser)[group, cmd]) == _options(_built_commands(full)[group, cmd])
+
+
+HELP_AND_ERRORS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["holder"],
+    ["holder", "bogus"],
+    ["holder", "-h", "list"],
+    *([group, "-h"] for group in dict.fromkeys(g for g, _ in CLI_SURFACE)),
+    *([group, cmd, "-h"] for group, cmd in CLI_SURFACE),
+    ["holder", "list"],  # a required option missing
+    ["policy", "lint"],  # a required positional missing
+    ["verifier", "verify", "--in", "i", "--issuer-pub", "p", "--context", "x", "--nonce", "zz"],
+    ["holder", "list", "--wallet", "w", "extra"],
+    ["holder", "list", "--bogus"],
+    ["issuer", "init", "--l-n", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=lambda argv: " ".join(["abcid", *argv]))
+def test_a_smaller_parser_prints_what_the_full_one_does(monkeypatch, capsys, argv):
+    """Compared in one interpreter, as argparse's texts differ between
+    Python versions: same stdout, stderr and exit code either way."""
+    smaller = run(argv), *capsys.readouterr()
+    real = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda argv=None: real())
+    full = run(argv), *capsys.readouterr()
+    assert smaller == full
+    assert full[0] in (0, 2) and "Traceback" not in full[2]
+
+
+# ArgumentParsers built to parse one command: the top level, the six groups,
+# the command and one for each shared option it takes. Help and errors that
+# list the commands build all 25.
+PARSERS_BUILT = {
+    ("issuer", "init"): 9,
+    ("issuer", "issue"): 13,
+    ("holder", "keygen"): 11,
+    ("holder", "request"): 13,
+    ("holder", "complete"): 11,
+    ("holder", "list"): 9,
+    ("holder", "present"): 14,
+    ("verifier", "verify"): 12,
+    ("policy", "lint"): 8,
+    ("gate", "eval"): 9,
+    ("fixture", "emit"): 9,
+}
+
+
+def test_parsers_built_per_command(monkeypatch, capsys):
+    counts = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[-1] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+
+    def built(*argv: str) -> int:
+        counts.append(0)
+        run(list(argv))
+        capsys.readouterr()
+        return counts[-1]
+
+    assert {command: built(*command, "-h") for command in CLI_SURFACE} == PARSERS_BUILT
+    assert [built("-h"), built("holder", "-h"), built("holder", "bogus"), built()] == [25] * 4
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code, out, err = cli(
         capsys, "holder", "list", "--wallet", str(tmp_path / "missing.json")
@@ -578,7 +676,7 @@ def test_secret_files_are_never_replaced(issued_dir, tmp_path, capsys, monkeypat
     def no_search(*args):
         raise AssertionError("prime search started")
 
-    monkeypatch.setattr("abcid.anoncred.safe_prime", no_search)
+    monkeypatch.setattr("abcid.primes.safe_prime", no_search)
     code, out, err = cli(capsys, *(a.format(d=d, t=tmp_path) for a in command.split()))
     assert code == 2
     assert err.startswith("error[IoError]: ")
@@ -760,7 +858,7 @@ def test_issuer_init_rejects_unusable_key_before_search(tmp_path, capsys, monkey
     def no_search(*args):
         raise AssertionError("prime search started")
 
-    monkeypatch.setattr("abcid.anoncred.safe_prime", no_search)
+    monkeypatch.setattr("abcid.primes.safe_prime", no_search)
     code, out, err = cli(
         capsys, "issuer", "init", "--issuer-id", issuer_id, "--attrs", attrs, "--l-n", "2048",
         "--key", str(tmp_path / "k.json"), "--issuer-pub", str(tmp_path / "p.json"),

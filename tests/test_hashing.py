@@ -102,34 +102,40 @@ EVERY_COMMAND = [
     + " --presentation {t}/c1.json --presentation {t}/c5.json --issuer-pub {t}/fixture/campus_office.pub.json"
     " --issuer-pub {t}/fixture/registry_office.pub.json --policy {t}/fixture/policies/medical_files_write.pol",
 ]
-# Runs each command in turn and reports, after each, which watched modules
-# are loaded: OpenSSL's hashlib, and the stdlib modules behind per-class
-# code generation. The first entry lists those loaded before abcid.
-WATCHED = ("_hashlib", "hashlib", "dataclasses", "inspect")
-EVERY_COMMAND_RUN = """
+# Runs one command in a fresh interpreter and reports which watched modules
+# are loaded before abcid and after the command: OpenSSL's hashlib, the
+# stdlib modules behind per-class code generation, and the abcid modules
+# only some commands need. Each command gets its own interpreter, so none
+# hides what a later one loads.
+WATCHED = ("_hashlib", "hashlib", "dataclasses", "inspect", "abcid.primes", "abcid.wallet")
+COMMAND_RUN = """
 import json, sys
 watched = set(json.loads(sys.argv[2]))
 preloaded = sorted(watched & set(sys.modules))
 from abcid.cli import run
-report = [[step[:2], run(step), sorted(watched & set(sys.modules))] for step in json.loads(sys.argv[1])]
-print(json.dumps([preloaded, report]))
+code = run(json.loads(sys.argv[1]))
+print(json.dumps([preloaded, code, sorted(watched & set(sys.modules))]))
 """
 
 
 @pytest.fixture(scope="module")
 def every_command(tmp_path_factory):
     """(modules loaded before abcid, [(command, exit code, loaded modules)])
-    for every CLI command, run one after another in one fresh interpreter."""
+    for every CLI command, each run in a fresh interpreter of its own."""
     tmp_path = tmp_path_factory.mktemp("every_command")
     claims = {"schema_id": "staff_v1", "credential_id": "c_demo", "issued_at": "2026-02-02",
               "claims": [{"name": "medical_staff", "value": "true"}]}
     (tmp_path / "claims.json").write_text(json.dumps(claims))
-    steps = [command.format(t=tmp_path).split() for command in EVERY_COMMAND]
-    proc = fresh_interpreter(EVERY_COMMAND_RUN, json.dumps(steps), json.dumps(WATCHED))
-    assert proc.returncode == 0, proc.stderr
-    preloaded, report = json.loads(proc.stdout.splitlines()[-1])
-    assert [code for _, code, _ in report] == [0] * len(steps), proc.stderr
-    return set(preloaded), report
+    preloaded, report = set(), []
+    for command in EVERY_COMMAND:
+        step = command.format(t=tmp_path).split()
+        proc = fresh_interpreter(COMMAND_RUN, json.dumps(step), json.dumps(WATCHED))
+        assert proc.returncode == 0, proc.stderr
+        before, code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, (step, proc.stderr)
+        preloaded.update(before)
+        report.append((" ".join(step[:2]), code, loaded))
+    return preloaded, report
 
 
 def loaded_after(report, names):
@@ -141,7 +147,7 @@ def loaded_after(report, names):
     reason="this interpreter has no built-in SHA-256, so hashlib is the only path",
 )
 def test_no_command_loads_openssl(every_command):
-    """Every CLI command, one after another in a fresh interpreter, leaves
+    """Every CLI command, each in a fresh interpreter, leaves
     OpenSSL's hashlib unloaded: each process saves the 3.6 MB libcrypto maps."""
     preloaded, report = every_command
     if "_hashlib" in preloaded:
@@ -156,3 +162,20 @@ def test_no_command_loads_dataclasses(every_command):
     if not preloaded.isdisjoint({"dataclasses", "inspect"}):
         pytest.skip("dataclasses or inspect was loaded before abcid, by a site hook or the interpreter")
     assert loaded_after(report, {"dataclasses", "inspect"}) == []
+
+
+# The commands that load each abcid module that not every command needs:
+# primes for drawing key and signature primes, wallet for the holder's file.
+LOADED_BY = {
+    "abcid.primes": {"issuer init", "issuer issue", "fixture emit"},
+    "abcid.wallet": {"holder keygen", "holder request", "holder complete", "holder list", "holder present",
+                     "fixture emit"},
+}
+
+
+def test_each_command_loads_only_the_modules_it_runs(every_command):
+    """Only the commands that make a key or sign compile `abcid.primes`,
+    and `gate eval`, which reads no wallet, leaves `abcid.wallet` unloaded."""
+    preloaded, report = every_command
+    assert preloaded.isdisjoint(LOADED_BY)
+    assert {name: {command for command, _, loaded in report if name in loaded} for name in LOADED_BY} == LOADED_BY
